@@ -2,17 +2,17 @@
 
 Every hot kernel of the coloring engine dispatches through
 :mod:`repro.core.backends`, so one flag swaps the numpy reference
-implementation for the numba (prange-threaded) or torch backend.  This
+implementation for the numba (prange-threaded) backend.  This
 suite times full greedy colorings at the large-scale sizes under the
 numpy backend and under whatever ``resolve_backend("auto")`` picks, and
-records the pairing — backend name, device, core count, speedup — in
+records the pairing — backend name, core count, speedup — in
 ``extra_info`` so ``run_benchmarks.py --json`` persists the comparison
 in ``benchmarks/results/bench_backends.json``.
 
 Two invariants are asserted regardless of which backend auto-detect
 finds:
 
-* **parity** — CPU backends are bit-identical, so the accelerated
+* **parity** — backends are bit-identical, so the accelerated
   coloring must equal the numpy coloring label-for-label;
 * **dispatch overhead** — when auto-detect falls back to numpy (no
   optional backend installed), the dispatch layer itself must be free:
@@ -63,20 +63,14 @@ def test_backend_coloring(benchmark, n):
     engine = Rothko(adjacency, backend=BEST)
     result = run_once(benchmark, lambda: engine.run(max_colors=budget))
 
-    # CPU backends are bit-identical; a CUDA torch device is the only
-    # sanctioned divergence (last-ulp atomics) and is not auto-picked
-    # without hardware, so parity holds whenever this suite runs on CPU.
-    if engine.backend.device == "cpu":
-        assert np.array_equal(
-            result.coloring.labels, reference.coloring.labels
-        )
+    # Backends are bit-identical.
+    assert np.array_equal(result.coloring.labels, reference.coloring.labels)
     assert result.n_colors == reference.n_colors == budget
 
     median = benchmark.stats.stats.median
     benchmark.extra_info["n"] = n
     benchmark.extra_info["arcs"] = int(adjacency.nnz)
     benchmark.extra_info["backend"] = engine.backend.name
-    benchmark.extra_info["device"] = engine.backend.device
     benchmark.extra_info["available"] = ",".join(available_backends())
     benchmark.extra_info["cores"] = os.cpu_count() or 1
     benchmark.extra_info["numpy_seconds"] = round(numpy_seconds, 3)

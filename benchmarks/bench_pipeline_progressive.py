@@ -92,8 +92,8 @@ def test_progressive_speedup_and_equality():
                 "colors": prog.n_colors,
                 "max_q": prog.max_q_err,
                 "value": prog.value,
-                "percolor_s": base.total_seconds,
-                "progressive_s": prog.total_seconds,
+                "percolor_s": base.timings.total,
+                "progressive_s": prog.timings.total,
             }
         )
     speedup = naive_seconds / progressive_seconds

@@ -31,7 +31,7 @@ suite's traced peak memory) carry it through to the condensed results.
 at the repo root mapping every suite to its per-benchmark medians and
 peak RSS — the committed regression baseline
 (``benchmarks/check_regressions.py`` diffs a fresh run against it).
-The header records the run's ``{backend, device, workers}`` config
+The header records the run's ``{backend, workers}`` config
 (from ``REPRO_BACKEND``/``REPRO_WORKERS``); a same-day run under a
 *different* config writes ``BENCH_<date>.<backend>-w<workers>.json``
 instead of overwriting the other config's numbers.
@@ -86,9 +86,6 @@ SMOKE_FILTERS = {
     # Time both sweep strategies once each; the strict >= 3x assertion
     # test stays out of smoke mode (CI runners are too noisy for it).
     "bench_pipeline_progressive": "test_sweep",
-    # Time the arcstore engine only; the >= 5x speedup assertion test
-    # (which also runs the slow python engine) stays out of smoke mode.
-    "bench_solver_core": "arcstore",
     # Time the dispatched solver kernels once per backend (numba rows
     # skip cleanly where absent); the >= 3x numba speedup and the
     # parallel-Brandes assertion tests stay out of smoke.
@@ -105,24 +102,19 @@ def run_config() -> dict:
     variables; importing repro into this driver would shadow the
     children's own resolution and slow every invocation down).
     """
-    spec = os.environ.get("REPRO_BACKEND") or "auto"
-    backend, _, device = spec.partition(":")
+    backend = os.environ.get("REPRO_BACKEND") or "auto"
     try:
         workers = int(os.environ.get("REPRO_WORKERS") or 1)
     except ValueError:
         workers = 1
-    return {
-        "backend": backend,
-        "device": device or None,
-        "workers": workers,
-    }
+    return {"backend": backend, "workers": workers}
 
 
 def consolidated_path(stamp: str, config: dict) -> pathlib.Path:
     """Where this run's consolidated baseline lands.
 
     ``BENCH_<date>.json`` normally; when that file already exists and
-    records a *different* ``{backend, device, workers}`` configuration,
+    records a *different* ``{backend, workers}`` configuration,
     the name gains a config suffix instead of silently overwriting the
     other configuration's numbers (same-config reruns still overwrite —
     that is a refresh, not a collision).
@@ -134,11 +126,8 @@ def consolidated_path(stamp: str, config: dict) -> pathlib.Path:
         except (OSError, ValueError):
             existing = None
         if existing is not None and existing != config:
-            parts = [config["backend"]]
-            if config["device"]:
-                parts.append(config["device"])
-            parts.append(f"w{config['workers']}")
-            return REPO_ROOT / f"BENCH_{stamp}.{'-'.join(parts)}.json"
+            suffix = f"{config['backend']}-w{config['workers']}"
+            return REPO_ROOT / f"BENCH_{stamp}.{suffix}.json"
     return default
 
 

@@ -3,10 +3,10 @@
 
 The coloring engine's hot kernels dispatch through
 ``repro.core.backends``: numpy is the always-available reference, and
-numba / torch backends are picked up automatically when installed (or
-explicitly via ``Rothko(backend=...)`` / ``REPRO_BACKEND``).  All CPU
-backends are bit-identical, so switching one in changes wall-clock and
-nothing else.
+the numba backend is picked up automatically when installed (or
+explicitly via ``Rothko(backend=...)`` / ``REPRO_BACKEND``).  Backends
+are bit-identical, so switching one in changes wall-clock and nothing
+else.
 
 This example colors a mid-size random digraph once per available
 backend — plus a parallel batched-round run (``workers=cores``) — and
@@ -15,7 +15,7 @@ solver tier rides the same dispatch, so a second leg times Dinic
 max-flow and batched Brandes betweenness per backend (plus a
 source-batched parallel Brandes run), asserting along the way that
 every backend reproduces the numpy/serial reference.  On a machine
-without numba/torch it degrades to the numpy rows alone.
+without numba it degrades to the numpy rows alone.
 
 Run:  python examples/backend_speedup.py
 """
@@ -107,7 +107,7 @@ def main() -> None:
     ))
     print(
         "\nEvery row produced the same coloring — backends and the "
-        "round fan-out change wall-clock only.  Install numba or torch "
+        "round fan-out change wall-clock only.  Install numba "
         "(or run on a multi-core box) to see the accelerated rows pull "
         "ahead.\n"
     )

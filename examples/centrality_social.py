@@ -42,8 +42,8 @@ def main() -> None:
                 f"q-color ({budget})",
                 round(spearman_rho(exact, ours.scores), 3),
                 round(top_k_overlap(exact, ours.scores, 10), 2),
-                f"{ours.total_seconds:.2f}s",
-                f"{100 * ours.total_seconds / exact_seconds:.1f}%",
+                f"{ours.timings.total:.2f}s",
+                f"{100 * ours.timings.total / exact_seconds:.1f}%",
             ]
         )
     for samples in (500, 2000, 8000):

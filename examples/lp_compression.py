@@ -60,7 +60,7 @@ def part2_qap_pipeline() -> None:
                 f"{lp.nnz / max(reduced.nnz, 1):.0f}x",
                 round(result.value, 2),
                 round(ratio_error(exact.objective, result.value), 3),
-                f"{result.total_seconds:.3f}s",
+                f"{result.timings.total:.3f}s",
             ]
         )
     print(format_table(

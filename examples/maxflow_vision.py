@@ -44,8 +44,8 @@ def main() -> None:
                 result.n_colors,
                 round(result.value, 1),
                 round(ratio_error(exact.value, result.value), 3),
-                f"{result.total_seconds:.3f}s",
-                f"{100 * result.total_seconds / exact_seconds:.1f}%",
+                f"{result.timings.total:.3f}s",
+                f"{100 * result.timings.total / exact_seconds:.1f}%",
             ]
         )
     print(format_table(

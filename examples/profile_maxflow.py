@@ -33,7 +33,7 @@ def main() -> None:
     for result in results:
         print(
             f"  k={result.n_colors:>3}  max_q={result.max_q_err:8.3f}  "
-            f"flow={result.value:10.1f}  total={result.total_seconds:.3f}s"
+            f"flow={result.value:10.1f}  total={result.timings.total:.3f}s"
         )
     print()
 

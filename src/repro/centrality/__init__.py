@@ -1,9 +1,7 @@
 """Betweenness centrality: exact, color-pivot approximate, and sampling.
 
 Exact Brandes (and the per-sample BFS of the Riondato–Kornaropoulos
-sampler) run on the CSR-native arc-store core (:mod:`repro.solvers`)
-by default; ``engine="python"`` selects the legacy per-source passes
-for cross-checking.
+sampler) run on the CSR-native arc-store core (:mod:`repro.solvers`).
 """
 
 from repro.centrality.approx import ApproxCentralityResult, approx_betweenness

@@ -39,18 +39,6 @@ class ApproxCentralityResult:
     timings: StageTimings
 
     @property
-    def coloring_seconds(self) -> float:
-        return self.timings.coloring
-
-    @property
-    def solve_seconds(self) -> float:
-        return self.timings.solve
-
-    @property
-    def total_seconds(self) -> float:
-        return self.timings.total
-
-    @property
     def n_colors(self) -> int:
         return self.coloring.n_colors
 
@@ -60,7 +48,6 @@ def pivot_betweenness(
     coloring: Coloring,
     seed: SeedLike = None,
     pivots_per_color: int = 1,
-    engine: str = "arcstore",
     backend=None,
     workers: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -68,10 +55,8 @@ def pivot_betweenness(
 
     Returns ``(scores, representatives)``.  Each color contributes
     ``|P_i| / pivots`` times the dependency vector of each of its
-    ``pivots`` sampled sources.  ``engine`` picks the Brandes
-    implementation the restricted passes run on (the arcstore core by
-    default); ``backend``/``workers`` reach the arcstore engine's
-    kernel dispatch and source-batched fan-out.
+    ``pivots`` sampled sources.  ``backend``/``workers`` reach the
+    Brandes kernel dispatch and source-batched fan-out.
     """
     rng = ensure_rng(seed)
     sources: list[int] = []
@@ -88,7 +73,6 @@ def pivot_betweenness(
         graph,
         sources=sources,
         source_weights=weights,
-        engine=engine,
         backend=backend,
         workers=workers,
     )
@@ -102,7 +86,6 @@ def approx_betweenness(
     split_mean: str = "geometric",
     seed: SeedLike = 0,
     pivots_per_color: int = 1,
-    engine: str = "arcstore",
     backend=None,
     workers: int | None = None,
 ) -> ApproxCentralityResult:
@@ -123,7 +106,6 @@ def approx_betweenness(
         seed=seed,
         pivots_per_color=pivots_per_color,
         split_mean=split_mean,
-        engine=engine,
         backend=backend,
         workers=workers,
     )

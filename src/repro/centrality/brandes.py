@@ -6,135 +6,21 @@ computes all values with one shortest-path pass + dependency accumulation
 per source: BFS for unweighted graphs (``O(nm)`` total) and Dijkstra for
 positively-weighted graphs (``weighted=True``).
 
-:func:`betweenness_centrality` is a thin view over two engines:
-
-* ``"arcstore"`` (default) — the CSR-native core
-  (:mod:`repro.solvers.betweenness`): frontier-batched BFS lanes with
-  per-level ``sigma``/dependency scatters, and an array-heap Dijkstra
-  for weighted graphs;
-* ``"python"`` — the original per-source list-based passes below, kept
-  as the cross-checking reference.
-
-Conventions match networkx (our cross-check oracle) in both engines:
+:func:`betweenness_centrality` is a thin view over the CSR-native core
+(:mod:`repro.solvers.betweenness`): frontier-batched BFS lanes with
+per-level ``sigma``/dependency scatters, and an array-heap Dijkstra for
+weighted graphs.  Conventions match networkx (the cross-check oracle):
 with ``normalized=False``, undirected graphs report half the
 ordered-pair sum (each unordered pair counted once).
-
-``single_source_dependencies`` exposes the legacy per-source pass; the
-color-pivot approximation (:mod:`repro.centrality.approx`) and the
-Riondato–Kornaropoulos sampler route through the arcstore core.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.graphs.digraph import WeightedDiGraph
-
-
-def _bfs_shortest_paths(
-    adjacency: Sequence[Sequence[int]], source: int, n: int
-) -> tuple[list[int], np.ndarray, list[list[int]], list[int]]:
-    """BFS from ``source``: returns (stack order, path counts sigma,
-    predecessor lists, distances)."""
-    sigma = np.zeros(n)
-    sigma[source] = 1.0
-    distance = [-1] * n
-    distance[source] = 0
-    predecessors: list[list[int]] = [[] for _ in range(n)]
-    order: list[int] = []
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in adjacency[u]:
-            if distance[v] == -1:
-                distance[v] = distance[u] + 1
-                queue.append(v)
-            if distance[v] == distance[u] + 1:
-                sigma[v] += sigma[u]
-                predecessors[v].append(u)
-    return order, sigma, predecessors, distance
-
-
-def single_source_dependencies(
-    adjacency: Sequence[Sequence[int]], source: int, n: int
-) -> np.ndarray:
-    """Brandes' dependency vector ``delta_s(v)`` for one source.
-
-    ``g(v) = sum_s delta_s(v)`` over all sources (ordered-pair convention).
-    """
-    order, sigma, predecessors, _ = _bfs_shortest_paths(adjacency, source, n)
-    delta = np.zeros(n)
-    for w in reversed(order):
-        for v in predecessors[w]:
-            delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-    delta[source] = 0.0
-    return delta
-
-
-def _adjacency_lists(graph: WeightedDiGraph) -> list[list[int]]:
-    """Successor index lists (weights ignored: shortest = fewest hops)."""
-    return [
-        list(graph.out_items(u).keys()) for u in range(graph.n_nodes)
-    ]
-
-
-def _dijkstra_shortest_paths(
-    weighted_adjacency: Sequence[Sequence[tuple[int, float]]],
-    source: int,
-    n: int,
-) -> tuple[list[int], np.ndarray, list[list[int]]]:
-    """Dijkstra from ``source``: (settle order, path counts, predecessors).
-
-    Weights must be positive.  Ties in distance accumulate path counts
-    exactly as the BFS variant does.
-    """
-    distance = np.full(n, np.inf)
-    distance[source] = 0.0
-    sigma = np.zeros(n)
-    sigma[source] = 1.0
-    predecessors: list[list[int]] = [[] for _ in range(n)]
-    order: list[int] = []
-    settled = [False] * n
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    while heap:
-        dist_u, u = heapq.heappop(heap)
-        if settled[u]:
-            continue
-        settled[u] = True
-        order.append(u)
-        for v, weight in weighted_adjacency[u]:
-            candidate = dist_u + weight
-            if candidate < distance[v] - 1e-12:
-                distance[v] = candidate
-                sigma[v] = sigma[u]
-                predecessors[v] = [u]
-                heapq.heappush(heap, (candidate, v))
-            elif abs(candidate - distance[v]) <= 1e-12 and not settled[v]:
-                sigma[v] += sigma[u]
-                predecessors[v].append(u)
-    return order, sigma, predecessors
-
-
-def _weighted_dependencies(
-    weighted_adjacency: Sequence[Sequence[tuple[int, float]]],
-    source: int,
-    n: int,
-) -> np.ndarray:
-    """Dependency vector of one Dijkstra pass."""
-    order, sigma, predecessors = _dijkstra_shortest_paths(
-        weighted_adjacency, source, n
-    )
-    delta = np.zeros(n)
-    for w in reversed(order):
-        for v in predecessors[w]:
-            delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-    delta[source] = 0.0
-    return delta
 
 
 def betweenness_centrality(
@@ -143,7 +29,6 @@ def betweenness_centrality(
     sources: Iterable[int] | None = None,
     source_weights: Iterable[float] | None = None,
     weighted: bool = False,
-    engine: str = "arcstore",
     backend=None,
     workers: int | None = None,
     parallel_mode: str | None = None,
@@ -154,69 +39,19 @@ def betweenness_centrality(
     passes — the hook used by the pivot approximations.  With the default
     (all sources, unit weights) the result is exact.  ``weighted=True``
     treats edge weights as positive lengths (Dijkstra variant).
-    ``engine`` selects the vectorized arc-store implementation (default)
-    or the legacy pure-Python one; both agree to 1e-9.  The arcstore
-    engine additionally honors ``backend=`` (solver kernel dispatch)
-    and ``workers=``/``parallel_mode=`` (source-batched parallel
-    Brandes); the legacy engine ignores all three.
+    ``backend=`` selects the solver kernels and ``workers=``/
+    ``parallel_mode=`` fan the source batches out.
     """
-    from repro.solvers import betweenness_centrality_csr, check_engine
+    from repro.solvers import betweenness_centrality_csr
 
-    if check_engine(engine) == "arcstore":
-        return betweenness_centrality_csr(
-            graph.to_csr(),
-            directed=graph.directed,
-            normalized=normalized,
-            sources=sources,
-            source_weights=source_weights,
-            weighted=weighted,
-            backend=backend,
-            workers=workers,
-            parallel_mode=parallel_mode,
-        )
-    n = graph.n_nodes
-    if weighted:
-        weighted_adjacency = [
-            list(graph.out_items(u).items()) for u in range(n)
-        ]
-        for u in range(n):
-            for _, weight in weighted_adjacency[u]:
-                if weight <= 0:
-                    raise ValueError(
-                        "weighted betweenness requires positive weights"
-                    )
-    adjacency = _adjacency_lists(graph)
-    if sources is None:
-        source_list = list(range(n))
-    else:
-        source_list = list(sources)
-    if source_weights is None:
-        weights = [1.0] * len(source_list)
-    else:
-        weights = [float(w) for w in source_weights]
-        if len(weights) != len(source_list):
-            raise ValueError(
-                f"{len(source_list)} sources but {len(weights)} weights"
-            )
-
-    centrality = np.zeros(n)
-    for source, weight in zip(source_list, weights):
-        if weighted:
-            centrality += weight * _weighted_dependencies(
-                weighted_adjacency, source, n
-            )
-        else:
-            centrality += weight * single_source_dependencies(
-                adjacency, source, n
-            )
-
-    if not graph.directed:
-        centrality /= 2.0
-    if normalized:
-        if graph.directed:
-            scale = (n - 1) * (n - 2)
-        else:
-            scale = (n - 1) * (n - 2) / 2.0
-        if scale > 0:
-            centrality /= scale
-    return centrality
+    return betweenness_centrality_csr(
+        graph.to_csr(),
+        directed=graph.directed,
+        normalized=normalized,
+        sources=sources,
+        source_weights=source_weights,
+        weighted=weighted,
+        backend=backend,
+        workers=workers,
+        parallel_mode=parallel_mode,
+    )

@@ -352,15 +352,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     backend = _apply_backend(args)
     scale = args.scale if args.scale is not None else _SOLVE_SCALES[args.task]
     task_options = {
-        "maxflow": {
-            "bound": args.bound,
-            "algorithm": args.algorithm,
-            "engine": args.engine,
-        },
-        # The LP path solves via scipy/IPM, not the exact graph
-        # solvers, so --engine does not apply to it.
+        "maxflow": {"bound": args.bound, "algorithm": args.algorithm},
         "lp": {"mode": args.mode},
-        "centrality": {"seed": args.seed, "engine": args.engine},
+        "centrality": {"seed": args.seed},
     }
     options = task_options[args.task]
     if args.mmap:
@@ -451,7 +445,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 "coloring_s": result.timings.coloring,
                 "reduce_s": result.timings.reduce,
                 "solve_s": result.timings.solve,
-                "total_s": result.total_seconds,
+                "total_s": result.timings.total,
             }
             for result in results
         ]
@@ -646,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     color.add_argument("--out", default=None,
                        help="write 'label color' lines to this file")
     color.add_argument("--backend", default=None,
-                       help="kernel backend: auto, numpy, numba, or torch[:device] (default: REPRO_BACKEND or auto-detect)")
+                       help="kernel backend: auto, numpy, or numba (default: REPRO_BACKEND or auto-detect)")
     color.add_argument("--trace-out", default=None,
                        help="dump the recorded trace/metrics as JSONL")
     color.set_defaults(func=_cmd_color)
@@ -675,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--trace", default=None,
                          help="update trace file ('+/-/~ u v [w]' lines)")
         cmd.add_argument("--backend", default=None,
-                         help="kernel backend: auto, numpy, numba, or torch[:device] (default: REPRO_BACKEND or auto-detect)")
+                         help="kernel backend: auto, numpy, or numba (default: REPRO_BACKEND or auto-detect)")
         cmd.add_argument("--trace-out", default=None,
                          help="dump the recorded trace/metrics as JSONL")
         if name == "update":
@@ -729,17 +723,12 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("push_relabel", "dinic", "edmonds_karp"),
                        default="push_relabel",
                        help="maxflow: reduced-network solver")
-    solve.add_argument("--engine", choices=("arcstore", "python"),
-                       default="arcstore",
-                       help="maxflow/centrality: exact-solver core "
-                            "(flat arc-store arrays vs legacy Python; "
-                            "both produce identical results)")
     solve.add_argument("--mode", choices=("sqrt", "grohe"), default="sqrt",
                        help="lp: reduction weight mode")
     solve.add_argument("--seed", type=int, default=0,
                        help="centrality: pivot sampling seed")
     solve.add_argument("--backend", default=None,
-                       help="kernel backend: auto, numpy, numba, or torch[:device] (default: REPRO_BACKEND or auto-detect)")
+                       help="kernel backend: auto, numpy, or numba (default: REPRO_BACKEND or auto-detect)")
     solve.add_argument("--workers", type=int, default=None,
                        help="worker fan-out for parallel coloring rounds "
                             "and source-batched Brandes "
@@ -757,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
              "per-span summary",
     )
     profile.add_argument("--backend", default=None,
-                         help="kernel backend: auto, numpy, numba, or torch[:device] (default: REPRO_BACKEND or auto-detect) (applies to the wrapped command)")
+                         help="kernel backend: auto, numpy, or numba (default: REPRO_BACKEND or auto-detect) (applies to the wrapped command)")
     profile.add_argument("--trace-out", default=None,
                          help="dump the recorded trace/metrics as JSONL "
                               "(also honored on the wrapped command)")

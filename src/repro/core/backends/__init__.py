@@ -9,26 +9,23 @@ which implementation runs them:
   (:mod:`~repro.core.backends.numpy_backend`);
 * ``numba`` — prange-threaded ``@njit(cache=True)`` fusions
   (:mod:`~repro.core.backends.numba_backend`), used automatically when
-  importable;
-* ``torch`` — tensor kernels with device passthrough
-  (:mod:`~repro.core.backends.torch_backend`); name it as
-  ``"torch:cuda"`` / ``"torch:cuda:1"`` to pick the device.
+  importable.
+
+Both run on the CPU.
 
 Resolution happens **once per run**: explicit argument
 (``Rothko(backend=...)``, ``--backend`` on the CLI) beats the
 ``REPRO_BACKEND`` environment variable beats auto-detection
-(numba if importable, else torch when it can see an accelerator, else
-numpy).  Optional backends that fail to import degrade silently under
-``auto`` and raise a clear :class:`ImportError` when named explicitly.
-Ones that import but fail at *runtime* degrade too: numba/torch
-instances are wrapped in
+(numba if importable, else numpy).  An optional backend that fails to
+import degrades silently under ``auto`` and raises a clear
+:class:`ImportError` when named explicitly.  One that imports but fails
+at *runtime* degrades too: numba instances are wrapped in
 :class:`~repro.resilience.fallback.ResilientBackend`, so a kernel that
 raises mid-run is demoted to the numpy reference (once, with a warning
 and a ``resilience.fallback.*`` counter) instead of crashing the run.
-Resolved instances are cached per ``(name, device)``, so repeated
-resolution is an attribute lookup, and the resolved ``name`` is what
-the observability spans, the coloring-cache key, and the benchmark
-results JSON record.
+Resolved instances are cached per name, so repeated resolution is an
+attribute lookup, and the resolved ``name`` is what the observability
+spans, the coloring-cache key, and the benchmark results JSON record.
 
 :func:`parallel_round_executor` (in
 :mod:`~repro.core.backends.executor`) pairs a resolved backend with the
@@ -44,7 +41,6 @@ from repro.core.backends.base import Backend, KERNEL_NAMES, SOLVER_KERNEL_NAMES
 from repro.core.backends.executor import RoundExecutor, resolve_workers
 from repro.core.backends.numpy_backend import NumpyBackend
 from repro.core.backends import numba_backend as _numba
-from repro.core.backends import torch_backend as _torch
 from repro.resilience.fallback import ResilientBackend
 
 __all__ = [
@@ -60,10 +56,10 @@ __all__ = [
 ]
 
 #: registered backend names, in auto-detection preference order
-BACKEND_NAMES = ("numba", "torch", "numpy")
+BACKEND_NAMES = ("numba", "numpy")
 
-#: resolved instances, keyed by (name, device)
-_INSTANCES: dict[tuple[str, str], Backend] = {}
+#: resolved instances, keyed by name
+_INSTANCES: dict[str, Backend] = {}
 
 #: the process-default backend (what the kernels-module wrappers use)
 _DEFAULT: Backend | None = None
@@ -74,48 +70,35 @@ def available_backends() -> list[str]:
     names = ["numpy"]
     if _numba.available():
         names.insert(0, "numba")
-    if _torch.available():
-        names.insert(len(names) - 1, "torch")
     return names
 
 
-def _instantiate(name: str, device: str = "cpu") -> Backend:
-    key = (name, device)
-    backend = _INSTANCES.get(key)
+def _instantiate(name: str) -> Backend:
+    backend = _INSTANCES.get(name)
     if backend is None:
         if name == "numpy":
             backend = NumpyBackend()
         elif name == "numba":
             backend = ResilientBackend(_numba.NumbaBackend())
-        elif name == "torch":
-            backend = ResilientBackend(_torch.TorchBackend(device=device))
         else:
             raise ValueError(
                 f"unknown backend {name!r}; expected one of "
                 f"{('auto',) + BACKEND_NAMES}"
             )
-        _INSTANCES[key] = backend
+        _INSTANCES[name] = backend
     return backend
 
 
 def _auto_backend() -> Backend:
-    if _numba.available():
-        return _instantiate("numba")
-    if _torch.available():
-        import torch
-
-        if torch.cuda.is_available():  # pragma: no cover - needs a GPU
-            return _instantiate("torch", device="cuda")
-    return _instantiate("numpy")
+    return _instantiate("numba" if _numba.available() else "numpy")
 
 
 def resolve_backend(spec: "str | Backend | None" = None) -> Backend:
     """Resolve a backend request to an instance.
 
     ``spec`` may be an instance (returned as-is), a name (``"numpy"``,
-    ``"numba"``, ``"torch"``, ``"torch:<device>"``, ``"auto"``), or
-    ``None`` — which consults ``REPRO_BACKEND`` and falls back to
-    auto-detection.
+    ``"numba"``, ``"auto"``), or ``None`` — which consults
+    ``REPRO_BACKEND`` and falls back to auto-detection.
     """
     if spec is None:
         spec = os.environ.get("REPRO_BACKEND", "").strip() or "auto"
@@ -123,8 +106,7 @@ def resolve_backend(spec: "str | Backend | None" = None) -> Backend:
         return spec
     if spec == "auto":
         return _auto_backend()
-    name, _, device = spec.partition(":")
-    return _instantiate(name, device or "cpu")
+    return _instantiate(spec)
 
 
 def default_backend() -> Backend:

@@ -5,19 +5,14 @@ listed here — nothing else is.  The contract mirrors the numpy
 reference implementation in :mod:`repro.core.backends.numpy_backend`
 exactly: plain ``numpy.ndarray`` in, plain ``numpy.ndarray`` out (C
 layout, float64/int64), bit-identical results.  A backend is free to
-run the computation anywhere (compiled CPU loops, a CUDA device) as
+compute however it likes (vectorized numpy, compiled CPU loops) as
 long as what crosses the boundary is a numpy array with the same
 values; the parity test sweep (``tests/core/test_backends.py``) holds
 every registered backend to that.
 
-Backends carry two capability flags the engine's round executor reads:
-
-``parallel_kernels``
-    the fused kernels release the GIL (compiled code), so fanning
-    color-disjoint witness work across *threads* scales;
-``device``
-    where the computation runs (``"cpu"`` or an accelerator string),
-    recorded in spans and benchmark results.
+Backends carry one capability flag the engine's round executor reads:
+``parallel_kernels`` — the fused kernels release the GIL (compiled
+code), so fanning color-disjoint witness work across *threads* scales.
 """
 
 from __future__ import annotations
@@ -60,13 +55,11 @@ SOLVER_KERNEL_NAMES = (
 class Backend(Protocol):
     """Kernel dispatch surface (see module docstring for the contract)."""
 
-    #: registry name ("numpy", "numba", "torch")
+    #: registry name ("numpy", "numba")
     name: str
     #: True when the fused kernels release the GIL, making thread-fanned
     #: batched rounds profitable
     parallel_kernels: bool
-    #: where kernels execute ("cpu", "cuda", "cuda:1", ...)
-    device: str
 
     def scatter_add(
         self, indices: np.ndarray, weights: np.ndarray, size: int

@@ -13,7 +13,7 @@ turns that structural independence into wall-clock:
 ``threads``
     a shared :class:`~concurrent.futures.ThreadPoolExecutor` — the
     right mode for backends whose kernels release the GIL (numba's
-    compiled loops, torch's ATen ops);
+    compiled loops);
 ``processes``
     a fork/spawn worker pool over a **shared-memory mirror** of the
     engine's CSR/CSC snapshots and label array

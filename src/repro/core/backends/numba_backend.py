@@ -179,7 +179,6 @@ class NumbaBackend(NumpyBackend):
 
     name = "numba"
     parallel_kernels = True
-    device = "cpu"
 
     def __init__(self) -> None:
         if not available():

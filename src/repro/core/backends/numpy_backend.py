@@ -261,7 +261,6 @@ class NumpyBackend:
 
     name = "numpy"
     parallel_kernels = False
-    device = "cpu"
 
     scatter_add = staticmethod(scatter_add)
     bincount = staticmethod(bincount)
@@ -283,4 +282,4 @@ class NumpyBackend:
     solve_brandes_batch = staticmethod(solver_numpy.solve_brandes_batch)
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} device={self.device!r}>"
+        return f"<{type(self).__name__} name={self.name!r}>"

@@ -30,8 +30,8 @@ handful of primitives over CSR/CSC index arrays:
 
 Since the backend-dispatch refactor, the hot kernels here are thin
 fronts over the **process-default backend**
-(:func:`repro.core.backends.default_backend` — numpy reference, numba,
-or torch; resolution order ``REPRO_BACKEND`` env then auto-detect).
+(:func:`repro.core.backends.default_backend` — numpy reference or
+numba; resolution order ``REPRO_BACKEND`` env then auto-detect).
 The reference implementations live in
 :mod:`repro.core.backends.numpy_backend`; every other backend is held
 to bit-identical results by the parity test sweep, so callers never

@@ -71,16 +71,15 @@ suite drives it after every split in both strategies.
 The hot kernels dispatch through a resolved
 :class:`~repro.core.backends.base.Backend` (``backend=`` argument, the
 ``REPRO_BACKEND`` environment variable, or auto-detection — numba when
-importable, torch when it sees an accelerator, else the numpy
-reference; see :mod:`repro.core.backends`).  The engine holds the
-resolved instance and calls its methods directly, so per-kernel
-dispatch is one attribute lookup.  All backends are bit-identical on
-CPU (the parity sweep enforces it), so the choice affects wall-clock
-only.  ``workers=`` (or ``REPRO_WORKERS``) opts batched rounds into
+importable, else the numpy reference; see :mod:`repro.core.backends`).
+The engine holds the resolved instance and calls its methods directly,
+so per-kernel dispatch is one attribute lookup.  All backends are
+bit-identical (the parity sweep enforces it), so the choice affects
+wall-clock only.  ``workers=`` (or ``REPRO_WORKERS``) opts batched rounds into
 parallel execution: the round's color-disjoint witness masks — and the
 post-round refresh of the dirtied columns/row-groups — fan across a
 :class:`~repro.core.backends.executor.RoundExecutor`, threads where
-the backend's kernels release the GIL (numba, torch) and a
+the backend's kernels release the GIL (numba) and a
 shared-memory process pool for the numpy backend.  Results are
 collected in submission order, so a parallel round commits exactly the
 serial round's splits — bit-for-bit identical colorings (tested).
@@ -387,12 +386,11 @@ class Rothko:
         Witnesses per batched round (default 8).  Ignored under the
         greedy strategy.
     backend:
-        Kernel backend: a name (``"numpy"``, ``"numba"``, ``"torch"``,
-        ``"torch:cuda"``, ``"auto"``), a resolved
-        :class:`~repro.core.backends.base.Backend` instance, or ``None``
-        — which consults the ``REPRO_BACKEND`` environment variable and
-        falls back to auto-detection.  All backends produce bit-identical
-        colorings on CPU; this knob trades wall-clock only.
+        Kernel backend: a name (``"numpy"``, ``"numba"``, ``"auto"``), a
+        resolved :class:`~repro.core.backends.base.Backend` instance, or
+        ``None`` — which consults the ``REPRO_BACKEND`` environment
+        variable and falls back to auto-detection.  All backends produce
+        bit-identical colorings; this knob trades wall-clock only.
     workers:
         Worker fan-out for batched rounds (``None`` consults
         ``REPRO_WORKERS``, default 1 = serial).  With more than one

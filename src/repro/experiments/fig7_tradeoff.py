@@ -52,14 +52,14 @@ def _sweep_rows(name: str, results, exact_seconds: float, extras) -> list[dict]:
     rows = []
     cum_seconds = 0.0
     for result in results:
-        cum_seconds += result.total_seconds
+        cum_seconds += result.timings.total
         rows.append(
             {
                 "dataset": name,
                 "task": result.task,
                 "colors": result.n_colors,
                 **extras(result),
-                "time_s": result.total_seconds,
+                "time_s": result.timings.total,
                 "cum_time_s": cum_seconds,
                 "exact_time_s": exact_seconds,
                 "time_fraction": cum_seconds / exact_seconds
@@ -75,23 +75,15 @@ def maxflow_tradeoff(
     scale: float = 0.01,
     color_budgets: tuple[int, ...] = (5, 10, 20, 35),
     cache: ColoringCache | None = None,
-    engine: str = "arcstore",
 ) -> list[dict]:
-    """Fig. 7(a): max-flow ratio error vs end-to-end time.
-
-    Both the exact baseline and the reduced-network solves run on the
-    selected engine, so the reported ``time_fraction`` compares like
-    with like.
-    """
+    """Fig. 7(a): max-flow ratio error vs end-to-end time."""
     cache = cache if cache is not None else ColoringCache()
     rows = []
     for name in datasets:
         network = load_flow(name, scale=scale)
-        exact, exact_seconds = time_call(
-            max_flow, network, "push_relabel", engine
-        )
+        exact, exact_seconds = time_call(max_flow, network, "push_relabel")
         results = progressive_sweep(
-            MaxFlowTask(network, engine=engine), color_budgets, cache=cache
+            MaxFlowTask(network), color_budgets, cache=cache
         )
         rows += _sweep_rows(
             name,
@@ -141,24 +133,15 @@ def centrality_tradeoff(
     color_budgets: tuple[int, ...] = (10, 25, 50, 100),
     seed: int = 0,
     cache: ColoringCache | None = None,
-    engine: str = "arcstore",
 ) -> list[dict]:
-    """Fig. 7(c): Spearman rho vs end-to-end time.
-
-    Exact Brandes and the pivot passes share the selected engine, so
-    ``time_fraction`` stays an apples-to-apples comparison.
-    """
+    """Fig. 7(c): Spearman rho vs end-to-end time."""
     cache = cache if cache is not None else ColoringCache()
     rows = []
     for name in datasets:
         graph = load_graph(name, scale=scale)
-        exact, exact_seconds = time_call(
-            betweenness_centrality, graph, engine=engine
-        )
+        exact, exact_seconds = time_call(betweenness_centrality, graph)
         results = progressive_sweep(
-            CentralityTask(graph, seed=seed, engine=engine),
-            color_budgets,
-            cache=cache,
+            CentralityTask(graph, seed=seed), color_budgets, cache=cache
         )
         rows += _sweep_rows(
             name,

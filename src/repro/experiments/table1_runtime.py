@@ -52,23 +52,18 @@ def centrality_runtime_rows(
     sample_ladder: tuple[int, ...] = (100, 400, 1600, 6400),
     targets: tuple[float, ...] = CENTRALITY_TARGETS,
     seed: int = 0,
-    engine: str = "arcstore",
 ) -> list[dict]:
     """Table 1 (top): ours vs Riondato–Kornaropoulos vs exact Brandes."""
     rows = []
     for name in datasets:
         graph = load_graph(name, scale=scale)
-        exact, exact_seconds = time_call(
-            betweenness_centrality, graph, engine=engine
-        )
+        exact, exact_seconds = time_call(betweenness_centrality, graph)
 
         ours_runs = []
         for budget in color_ladder:
-            result = approx_betweenness(
-                graph, n_colors=budget, seed=seed, engine=engine
-            )
+            result = approx_betweenness(graph, n_colors=budget, seed=seed)
             rho = spearman_rho(exact, result.scores)
-            ours_runs.append((result.total_seconds, rho))
+            ours_runs.append((result.timings.total, rho))
         prior_runs = []
         for samples in sample_ladder:
             scores, seconds = time_call(
@@ -110,7 +105,7 @@ def lp_runtime_rows(
         for budget in color_ladder:
             result = approx_lp_opt(lp, n_colors=budget, method="scipy")
             ours_runs.append(
-                (result.total_seconds, ratio_error(optimum, result.value))
+                (result.timings.total, ratio_error(optimum, result.value))
             )
 
         row = {"dataset": name, "exact_s": exact_seconds}

@@ -1,9 +1,7 @@
 """Max-flow substrate and the quasi-stable flow approximation (Sec. 4.2).
 
 Exact solving is a thin view over the CSR-native arc-store core
-(:mod:`repro.solvers`); every solver entry point takes
-``engine="arcstore" | "python"``, with the legacy pure-Python tier kept
-for cross-checking.
+(:mod:`repro.solvers`).
 """
 
 from repro.flow.approx import (
@@ -13,11 +11,8 @@ from repro.flow.approx import (
     lift_flow,
     reduced_network,
 )
-from repro.flow.dinic import dinic_max_flow
-from repro.flow.edmonds_karp import edmonds_karp_max_flow
 from repro.flow.mincut import min_cut
 from repro.flow.network import FlowNetwork, FlowResult, max_flow
-from repro.flow.push_relabel import push_relabel_max_flow
 from repro.flow.uniform import max_uniform_flow, max_uniform_flow_assignment
 
 __all__ = [
@@ -26,13 +21,10 @@ __all__ = [
     "flow_initial_coloring",
     "lift_flow",
     "reduced_network",
-    "dinic_max_flow",
-    "edmonds_karp_max_flow",
     "min_cut",
     "FlowNetwork",
     "FlowResult",
     "max_flow",
-    "push_relabel_max_flow",
     "max_uniform_flow",
     "max_uniform_flow_assignment",
 ]

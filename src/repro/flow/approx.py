@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from repro.core.partition import Coloring
 from repro.core.reduced import block_weights as _scratch_block_weights
 from repro.core.rothko import Rothko, RothkoResult
-from repro.flow.network import FlowNetwork, FlowResult, max_flow
+from repro.flow.network import FlowNetwork, FlowResult
 from repro.flow.uniform import max_uniform_flow, max_uniform_flow_assignment
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.digraph import WeightedDiGraph
@@ -113,14 +113,14 @@ def reduced_network(
     else:
         capacities = _uniform_capacities(graph, coloring, block_weights)
 
-    reduced = WeightedDiGraph(directed=True)
-    k = coloring.n_colors
-    for color in range(k):
-        reduced.add_node(color)
     capacities = sp.coo_matrix(capacities)
-    for i, j, capacity in zip(capacities.row, capacities.col, capacities.data):
-        if i != j and capacity > 0:
-            reduced.add_edge(int(i), int(j), float(capacity))
+    keep = (capacities.row != capacities.col) & (capacities.data > 0)
+    reduced = WeightedDiGraph.from_arrays(
+        capacities.row[keep],
+        capacities.col[keep],
+        capacities.data[keep],
+        n_nodes=coloring.n_colors,
+    )
     return FlowNetwork(reduced, source_color, sink_color)
 
 
@@ -164,22 +164,6 @@ class ApproxFlowResult:
     timings: StageTimings
 
     @property
-    def coloring_seconds(self) -> float:
-        return self.timings.coloring
-
-    @property
-    def reduce_seconds(self) -> float:
-        return self.timings.reduce
-
-    @property
-    def solve_seconds(self) -> float:
-        return self.timings.solve
-
-    @property
-    def total_seconds(self) -> float:
-        return self.timings.total
-
-    @property
     def n_colors(self) -> int:
         return self.coloring.n_colors
 
@@ -191,16 +175,13 @@ def approx_max_flow(
     bound: str = "upper",
     algorithm: str = "push_relabel",
     split_mean: str = "arithmetic",
-    engine: str = "arcstore",
 ) -> ApproxFlowResult:
     """Approximate ``maxFlow(G)`` on the reduced graph (the paper's method).
 
     End-to-end: color (s/t pinned) -> reduce -> solve, driven through
     the shared :mod:`repro.pipeline` runner.  With ``bound="upper"`` the
     result over-estimates the true flow; Theorem 6 guarantees
-    ``maxFlow(G_hat_1) <= maxFlow(G) <= maxFlow(G_hat_2)``.  ``engine``
-    selects the exact solver core used on the reduced network (the flat
-    arc-store engine by default).
+    ``maxFlow(G_hat_1) <= maxFlow(G) <= maxFlow(G_hat_2)``.
     """
     if n_colors is None and q is None:
         raise ValueError("approx_max_flow needs n_colors and/or q")
@@ -211,7 +192,6 @@ def approx_max_flow(
         bound=bound,
         algorithm=algorithm,
         split_mean=split_mean,
-        engine=engine,
     )
     result = run_task(task, n_colors=n_colors, q=q)
     return ApproxFlowResult(
@@ -248,8 +228,12 @@ def lift_flow(
 
     matrix = network.graph.to_csr()
     classes = coloring.classes()
-    lifted: dict[tuple[int, int], float] = {}
-    for (i, j), f_hat in reduced_result.arc_flow.items():
+    # Each original arc lies in exactly one block, so the per-block
+    # pieces never overlap and concatenate into the lifted flow.
+    pieces = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    for i, j, f_hat in zip(
+        reduced_result.tails, reduced_result.heads, reduced_result.flows
+    ):
         if f_hat <= tol:
             continue
         members_i = classes[i]
@@ -262,11 +246,12 @@ def lift_flow(
                 f"the block's maximum uniform flow {capacity}; lift the "
                 "flow of the lower-bound reduced network instead"
             )
-        scale = f_hat / capacity
         assignment = assignment.tocoo()
-        for a, b, value in zip(assignment.row, assignment.col, assignment.data):
-            if value <= 0:
-                continue
-            arc = (int(members_i[a]), int(members_j[b]))
-            lifted[arc] = lifted.get(arc, 0.0) + value * scale
-    return FlowResult(value=reduced_result.value, arc_flow=lifted)
+        positive = assignment.data > 0
+        pieces.append((
+            members_i[assignment.row[positive]],
+            members_j[assignment.col[positive]],
+            assignment.data[positive] * (f_hat / capacity),
+        ))
+    tails, heads, flows = (np.concatenate(part) for part in zip(*pieces))
+    return FlowResult(reduced_result.value, tails, heads, flows)

@@ -1,24 +1,19 @@
 """Min-cut extraction (max-flow min-cut theorem, used for validation).
 
-The arcstore engine (default) runs :func:`repro.solvers.maxflow.dinic`
-and reads reachability straight off the final residual arrays — one
-vectorized BFS, then a mask over the forward arcs picks the crossing
-set.  The ``python`` engine re-runs the legacy list-based Dinic and
-walks the residual adjacency, kept for cross-checking.
+Runs :func:`repro.solvers.maxflow.dinic` and reads reachability straight
+off the final residual arrays — one vectorized BFS, then a mask over the
+forward arcs picks the crossing set.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Tuple
 
-from repro.flow.network import FlowNetwork, ResidualGraph
-
-_EPS = 1e-12
+from repro.flow.network import FlowNetwork
 
 
 def min_cut(
-    network: FlowNetwork, engine: str = "arcstore", backend=None
+    network: FlowNetwork, backend=None
 ) -> Tuple[float, set[int], list[tuple[int, int]]]:
     """Return ``(capacity, source_side, cut_arcs)`` of a minimum s-t cut.
 
@@ -26,58 +21,13 @@ def min_cut(
     residual graph; the cut arcs are the original arcs leaving that set.
     By max-flow/min-cut the returned capacity equals the max-flow value —
     the property tests assert exactly this.  ``backend`` reaches the
-    arcstore engine's solver kernels; the legacy engine ignores it.
+    solver kernels.
     """
-    from repro.solvers import check_engine
+    from repro.solvers import arc_store_for
+    from repro.solvers.maxflow import min_cut as _min_cut
 
-    if check_engine(engine) == "arcstore":
-        from repro.solvers import arc_store_for
-        from repro.solvers.maxflow import min_cut as _arcstore_min_cut
-
-        store = arc_store_for(network.graph)
-        capacity, source_side, cut_arcs, _ = _arcstore_min_cut(
-            store, network.source_index, network.sink_index,
-            backend=backend,
-        )
-        return capacity, source_side, cut_arcs
-    return _python_min_cut(network)
-
-
-def _python_min_cut(
-    network: FlowNetwork,
-) -> Tuple[float, set[int], list[tuple[int, int]]]:
-    """Legacy engine: list-based Dinic plus a Python reachability walk."""
-    from repro.flow.dinic import _bfs_levels, _blocking_flow
-
-    residual = ResidualGraph.from_network(network)
-    source, sink = network.source_index, network.sink_index
-
-    # Re-run Dinic on this residual instance (dinic_max_flow builds its
-    # own, so inline the loop here to keep the final residual state).
-    while True:
-        levels = _bfs_levels(residual, source, sink)
-        if levels is None:
-            break
-        cursor = [0] * residual.n
-        _blocking_flow(residual, levels, source, sink, cursor)
-
-    # Reachability in the final residual graph.
-    reachable = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for arc_id in residual.adj[u]:
-            v = residual.to[arc_id]
-            if v not in reachable and residual.cap[arc_id] > _EPS:
-                reachable.add(v)
-                queue.append(v)
-
-    graph = network.graph
-    cut_arcs: list[tuple[int, int]] = []
-    capacity = 0.0
-    for u in reachable:
-        for v, cap in graph.out_items(u).items():
-            if v not in reachable:
-                cut_arcs.append((u, v))
-                capacity += cap
-    return capacity, reachable, cut_arcs
+    store = arc_store_for(network.graph)
+    capacity, source_side, cut_arcs, _ = _min_cut(
+        store, network.source_index, network.sink_index, backend=backend
+    )
+    return capacity, source_side, cut_arcs

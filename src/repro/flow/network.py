@@ -6,36 +6,25 @@ sink (as in Theorem 6); capacities are the positive arc weights of a
 unchanged: their adjacency already stores both arc directions, each with
 the full capacity, the standard reduction.
 
-Solving is delegated to one of two engines (``max_flow(...,
-engine=...)``):
+Solving runs on the CSR-native solver core of :mod:`repro.solvers`: one
+flat :class:`~repro.solvers.arcstore.ArcStore` per graph, vectorized
+BFS, and flat-array residual updates.
 
-* ``"arcstore"`` (default) — the CSR-native solver core of
-  :mod:`repro.solvers`: one flat :class:`~repro.solvers.arcstore.
-  ArcStore` per graph, vectorized BFS, and flat-array residual updates;
-* ``"python"`` — the original pure-Python solvers over the paired-edge
-  :class:`ResidualGraph`, kept as the cross-checking reference.
-
-``FlowResult`` carries the flow value and the per-arc assignment so
-callers can validate capacity and conservation (done in
-:func:`validate_flow` — O(m) numpy reductions — used heavily by the
-test suite).  The arcstore engine produces flows as flat arrays; the
-``arc_flow`` dict view is materialized lazily for compatibility.
+``FlowResult`` carries the flow value and the per-arc assignment as
+flat ``(tails, heads, flows)`` arrays so callers can validate capacity
+and conservation (done in :func:`validate_flow` — O(m) numpy reductions
+— used heavily by the test suite).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Tuple
+from typing import Hashable
 
 import numpy as np
 
 from repro.exceptions import FlowError
 from repro.graphs.digraph import WeightedDiGraph
-
-ArcFlow = Dict[Tuple[int, int], float]
-
-#: (tails, heads, flows) — the flat-array form of a flow assignment
-ArcFlowArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -53,9 +42,21 @@ class FlowNetwork:
             raise FlowError(f"sink {self.sink!r} not in graph")
         if self.source == self.sink:
             raise FlowError("source and sink must differ")
-        for _, _, weight in self.graph.edges():
-            if weight < 0:
-                raise FlowError(f"negative capacity {weight}")
+        # One pass over the cached CSR snapshot (the solvers and the
+        # coloring read the same one).  ``weight < 0`` is false for NaN,
+        # so NaN is rejected explicitly.
+        matrix = self.graph.to_csr()
+        bad = np.isnan(matrix.data) | (matrix.data < 0)
+        if bad.any():
+            position = int(np.argmax(bad))
+            tail = np.searchsorted(matrix.indptr, position, side="right") - 1
+            head = matrix.indices[position]
+            raise FlowError(
+                f"capacity {matrix.data[position]} on arc "
+                f"{self.graph.label_of(int(tail))!r} -> "
+                f"{self.graph.label_of(int(head))!r}: capacities must be "
+                "non-negative numbers"
+            )
 
     @property
     def source_index(self) -> int:
@@ -71,76 +72,35 @@ class FlowNetwork:
 
 
 class FlowResult:
-    """A max-flow answer: the value plus per-arc flows (by node index).
+    """A max-flow answer: the value plus per-arc flows (by node index),
+    as flat ``(tails, heads, flows)`` arrays."""
 
-    The per-arc assignment is stored either as a dict (the legacy
-    engine, hand-built fixtures) or as flat ``(tails, heads, flows)``
-    arrays (the arcstore engine); each view is materialized lazily from
-    the other on first access, so both engines expose the same surface.
-    """
-
-    __slots__ = ("value", "_arc_flow", "_arc_arrays")
+    __slots__ = ("value", "tails", "heads", "flows")
 
     def __init__(
-        self,
-        value: float,
-        arc_flow: ArcFlow | None = None,
-        arc_arrays: ArcFlowArrays | None = None,
+        self, value: float, tails=(), heads=(), flows=()
     ) -> None:
         self.value = value
-        self._arc_flow = arc_flow
-        self._arc_arrays = arc_arrays
-        if arc_flow is None and arc_arrays is None:
-            self._arc_flow = {}
-
-    @property
-    def arc_flow(self) -> ArcFlow:
-        """Dict view ``(u, v) -> flow`` (materialized lazily)."""
-        if self._arc_flow is None:
-            tails, heads, flows = self._arc_arrays
-            self._arc_flow = {
-                (int(u), int(v)): float(f)
-                for u, v, f in zip(tails, heads, flows)
-            }
-        return self._arc_flow
-
-    def arc_arrays(self) -> ArcFlowArrays:
-        """Flat ``(tails, heads, flows)`` view (materialized lazily)."""
-        if self._arc_arrays is None:
-            items = self._arc_flow.items()
-            tails = np.fromiter(
-                (u for (u, _), _ in items), dtype=np.int64, count=len(items)
-            )
-            heads = np.fromiter(
-                (v for (_, v), _ in items), dtype=np.int64, count=len(items)
-            )
-            flows = np.fromiter(
-                (f for _, f in items), dtype=np.float64, count=len(items)
-            )
-            self._arc_arrays = (tails, heads, flows)
-        return self._arc_arrays
-
-    def out_flow(self, node: int) -> float:
-        tails, _, flows = self.arc_arrays()
-        return float(flows[tails == node].sum())
-
-    def in_flow(self, node: int) -> float:
-        _, heads, flows = self.arc_arrays()
-        return float(flows[heads == node].sum())
+        self.tails = np.asarray(tails, dtype=np.int64)
+        self.heads = np.asarray(heads, dtype=np.int64)
+        self.flows = np.asarray(flows, dtype=np.float64)
 
     def __eq__(self, other: object) -> bool:
-        # Value equality over (value, per-arc flows), matching the
-        # frozen-dataclass semantics this class replaced.
+        # Value equality over (value, per-arc flows).
         if not isinstance(other, FlowResult):
             return NotImplemented
-        return self.value == other.value and self.arc_flow == other.arc_flow
+        return (
+            self.value == other.value
+            and np.array_equal(self.tails, other.tails)
+            and np.array_equal(self.heads, other.heads)
+            and np.array_equal(self.flows, other.flows)
+        )
 
-    # Explicitly unhashable: hashing the frozen dataclass this class
-    # replaced also always raised (its dict field is unhashable).
+    # Mutable arrays inside: explicitly unhashable.
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"FlowResult(value={self.value!r})"
+        return f"FlowResult(value={self.value!r}, arcs={self.flows.size})"
 
 
 def validate_flow(
@@ -150,12 +110,11 @@ def validate_flow(
 
     Checks the capacity condition, conservation at internal nodes, and
     that the claimed value matches the net out-flow at the source — all
-    as O(m) numpy reductions over the flat arc arrays (the per-arc dict
-    is never touched, so validating an arcstore result stays cheap).
+    as O(m) numpy reductions over the flat arc arrays.
     """
     graph = network.graph
     n = graph.n_nodes
-    tails, heads, flows = result.arc_arrays()
+    tails, heads, flows = result.tails, result.heads, result.flows
 
     if flows.size:
         worst = int(np.argmin(flows))
@@ -230,115 +189,31 @@ def validate_flow(
         )
 
 
-def _arcstore_max_flow(
-    network: FlowNetwork, algorithm: str, backend=None
+def max_flow(
+    network: FlowNetwork,
+    algorithm: str = "push_relabel",
+    backend=None,
 ) -> FlowResult:
-    from repro.solvers import (
-        arc_store_for,
-        dinic,
-        edmonds_karp,
-        push_relabel,
-    )
+    """Dispatch to one of the max-flow solvers.
+
+    ``algorithm`` is one of ``push_relabel`` (the paper's exact
+    baseline), ``dinic`` or ``edmonds_karp``.  ``backend`` reaches the
+    solver-kernel dispatch (explicit wins, else the process default).
+    """
+    from repro.solvers import arc_store_for, dinic, edmonds_karp, push_relabel
 
     solvers = {
         "push_relabel": push_relabel,
         "dinic": dinic,
         "edmonds_karp": edmonds_karp,
     }
+    if algorithm not in solvers:
+        raise ValueError(
+            f"algorithm must be one of {sorted(solvers)}, "
+            f"got {algorithm!r}"
+        )
     store = arc_store_for(network.graph)
     value, cap = solvers[algorithm](
         store, network.source_index, network.sink_index, backend=backend
     )
-    return FlowResult(
-        value=value, arc_arrays=store.extract_flow_arrays(cap)
-    )
-
-
-def max_flow(
-    network: FlowNetwork,
-    algorithm: str = "push_relabel",
-    engine: str = "arcstore",
-    backend=None,
-) -> FlowResult:
-    """Dispatch to one of the max-flow solvers.
-
-    ``algorithm`` is one of ``push_relabel`` (the paper's exact
-    baseline), ``dinic`` or ``edmonds_karp``; ``engine`` selects the
-    arc-store implementation (default) or the legacy pure-Python one.
-    ``backend`` reaches the arcstore engine's solver-kernel dispatch
-    (explicit wins, else the process default); the legacy engine
-    ignores it.
-    """
-    from repro.solvers import check_engine
-
-    algorithms = ("push_relabel", "dinic", "edmonds_karp")
-    if algorithm not in algorithms:
-        raise ValueError(
-            f"algorithm must be one of {sorted(algorithms)}, "
-            f"got {algorithm!r}"
-        )
-    if check_engine(engine) == "arcstore":
-        return _arcstore_max_flow(network, algorithm, backend=backend)
-
-    from repro.flow.dinic import dinic_max_flow
-    from repro.flow.edmonds_karp import edmonds_karp_max_flow
-    from repro.flow.push_relabel import push_relabel_max_flow
-
-    solvers = {
-        "push_relabel": push_relabel_max_flow,
-        "dinic": dinic_max_flow,
-        "edmonds_karp": edmonds_karp_max_flow,
-    }
-    return solvers[algorithm](network)
-
-
-class ResidualGraph:
-    """Paired-edge residual representation of the legacy ``python``
-    engine (the arcstore engine keeps the same pairing in flat arrays —
-    see :class:`repro.solvers.arcstore.ArcStore`).
-
-    Arc ``e`` and its reverse ``e ^ 1`` are adjacent in the edge arrays,
-    so the reverse of any arc is a single XOR away — the classic trick.
-    """
-
-    __slots__ = ("n", "to", "cap", "adj", "_original_cap", "_forward")
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[float] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self._original_cap: list[float] = []
-        self._forward: list[bool] = []
-
-    def add_arc(self, u: int, v: int, capacity: float) -> int:
-        """Add a forward arc and its zero-capacity residual twin."""
-        arc_id = len(self.to)
-        self.to.extend((v, u))
-        self.cap.extend((capacity, 0.0))
-        self._original_cap.extend((capacity, 0.0))
-        self._forward.extend((True, False))
-        self.adj[u].append(arc_id)
-        self.adj[v].append(arc_id + 1)
-        return arc_id
-
-    @classmethod
-    def from_network(cls, network: FlowNetwork) -> "ResidualGraph":
-        graph = network.graph
-        residual = cls(graph.n_nodes)
-        for ui in range(graph.n_nodes):
-            for vi, capacity in graph.out_items(ui).items():
-                if capacity > 0:
-                    residual.add_arc(ui, vi, capacity)
-        return residual
-
-    def extract_flow(self) -> ArcFlow:
-        """Per-arc flows of the forward arcs (flow = original - residual)."""
-        flow: ArcFlow = {}
-        for arc_id in range(0, len(self.to), 2):
-            pushed = self._original_cap[arc_id] - self.cap[arc_id]
-            if pushed > 0:
-                u = self.to[arc_id + 1]
-                v = self.to[arc_id]
-                flow[(u, v)] = flow.get((u, v), 0.0) + pushed
-        return flow
+    return FlowResult(value, *store.extract_flow_arrays(cap))

@@ -443,11 +443,12 @@ class WeightedDiGraph:
         vectorized coloring/solver pipeline in ``O(m)`` time and memory.
 
         ``src``/``dst`` hold integer node indices; ``weight`` defaults
-        to all ones.  Duplicate ``(src, dst)`` pairs sum their weights
-        (COO semantics); exact-zero weights are dropped (Sec. 3: zero
-        means "no edge").  For ``directed=False`` pass each undirected
-        edge once, in either orientation.  ``labels``, when given, must
-        have one entry per node and assigns ``labels[i]`` to index ``i``.
+        to all ones and must be finite.  Duplicate ``(src, dst)`` pairs
+        sum their weights (COO semantics); exact-zero weights are
+        dropped (Sec. 3: zero means "no edge").  For ``directed=False``
+        pass each undirected edge once, in either orientation.
+        ``labels``, when given, must have one entry per node and assigns
+        ``labels[i]`` to index ``i``.
         """
         src = coerce_index_array(src, "src")
         dst = coerce_index_array(dst, "dst")
@@ -463,6 +464,13 @@ class WeightedDiGraph:
                 raise GraphError(
                     f"weight must match src/dst, got {weight.size} edges "
                     f"vs {src.size}"
+                )
+            finite = np.isfinite(weight)
+            if not finite.all():
+                arc = int(np.argmin(finite))
+                raise GraphError(
+                    f"non-finite weight {weight[arc]} on arc {arc}: "
+                    f"{src[arc]} -> {dst[arc]}"
                 )
         if n_nodes is None:
             n = int(max(src.max(), dst.max())) + 1 if src.size else 0

@@ -58,6 +58,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import GraphError, StoreError
 from repro.graphs.digraph import coerce_index_array
+from repro.graphs.io import parse_weight
 from repro.resilience.faults import inject
 
 __all__ = [
@@ -1020,13 +1021,14 @@ def ingest_edgelist(
             try:
                 src.append(int(parts[0]))
                 dst.append(int(parts[1]))
-                weight.append(
-                    float(parts[2]) if len(parts) == 3 else 1.0
-                )
             except ValueError as exc:
                 raise GraphError(
                     f"{edgelist}:{line_no}: {exc}"
                 ) from exc
+            weight.append(
+                parse_weight(parts[2], edgelist, line_no)
+                if len(parts) == 3 else 1.0
+            )
             if len(src) >= chunk_lines:
                 flush()
     flush()

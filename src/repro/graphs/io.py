@@ -7,12 +7,33 @@ can be dropped in whenever they are available locally.
 
 from __future__ import annotations
 
+import math
 import os
-from typing import TextIO, Tuple
+from typing import Tuple
 
 from repro.exceptions import GraphError
 from repro.graphs.digraph import WeightedDiGraph
 from repro.utils.labels import coerce_label
+
+
+def parse_weight(text: str, path, line_number: int) -> float:
+    """One edge weight or capacity from a text file, checked.
+
+    A non-numeric or non-finite (``nan``/``inf``) weight raises
+    :class:`GraphError` naming ``<path>:<line_number>``.  Every text
+    reader (edge lists, DIMACS, edge-store ingest) parses through here.
+    """
+    try:
+        weight = float(text)
+    except ValueError:
+        raise GraphError(
+            f"{path}:{line_number}: weight {text!r} is not a number"
+        ) from None
+    if not math.isfinite(weight):
+        raise GraphError(
+            f"{path}:{line_number}: weight {text!r} is not finite"
+        )
+    return weight
 
 
 def write_edgelist(graph: WeightedDiGraph, path: str | os.PathLike) -> None:
@@ -49,7 +70,10 @@ def read_edgelist(
                 raise GraphError(
                     f"{path}:{line_number}: expected 'u v [w]', got {line!r}"
                 )
-            weight = float(parts[2]) if len(parts) == 3 else 1.0
+            weight = (
+                parse_weight(parts[2], path, line_number)
+                if len(parts) == 3 else 1.0
+            )
             graph.add_edge(coerce_label(parts[0]), coerce_label(parts[1]), weight)
     if graph is None:
         graph = WeightedDiGraph(directed=directed)
@@ -110,7 +134,8 @@ def read_dimacs_flow(
                         f"{path}:{line_number}: node designator must be s/t"
                     )
             elif kind == "a":
-                u, v, cap = int(parts[1]) - 1, int(parts[2]) - 1, float(parts[3])
+                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                cap = parse_weight(parts[3], path, line_number)
                 existing = graph.weight(u, v)
                 graph.add_edge(u, v, existing + cap)
             else:

@@ -327,18 +327,6 @@ class ApproxLPResult:
     x_lifted: np.ndarray
     timings: StageTimings
 
-    @property
-    def coloring_seconds(self) -> float:
-        return self.timings.coloring
-
-    @property
-    def solve_seconds(self) -> float:
-        return self.timings.solve
-
-    @property
-    def total_seconds(self) -> float:
-        return self.timings.total
-
 
 def approx_lp_opt(
     lp: LinearProgram,

@@ -44,10 +44,7 @@ class MaxFlowTask(CompressionTask):
     weights the progressive runner maintains); ``bound="lower"``
     uses the uniform-flow capacities ``c_hat_1``.  With
     ``lift_solution=True`` (lower bound only) the reduced flow is
-    lifted to a valid flow on the original network.  ``engine`` picks
-    the exact solver core the reduced network is solved with (the flat
-    arc-store engine by default, the legacy Python solvers with
-    ``"python"`` — the CLI's ``repro solve --engine`` cross-check).
+    lifted to a valid flow on the original network.
     """
 
     name = "maxflow"
@@ -59,7 +56,6 @@ class MaxFlowTask(CompressionTask):
         algorithm: str = "push_relabel",
         split_mean: str = "arithmetic",
         lift_solution: bool = False,
-        engine: str = "arcstore",
         backend: str | None = None,
         workers: int | None = None,
     ) -> None:
@@ -68,7 +64,6 @@ class MaxFlowTask(CompressionTask):
         self.algorithm = algorithm
         self.split_mean = split_mean
         self.lift_solution = lift_solution
-        self.engine = engine
         self.backend = backend
         self.workers = workers
         self._spec: ColoringSpec | None = None
@@ -92,13 +87,7 @@ class MaxFlowTask(CompressionTask):
         # The coloring spec's adjacency hash pins the network (graph and
         # capacities); source/sink are pinned by the spec's initial
         # coloring.  Everything else shaping reduce/solve/lift is here.
-        return (
-            self.name,
-            self.bound,
-            self.algorithm,
-            self.engine,
-            self.lift_solution,
-        )
+        return (self.name, self.bound, self.algorithm, self.lift_solution)
 
     def reduce(
         self,
@@ -114,10 +103,7 @@ class MaxFlowTask(CompressionTask):
 
     def solve(self, reduced: FlowNetwork) -> FlowResult:
         return max_flow(
-            reduced,
-            algorithm=self.algorithm,
-            engine=self.engine,
-            backend=self.backend,
+            reduced, algorithm=self.algorithm, backend=self.backend
         )
 
     def lift(
@@ -135,10 +121,7 @@ class MaxFlowTask(CompressionTask):
     def exact_reference(self) -> float:
         """Exact max-flow value on the original network."""
         return max_flow(
-            self.problem,
-            algorithm=self.algorithm,
-            engine=self.engine,
-            backend=self.backend,
+            self.problem, algorithm=self.algorithm, backend=self.backend
         ).value
 
     def certified_error(self, exact: float, result) -> float:
@@ -242,8 +225,7 @@ class CentralityTask(CompressionTask):
     and the scores already live in node space, so lifting selects them.
     Each solve draws representatives from a fresh ``seed``-keyed
     generator, so results at a given checkpoint are reproducible and
-    independent of sweep order.  ``engine`` picks the Brandes core the
-    restricted passes run on (arcstore by default).
+    independent of sweep order.
     """
 
     name = "centrality"
@@ -255,7 +237,6 @@ class CentralityTask(CompressionTask):
         seed: SeedLike = 0,
         pivots_per_color: int = 1,
         split_mean: str = "geometric",
-        engine: str = "arcstore",
         backend: str | None = None,
         workers: int | None = None,
     ) -> None:
@@ -263,7 +244,6 @@ class CentralityTask(CompressionTask):
         self.seed = seed
         self.pivots_per_color = pivots_per_color
         self.split_mean = split_mean
-        self.engine = engine
         self.backend = backend
         self.workers = workers
         self._spec: ColoringSpec | None = None
@@ -288,7 +268,7 @@ class CentralityTask(CompressionTask):
         # different pivots each call, so those tasks stay uncacheable.
         if not isinstance(self.seed, (int, np.integer)):
             return None
-        return (self.name, int(self.seed), self.pivots_per_color, self.engine)
+        return (self.name, int(self.seed), self.pivots_per_color)
 
     def reduce(
         self,
@@ -306,7 +286,6 @@ class CentralityTask(CompressionTask):
             reduced,
             seed=self.seed,
             pivots_per_color=self.pivots_per_color,
-            engine=self.engine,
             backend=self.backend,
             workers=self.workers,
         )
@@ -323,10 +302,7 @@ class CentralityTask(CompressionTask):
     def exact_reference(self) -> np.ndarray:
         """Exact (unnormalized) betweenness scores, all sources."""
         return betweenness_centrality(
-            self.problem,
-            engine=self.engine,
-            backend=self.backend,
-            workers=self.workers,
+            self.problem, backend=self.backend, workers=self.workers
         )
 
     def certified_error(self, exact: np.ndarray, result) -> float:

@@ -65,11 +65,10 @@ class ColoringSpec:
     initial: Coloring | None = None
     frozen: tuple[int, ...] = ()
     error_mode: str = "absolute"
-    #: kernel backend spec ("numpy", "numba", "torch[:device]", "auto",
-    #: or None = REPRO_BACKEND / auto).  Backends are bit-identical on
-    #: CPU, but the cache key still carries the *resolved* name + device
-    #: so colorings computed by different backends never alias — a CUDA
-    #: torch run (last-ulp atomics) must not serve a numpy request.
+    #: kernel backend spec ("numpy", "numba", "auto", or None =
+    #: REPRO_BACKEND / auto).  Backends are bit-identical, but the cache
+    #: key still carries the *resolved* name so colorings computed by
+    #: different backends never alias.
     backend: str | None = None
     #: worker fan-out for the engine's batched rounds (None = the
     #: ``REPRO_WORKERS`` environment default).  Deliberately *not* part
@@ -91,14 +90,6 @@ class ColoringSpec:
             workers=self.workers,
         )
 
-    def resolved_backend(self) -> tuple[str, str]:
-        """The ``(name, device)`` this spec's engine will actually run on
-        (``None``/``"auto"`` specs consult the environment here)."""
-        from repro.core.backends import resolve_backend
-
-        resolved = resolve_backend(self.backend)
-        return resolved.name, resolved.device
-
     def cache_key(self) -> tuple:
         """Hashable fingerprint identifying the split sequence.
 
@@ -108,6 +99,8 @@ class ColoringSpec:
         """
         key = getattr(self, "_cache_key", None)
         if key is None:
+            from repro.core.backends import resolve_backend
+
             initial_key = (
                 None
                 if self.initial is None
@@ -121,7 +114,8 @@ class ColoringSpec:
                 initial_key,
                 tuple(sorted(self.frozen)),
                 self.error_mode,
-                self.resolved_backend(),
+                # ``None``/``"auto"`` specs consult the environment here
+                resolve_backend(self.backend).name,
             )
             object.__setattr__(self, "_cache_key", key)
         return key
@@ -235,7 +229,3 @@ class TaskResult:
     @property
     def n_colors(self) -> int:
         return self.coloring.n_colors
-
-    @property
-    def total_seconds(self) -> float:
-        return self.timings.total

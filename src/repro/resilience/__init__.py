@@ -7,7 +7,7 @@ invites:
     deterministic fault injection behind a no-op default, so every
     recovery path below is exercised in CI rather than trusted;
 :mod:`repro.resilience.fallback`
-    :class:`ResilientBackend`, which demotes a crashing numba/torch
+    :class:`ResilientBackend`, which demotes a crashing numba
     kernel to the numpy reference instead of crashing the run;
 the hardened hosts
     crash-safe resumable ingest lives in ``graphs/edgestore.py``

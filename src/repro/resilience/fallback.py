@@ -1,10 +1,9 @@
 """Runtime kernel fallback: demote a crashing accelerator kernel to numpy.
 
 An optional backend that imports cleanly can still fail mid-run — a
-numba kernel hitting a typing corner, a torch op raising on a tensor
-shape the parity sweep never produced, a driver-level CUDA error.
-Without a net, one kernel call late in a 128-color run crashes the
-whole solve.
+numba kernel hitting a typing corner on an input shape the parity sweep
+never produced.  Without a net, one kernel call late in a 128-color
+run crashes the whole solve.
 
 :class:`ResilientBackend` wraps an accelerator backend and, per kernel,
 catches the *first* failure, emits a single :class:`ResilienceWarning`
@@ -57,11 +56,11 @@ class ResilientBackend:
     """Proxy a backend's kernel surface with per-kernel numpy fallback.
 
     Mirrors the :class:`~repro.core.backends.base.Backend` protocol:
-    ``name``/``device``/``parallel_kernels`` come from the wrapped
-    backend, every kernel method dispatches through the guard above.
-    Demotions are per instance — and backend instances are cached per
-    ``(name, device)`` in ``backends/__init__``, so one demotion covers
-    the process, as intended.
+    ``name``/``parallel_kernels`` come from the wrapped backend, every
+    kernel method dispatches through the guard above.  Demotions are per
+    instance — and backend instances are cached per name in
+    ``backends/__init__``, so one demotion covers the process, as
+    intended.
     """
 
     def __init__(self, inner, reference=None) -> None:
@@ -74,14 +73,10 @@ class ResilientBackend:
         self._reference = reference
         self._demoted: dict[str, str] = {}
 
-    # protocol attributes delegate so late device changes stay visible
+    # protocol attributes delegate to the wrapped backend
     @property
     def name(self) -> str:
         return self._inner.name
-
-    @property
-    def device(self) -> str:
-        return self._inner.device
 
     @property
     def parallel_kernels(self) -> bool:

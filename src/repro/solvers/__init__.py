@@ -1,9 +1,7 @@
 """CSR-native solver core: the flat arc-store engine for exact solving.
 
-This package is the exact tier's compute substrate.  ``repro.flow`` and
-``repro.centrality`` are thin views over it (their public functions
-accept ``engine="arcstore" | "python"``; the legacy pure-Python solvers
-are retained as the ``python`` engine for cross-checking).
+This package is the exact tier's compute substrate; ``repro.flow`` and
+``repro.centrality`` are thin views over it.
 
 * :mod:`repro.solvers.arcstore` — :class:`ArcStore` (paired residual
   arcs in contiguous arrays + CSR arc index) and the shared vectorized
@@ -15,12 +13,10 @@ are retained as the ``python`` engine for cross-checking).
 """
 
 from repro.solvers.arcstore import (
-    ENGINES,
     ArcStore,
     arc_store_for,
     bfs_levels,
     bfs_parents,
-    check_engine,
     resolve_solver_backend,
 )
 from repro.solvers.betweenness import (
@@ -30,12 +26,10 @@ from repro.solvers.betweenness import (
 from repro.solvers.maxflow import dinic, edmonds_karp, min_cut, push_relabel
 
 __all__ = [
-    "ENGINES",
     "ArcStore",
     "arc_store_for",
     "bfs_levels",
     "bfs_parents",
-    "check_engine",
     "resolve_solver_backend",
     "betweenness_centrality_csr",
     "single_source_dependencies_csr",

@@ -21,8 +21,7 @@ solvers share:
 * :func:`bfs_parents` — the same BFS recording discovery arcs (the
   augmenting-path search of Edmonds–Karp);
 * :meth:`ArcStore.residual` — a fresh residual capacity vector, the one
-  place residual state is created (retiring the per-solver
-  ``ResidualGraph`` construction);
+  place residual state is created;
 * :meth:`ArcStore.extract_flow_arrays` — per-arc flows of the forward
   arcs as ``(tails, heads, flows)`` arrays, ``flow = cap0 - cap``.
 
@@ -42,7 +41,7 @@ same backend the coloring kernels are using.
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,15 +66,6 @@ def resolve_solver_backend(backend: "str | Backend | None") -> Backend:
     if backend is None:
         return default_backend()
     return resolve_backend(backend)
-
-#: the two exact-solver implementations every dispatching entry point accepts
-ENGINES = ("arcstore", "python")
-
-
-def check_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    return engine
 
 
 def unique_int(values: np.ndarray) -> np.ndarray:
@@ -129,8 +119,7 @@ class ArcStore:
         self.cap0 = cap0
         # Arc ids grouped by tail: stable argsort keeps, within each
         # node, the original arc order (forward arcs before the reverse
-        # twins of later arcs), matching iteration order of the legacy
-        # adjacency lists.
+        # twins of later arcs).
         self.arcs = np.argsort(tail, kind="stable")
         counts = np.bincount(tail, minlength=n)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
@@ -192,14 +181,6 @@ class ArcStore:
             self.head[0::2][mask],
             pushed[mask],
         )
-
-    def extract_flow(self, cap: np.ndarray) -> Dict[Tuple[int, int], float]:
-        """Dict view of :meth:`extract_flow_arrays` (compat surface)."""
-        tails, heads, flows = self.extract_flow_arrays(cap)
-        return {
-            (int(u), int(v)): float(f)
-            for u, v, f in zip(tails, heads, flows)
-        }
 
 
 #: one ArcStore per graph, validated against the graph's cached CSR

@@ -19,9 +19,8 @@ into one compiled pass).  In the numpy reference all lanes of a batch
 run in lock-step flat BFS (node ``v`` of lane ``b`` is key
 ``b * n + v``), so every per-level gather/scatter serves a whole block
 of sources at once and the numpy call overhead amortizes across the
-batch.  On small-diameter graphs (the paper's social networks) the
-combination is several times faster than the list-based legacy pass —
-``benchmarks/bench_solver_core.py`` records the ratio.
+batch, which pays off most on small-diameter graphs (the paper's
+social networks).
 
 Batches are also the parallel unit: sources are independent and the
 weighted dependency vectors sum associatively, so
@@ -36,15 +35,14 @@ same order — bit-identical on any single backend.
 For weighted graphs (positive lengths), :func:`weighted_dependencies`
 runs an array-heap Dijkstra over the CSR slices — a binary heap of
 ``(distance, node)`` pairs with a settled mask, path counts accumulated
-on distance ties exactly like the legacy variant (1e-12 tolerance) —
-followed by the same reversed dependency accumulation over the settle
-order.
+on distance ties (1e-12 tolerance) — followed by the same reversed
+dependency accumulation over the settle order.
 
-Entry point :func:`betweenness_centrality_csr` mirrors the legacy
-``repro.centrality.brandes.betweenness_centrality`` signature
-(``sources`` / ``source_weights`` restriction, networkx conventions for
-directed/undirected and normalization) so the two engines are
-interchangeable and cross-checkable to 1e-9.
+Entry point :func:`betweenness_centrality_csr` backs
+``repro.centrality.brandes.betweenness_centrality`` (``sources`` /
+``source_weights`` restriction, networkx conventions for
+directed/undirected and normalization); networkx is its 1e-9
+cross-check oracle.
 """
 
 from __future__ import annotations
@@ -172,9 +170,8 @@ def weighted_dependencies(
     """Dependency vector of one array-heap Dijkstra pass.
 
     Arrays arrive as flat lists (CSR ``indptr``/``indices``/``data``)
-    because the heap loop is scalar-bound; distance ties accumulate path
-    counts with the same 1e-12 tolerance as the legacy solver, so both
-    engines count identical shortest-path DAGs.
+    because the heap loop is scalar-bound; distance ties within 1e-12
+    accumulate path counts onto one shortest-path DAG.
     """
     distance = [np.inf] * n
     distance[source] = 0.0
@@ -223,11 +220,10 @@ def betweenness_centrality_csr(
     workers: int | None = None,
     parallel_mode: str | None = None,
 ) -> np.ndarray:
-    """Betweenness of every node from a CSR adjacency (arcstore engine).
+    """Betweenness of every node from a CSR adjacency.
 
-    Same conventions as the legacy engine: unnormalized scores follow
-    networkx (undirected graphs report each unordered pair once);
-    ``sources``/``source_weights`` restrict and weight the per-source
+    Unnormalized scores follow networkx (undirected graphs report each
+    unordered pair once); ``sources``/``source_weights`` restrict and weight the per-source
     passes; ``weighted=True`` treats arc weights as positive lengths.
 
     The unweighted path batches sources through the backend's
@@ -298,7 +294,7 @@ def betweenness_centrality_csr(
                         {"brandes_indptr": indptr,
                          "brandes_indices": indices}
                     )
-                spec = f"{active.name}:{active.device}"
+                spec = active.name
                 jobs = [
                     (batch[0], batch[1], spec, n) for batch in batches
                 ]

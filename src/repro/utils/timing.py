@@ -62,10 +62,9 @@ def time_call(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Tuple[Any, f
 class StageTimings:
     """Per-stage wall-clock seconds of one compress–solve–lift run.
 
-    The shared timing record of the pipeline: every task result — and,
-    via compatibility properties, the per-application
-    ``Approx*Result`` dataclasses — carries exactly one of these
-    instead of ad-hoc ``*_seconds`` fields.
+    The shared timing record of the pipeline: every task result and
+    every per-application ``Approx*Result`` dataclass carries exactly
+    one of these as its ``timings`` field.
 
     ``coloring`` covers the (incremental) Rothko work attributable to
     the run, ``reduce`` the reduced-problem construction, ``solve`` the

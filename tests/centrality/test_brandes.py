@@ -4,11 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.centrality.brandes import (
-    betweenness_centrality,
-    single_source_dependencies,
-    _adjacency_lists,
-)
+from repro.centrality.brandes import betweenness_centrality
 from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.generators import (
     barabasi_albert,
@@ -17,6 +13,7 @@ from repro.graphs.generators import (
     path_graph,
     star_graph,
 )
+from repro.solvers import single_source_dependencies_csr
 
 
 def nx_scores(graph: WeightedDiGraph, normalized=False) -> np.ndarray:
@@ -104,10 +101,14 @@ class TestSourceRestriction:
 class TestDependencies:
     def test_sum_over_sources_is_centrality(self):
         graph = barabasi_albert(30, 2, seed=3)
-        adjacency = _adjacency_lists(graph)
+        matrix = graph.to_csr()
+        indptr = matrix.indptr.astype(np.int64)
+        indices = matrix.indices.astype(np.int64)
         total = np.zeros(30)
         for source in range(30):
-            total += single_source_dependencies(adjacency, source, 30)
+            total += single_source_dependencies_csr(
+                indptr, indices, source, 30
+            )
         assert np.allclose(total / 2.0, betweenness_centrality(graph))
 
 

@@ -2,8 +2,8 @@
 
 The parity sweep is the contract that makes ``--backend`` safe to flip:
 every registered backend must produce **bit-identical** results to the
-numpy reference, kernel by kernel and coloring by coloring.  Optional
-backends (numba, torch) skip cleanly where the package is absent — the
+numpy reference, kernel by kernel and coloring by coloring.  The
+optional numba backend skips cleanly where the package is absent — the
 dependency-free CI matrix runs only the numpy/resolution/determinism
 parts, the py3.12+numba job runs the full sweep.
 """
@@ -24,7 +24,7 @@ from repro.core.backends import (
     resolve_workers,
     set_default_backend,
 )
-from repro.core.backends import numba_backend, torch_backend
+from repro.core.backends import numba_backend
 from repro.core.backends.numpy_backend import NumpyBackend
 from repro.core.partition import Coloring
 from repro.core.rothko import Rothko, q_color
@@ -34,17 +34,13 @@ REFERENCE = NumpyBackend()
 
 def optional_backend(name):
     """Instantiate an optional backend or skip the test."""
-    module = {"numba": numba_backend, "torch": torch_backend}[name]
-    if not module.available():
+    if not numba_backend.available():
         pytest.skip(f"{name} not installed")
     return resolve_backend(name)
 
 
 def backend_params():
-    return [
-        pytest.param("numba"),
-        pytest.param("torch"),
-    ]
+    return [pytest.param("numba")]
 
 
 def _random_csr(n, density, seed, negative=False):
@@ -93,22 +89,18 @@ class TestResolution:
 
     def test_auto_resolves(self):
         resolved = resolve_backend("auto")
-        assert resolved.name in ("numpy", "numba", "torch")
+        assert resolved.name in ("numpy", "numba")
 
     def test_missing_optional_backend_errors_clearly(self):
-        for name, module in (
-            ("numba", numba_backend), ("torch", torch_backend)
-        ):
-            if module.available():
-                continue
-            with pytest.raises(ImportError, match=name):
-                resolve_backend(name)
+        if not numba_backend.available():
+            with pytest.raises(ImportError, match="numba"):
+                resolve_backend("numba")
 
     def test_set_default_backend(self):
         assert set_default_backend("numpy").name == "numpy"
         assert default_backend().name == "numpy"
         set_default_backend(None)  # back to lazy env/auto resolution
-        assert default_backend().name in ("numpy", "numba", "torch")
+        assert default_backend().name in ("numpy", "numba")
 
     def test_protocol_surface(self):
         for name in KERNEL_NAMES:
@@ -438,7 +430,7 @@ class TestSpecBackendKey:
 
         matrix = _random_csr(40, 0.2, 2)
         numpy_spec = ColoringSpec(matrix, backend="numpy")
-        assert numpy_spec.cache_key()[-1] == ("numpy", "cpu")
+        assert numpy_spec.cache_key()[-1] == "numpy"
         for name in available_backends():
             if name == "numpy":
                 continue

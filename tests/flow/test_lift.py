@@ -72,16 +72,12 @@ class TestLiftGuards:
         # Inflate one reduced arc beyond the block's uniform capacity.
         a_color = coloring.color_of(network.graph.index_of(("a", 0)))
         b_color = coloring.color_of(network.graph.index_of(("b", 0)))
-        fake = FlowResult(
-            value=100.0, arc_flow={(a_color, b_color): 100.0}
-        )
+        fake = FlowResult(100.0, [a_color], [b_color], [100.0])
         with pytest.raises(FlowError, match="uniform"):
             lift_flow(network, coloring, fake)
 
     def test_zero_flow_lifts_to_zero(self):
         network, coloring = biregular_layered_network()
-        lifted = lift_flow(
-            network, coloring, FlowResult(value=0.0, arc_flow={})
-        )
+        lifted = lift_flow(network, coloring, FlowResult(0.0))
         validate_flow(network, lifted)
         assert lifted.value == 0.0

@@ -1,15 +1,22 @@
-"""Tests for repro.flow.network (validation, residual graph)."""
+"""Tests for repro.flow.network (network checks, flow validation)."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import FlowError
-from repro.flow.network import (
-    FlowNetwork,
-    FlowResult,
-    ResidualGraph,
-    validate_flow,
-)
+from repro.flow.network import FlowNetwork, FlowResult, validate_flow
 from repro.graphs.digraph import WeightedDiGraph
+
+
+def flow_result(value: float, flow: dict) -> FlowResult:
+    """A FlowResult from a ``(u, v) -> flow`` dict of node indices."""
+    arcs = list(flow)
+    return FlowResult(
+        value,
+        [u for u, _ in arcs],
+        [v for _, v in arcs],
+        [flow[arc] for arc in arcs],
+    )
 
 
 @pytest.fixture
@@ -46,6 +53,28 @@ class TestFlowNetwork:
         with pytest.raises(FlowError):
             FlowNetwork(graph, 0, 1)
 
+    def test_nan_capacity_names_the_arc(self):
+        graph = WeightedDiGraph(directed=True)
+        graph.add_edge("s", "a", 1.0)
+        graph.add_edge("a", "t", float("nan"))
+        with pytest.raises(FlowError, match="'a' -> 't'"):
+            FlowNetwork(graph, "s", "t")
+
+    def test_array_built_graph_stays_lazy(self):
+        graph = WeightedDiGraph.from_arrays(
+            np.array([0, 1]), np.array([1, 2]), np.array([2.0, 3.0])
+        )
+        FlowNetwork(graph, 0, 2)
+        assert graph._succ is None
+
+
+class TestFlowResult:
+    def test_value_equality(self):
+        flow = {(0, 1): 2.0, (1, 3): 2.0}
+        assert flow_result(2.0, flow) == flow_result(2.0, flow)
+        assert flow_result(2.0, flow) != flow_result(3.0, flow)
+        assert flow_result(2.0, flow) != flow_result(2.0, {(0, 1): 2.0})
+
 
 class TestValidateFlow:
     def test_valid_flow_accepted(self, diamond):
@@ -55,57 +84,36 @@ class TestValidateFlow:
             (1, 3): 2.0,  # a->t
             (2, 3): 2.0,  # b->t
         }
-        validate_flow(diamond, FlowResult(value=4.0, arc_flow=flow))
+        validate_flow(diamond, flow_result(4.0, flow))
 
     def test_capacity_violation(self, diamond):
         flow = {(0, 1): 5.0, (1, 3): 5.0}
         with pytest.raises(FlowError, match="exceeds capacity"):
-            validate_flow(diamond, FlowResult(value=5.0, arc_flow=flow))
+            validate_flow(diamond, flow_result(5.0, flow))
 
     def test_conservation_violation(self, diamond):
         flow = {(0, 1): 1.0}
         with pytest.raises(FlowError, match="conservation"):
-            validate_flow(diamond, FlowResult(value=1.0, arc_flow=flow))
+            validate_flow(diamond, flow_result(1.0, flow))
 
     def test_phantom_arc(self, diamond):
         flow = {(1, 2): 1.0}
         with pytest.raises(FlowError, match="non-existent"):
-            validate_flow(diamond, FlowResult(value=0.0, arc_flow=flow))
+            validate_flow(diamond, flow_result(0.0, flow))
 
     def test_out_of_range_arc(self, diamond):
         # Endpoints beyond n must not collide with real arcs through
         # the vectorized validator's flat key encoding.
         flow = {(1, 7): 1.0}
         with pytest.raises(FlowError, match="non-existent"):
-            validate_flow(diamond, FlowResult(value=0.0, arc_flow=flow))
+            validate_flow(diamond, flow_result(0.0, flow))
 
     def test_wrong_value(self, diamond):
         flow = {(0, 1): 1.0, (1, 3): 1.0}
         with pytest.raises(FlowError, match="claimed value"):
-            validate_flow(diamond, FlowResult(value=7.0, arc_flow=flow))
+            validate_flow(diamond, flow_result(7.0, flow))
 
     def test_negative_flow(self, diamond):
         flow = {(0, 1): -1.0, (1, 3): -1.0}
         with pytest.raises(FlowError, match="negative flow"):
-            validate_flow(diamond, FlowResult(value=-1.0, arc_flow=flow))
-
-
-class TestResidualGraph:
-    def test_paired_arcs(self):
-        residual = ResidualGraph(3)
-        arc = residual.add_arc(0, 1, 5.0)
-        assert residual.to[arc] == 1
-        assert residual.to[arc ^ 1] == 0
-        assert residual.cap[arc] == 5.0
-        assert residual.cap[arc ^ 1] == 0.0
-
-    def test_extract_flow_empty(self, diamond):
-        residual = ResidualGraph.from_network(diamond)
-        assert residual.extract_flow() == {}
-
-    def test_extract_flow_after_push(self, diamond):
-        residual = ResidualGraph.from_network(diamond)
-        residual.cap[0] -= 1.0  # push 1 unit on the first arc
-        residual.cap[1] += 1.0
-        flow = residual.extract_flow()
-        assert sum(flow.values()) == 1.0
+            validate_flow(diamond, flow_result(-1.0, flow))

@@ -255,6 +255,13 @@ class TestFromArrays:
                 np.array([0]), np.array([1]), np.array([1.0, 2.0])
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_names_the_arc(self, bad):
+        with pytest.raises(GraphError, match="arc 1: 1 -> 2"):
+            WeightedDiGraph.from_arrays(
+                np.array([0, 1]), np.array([1, 2]), np.array([1.0, bad])
+            )
+
     def test_inferred_node_count(self):
         bulk = WeightedDiGraph.from_arrays(np.array([0, 4]), np.array([2, 1]))
         assert bulk.n_nodes == 5

@@ -249,6 +249,15 @@ class TestIngestEdgelist:
         with pytest.raises(GraphError, match=r"arcs\.txt:2"):
             ingest_edgelist(tmp_path / "store", text)
 
+    @pytest.mark.parametrize(
+        "weight, reason", [("nan", "not finite"), ("3.0x", "not a number")]
+    )
+    def test_bad_weight_names_location(self, tmp_path, weight, reason):
+        text = tmp_path / "arcs.txt"
+        text.write_text(f"0 1 1.0\n1 2 {weight}\n")
+        with pytest.raises(GraphError, match=rf"arcs\.txt:2: .*{reason}"):
+            ingest_edgelist(tmp_path / "store", text)
+
     def test_chunked_streaming_parity(self, tmp_path):
         lines = [f"{i % 17} {(i * 7) % 17} {1 + i % 3}" for i in range(500)]
         text = tmp_path / "arcs.txt"

@@ -50,6 +50,17 @@ class TestEdgelist:
         with pytest.raises(GraphError):
             read_edgelist(path)
 
+    @pytest.mark.parametrize(
+        "weight, reason",
+        [("nan", "not finite"), ("-inf", "not finite"),
+         ("1e400", "not finite"), ("heavy", "not a number")],
+    )
+    def test_bad_weight_names_the_line(self, tmp_path, weight, reason):
+        path = tmp_path / "bad.edges"
+        path.write_text(f"a b 1.0\nb c {weight}\n")
+        with pytest.raises(GraphError, match=f"^{path}:2: .*{reason}"):
+            read_edgelist(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.edges"
         path.write_text("")
@@ -99,6 +110,17 @@ class TestDimacs:
         path = tmp_path / "bad.max"
         path.write_text("p max 2 1\na 1 2 3\n")
         with pytest.raises(GraphError):
+            read_dimacs_flow(path)
+
+    @pytest.mark.parametrize(
+        "capacity, reason",
+        [("nan", "not finite"), ("inf", "not finite"),
+         ("lots", "not a number")],
+    )
+    def test_bad_capacity_names_the_line(self, tmp_path, capacity, reason):
+        path = tmp_path / "bad.max"
+        path.write_text(f"p max 2 1\nn 1 s\nn 2 t\na 1 2 {capacity}\n")
+        with pytest.raises(GraphError, match=f"^{path}:4: .*{reason}"):
             read_dimacs_flow(path)
 
     def test_comments_skipped(self, tmp_path):

@@ -10,7 +10,6 @@ from repro.solvers import (
     arc_store_for,
     bfs_levels,
     bfs_parents,
-    check_engine,
 )
 from repro.solvers.arcstore import unique_int
 
@@ -82,17 +81,17 @@ class TestResidual:
 
     def test_extract_flow_empty(self, diamond_graph):
         store = arc_store_for(diamond_graph)
-        assert store.extract_flow(store.residual()) == {}
+        tails, heads, flows = store.extract_flow_arrays(store.residual())
+        assert tails.size == heads.size == flows.size == 0
 
     def test_extract_flow_after_push(self, diamond_graph):
         store = arc_store_for(diamond_graph)
         cap = store.residual()
         cap[0] -= 1.0
         cap[1] += 1.0
-        flow = store.extract_flow(cap)
-        assert sum(flow.values()) == 1.0
-        ((u, v),) = flow.keys()
-        assert (store.tail[0], store.head[0]) == (u, v)
+        tails, heads, flows = store.extract_flow_arrays(cap)
+        assert flows.tolist() == [1.0]
+        assert (tails[0], heads[0]) == (store.tail[0], store.head[0])
 
 
 class TestTraversals:
@@ -141,12 +140,6 @@ class TestHelpers:
     def test_unique_int_empty_and_single(self):
         assert unique_int(np.empty(0, dtype=np.int64)).size == 0
         assert unique_int(np.array([7], dtype=np.int64)).tolist() == [7]
-
-    def test_check_engine_rejects_unknown(self):
-        with pytest.raises(ValueError, match="engine"):
-            check_engine("fortran")
-        assert check_engine("python") == "python"
-        assert check_engine("arcstore") == "arcstore"
 
 
 class TestFlowNetworkIntegration:

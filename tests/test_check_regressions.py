@@ -120,6 +120,27 @@ class TestCompare:
         assert code == 1
         assert "suite missing" in capsys.readouterr().out
 
+    def test_suite_missing_from_smoke_run_is_a_note(self, tmp_path, capsys):
+        """CI's smoke run selects a few suites of the full baseline."""
+        baseline = _write(tmp_path, "base.json", {
+            "smoke": True,
+            "suites": {
+                "selected": {"medians": {"x": 0.5}},
+                "unselected": {"medians": {"y": 0.5}},
+            },
+        })
+        current = _write(tmp_path, "cur.json", {
+            "smoke": True,
+            "suites": {"selected": {"medians": {"x": 0.5}}},
+        })
+        code = check_regressions.main(
+            ["--baseline", baseline, "--current", current]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "unselected: not selected by this smoke run" in out
+        assert "REGRESSION" not in out
+
     def test_smoke_runs_check_coverage_only(self, tmp_path, capsys):
         baseline = _write(tmp_path, "base.json", _results({"x": 0.5}))
         current = _write(

@@ -114,27 +114,6 @@ class TestSolveCommand:
         # stop there instead of refining to 40 colors.
         assert rows[0][0] == rows[1][0]
 
-    def test_engines_agree_on_small_instance(self, capsys):
-        """--engine arcstore and --engine python print identical value
-        columns for the same maxflow schedule."""
-        def value_rows(engine):
-            assert main(
-                ["solve", "--task", "maxflow", "--dataset", "tsukuba0",
-                 "--scale", "0.002", "--colors", "4,8", "--engine", engine]
-            ) == 0
-            out = capsys.readouterr().out
-            rows = [line.split() for line in out.splitlines()
-                    if line and line[0].isdigit()]
-            # columns: colors, max_q, value, ...
-            return [(row[0], row[2]) for row in rows]
-
-        assert value_rows("arcstore") == value_rows("python")
-
-    def test_bad_engine_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["solve", "--task", "maxflow", "--dataset", "tsukuba0",
-                  "--colors", "4", "--engine", "magic"])
-
     def test_requires_stopping_rule(self):
         with pytest.raises(SystemExit):
             main(["solve", "--task", "lp", "--dataset", "qap15"])
@@ -452,6 +431,23 @@ class TestCleanCliErrors:
             ["color", str(empty), "--mmap", "--colors", "4"]
         ) == 2
         assert capsys.readouterr().err.startswith("repro color:")
+
+    @pytest.mark.parametrize(
+        "weight, reason",
+        [("nan", "not finite"), ("inf", "not finite"),
+         ("heavy", "not a number")],
+    )
+    def test_color_bad_weight_is_one_line(
+        self, tmp_path, capsys, weight, reason
+    ):
+        edges = tmp_path / "bad.edges"
+        edges.write_text(f"1 2 1.0\n2 3 {weight}\n")
+        assert main(["color", str(edges), "--colors", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith(f"repro color: {edges}:2: weight")
+        assert reason in line
 
     def test_ingest_resume_without_journal(self, tmp_path):
         with pytest.raises(SystemExit, match="nothing to resume"):
