@@ -45,6 +45,9 @@ def main() -> None:
     counters = recorder.snapshot()["counters"]
     for name in (
         "rothko.splits",
+        "rothko.witness_s",
+        "rothko.threshold_s",
+        "rothko.refresh_s",
         "kernels.bincount_cells",
         "solvers.pr.relabels",
         "pipeline.cache.miss",

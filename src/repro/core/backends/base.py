@@ -1,7 +1,9 @@
 """The :class:`Backend` protocol: the kernel surface a backend implements.
 
-Every hot kernel the coloring engine and the pipeline touch per split is
-listed here — nothing else is.  The contract mirrors the numpy
+Every kernel the engines and the pipeline dispatch through a backend is
+listed here — nothing else is (the Rothko split refresh is plain numpy
+on top of ``take_ranges`` and ``grouped_minmax_ordered``, so every
+backend runs it).  The contract mirrors the numpy
 reference implementation in :mod:`repro.core.backends.numpy_backend`
 exactly: plain ``numpy.ndarray`` in, plain ``numpy.ndarray`` out (C
 layout, float64/int64), bit-identical results.  A backend is free to
@@ -30,8 +32,6 @@ KERNEL_NAMES = (
     "take_ranges",
     "scatter_select_sums",
     "scatter_select_color_sums",
-    "color_degree_slice",
-    "color_degree_slice_pair",
     "select_degrees_toward",
     "grouped_minmax_by_labels",
     "grouped_minmax_ordered",
@@ -69,8 +69,8 @@ class Backend(Protocol):
     def bincount(
         self, keys: np.ndarray, weights: np.ndarray, minlength: int
     ) -> np.ndarray:
-        """Weighted bincount over precomputed flat keys (the fused
-        scatter primitive the engine's split refresh builds on)."""
+        """Weighted bincount over precomputed flat keys (the scatter
+        primitive behind the dense degree matrices)."""
 
     def take_ranges(
         self, starts: np.ndarray, counts: np.ndarray
@@ -97,27 +97,6 @@ class Backend(Protocol):
         n_colors: int,
     ) -> np.ndarray:
         """Total weight of the selected rows per *color* (one W row)."""
-
-    def color_degree_slice(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        data: np.ndarray,
-        rows: np.ndarray,
-        labels: np.ndarray,
-        n_colors: int,
-    ) -> np.ndarray:
-        """Dense ``k x |rows|`` degree slice of the selected rows."""
-
-    def color_degree_slice_pair(
-        self,
-        csr_arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
-        csc_arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
-        rows: np.ndarray,
-        labels: np.ndarray,
-        n_colors: int,
-    ) -> np.ndarray:
-        """Both directions' degree slices, ``(2, k, |rows|)``."""
 
     def select_degrees_toward(
         self,

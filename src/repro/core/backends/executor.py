@@ -3,9 +3,9 @@
 The batched strategy's rounds are embarrassingly parallel by
 construction — the top-``B`` witnesses are pairwise color-disjoint, so
 their threshold-degree gathers and eject masks read disjoint member
-sets against the same pre-round snapshot, and the post-round refresh
-writes disjoint rows/columns of the boundary matrices.  The executor
-turns that structural independence into wall-clock:
+sets against the same pre-round snapshot.  The executor turns that
+structural independence into wall-clock (the post-round state refresh
+is ``O(vol + k)`` per dirty color and stays in the calling thread):
 
 ``serial``
     plain in-order loop (the default, and the reference the
@@ -257,19 +257,7 @@ class RoundExecutor:
             mode = "threads" if parallel_kernels else "processes"
         return cls(mode, workers)
 
-    # -- thread/serial mapping ------------------------------------------
-    def map(self, fn, items: list) -> list:
-        """Apply ``fn`` to every item, results in submission order.
-
-        Used for the in-engine refresh fan-out, where ``fn`` closes over
-        engine state: threads share it directly; the process mode cannot
-        (the closure is not picklable), so it degrades to serial here
-        and parallelizes only the shared-memory mask stage.
-        """
-        if self.mode == "threads" and len(items) > 1:
-            return list(self._threads().map(fn, items))
-        return [fn(item) for item in items]
-
+    # -- thread pool -----------------------------------------------------
     def _threads(self) -> ThreadPoolExecutor:
         if self._thread_pool is None:
             self._thread_pool = ThreadPoolExecutor(

@@ -4,7 +4,7 @@ The bincount/reduceat fusions the flat engine leans on compile to tight
 C loops here, with the gather step (``take_ranges`` + fancy indexing)
 folded *into* the loop — no position/weight temporaries at all.  Kernels
 whose output cells are written by exactly one ``prange`` iteration (the
-degree slices: one column per selected row; the ordered min/max: one
+threshold degrees: one entry per selected row; the ordered min/max: one
 feature row per iteration) run multi-threaded; scatter-shaped kernels
 whose cells mix contributions across rows stay single-threaded inside
 ``njit`` so the accumulation order — and therefore the floating-point
@@ -83,32 +83,6 @@ if available():  # pragma: no cover - exercised only where numba is installed
             node = select[s]
             for p in range(indptr[node], indptr[node + 1]):
                 out[labels[indices[p]]] += data[p]
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _color_degree_slice(indptr, indices, data, rows, labels, k):
-        r = rows.shape[0]
-        out = np.zeros((k, r), dtype=np.float64)
-        for t in prange(r):  # each iteration owns column t: race-free
-            node = rows[t]
-            for p in range(indptr[node], indptr[node + 1]):
-                out[labels[indices[p]], t] += data[p]
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _color_degree_slice_pair(
-        out_indptr, out_indices, out_data,
-        in_indptr, in_indices, in_data,
-        rows, labels, k,
-    ):
-        r = rows.shape[0]
-        out = np.zeros((2, k, r), dtype=np.float64)
-        for t in prange(r):
-            node = rows[t]
-            for p in range(out_indptr[node], out_indptr[node + 1]):
-                out[0, labels[out_indices[p]], t] += out_data[p]
-            for p in range(in_indptr[node], in_indptr[node + 1]):
-                out[1, labels[in_indices[p]], t] += in_data[p]
         return out
 
     @njit(cache=True, parallel=True)
@@ -233,40 +207,7 @@ class NumbaBackend(NumpyBackend):
             n_colors,
         )
 
-    # -- slice-shaped kernels: prange over row-owned output cells --
-    def color_degree_slice(self, indptr, indices, data, rows, labels, n_colors):
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0 or n_colors == 0:
-            return np.zeros((n_colors, rows.size), dtype=np.float64)
-        return _color_degree_slice(
-            _contig(indptr),
-            _contig(indices),
-            _contig(data),
-            _contig(rows),
-            _contig(labels),
-            n_colors,
-        )
-
-    def color_degree_slice_pair(
-        self, csr_arrays, csc_arrays, rows, labels, n_colors
-    ):
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0 or n_colors == 0:
-            return np.zeros((2, n_colors, rows.size), dtype=np.float64)
-        out_indptr, out_indices, out_data = csr_arrays
-        in_indptr, in_indices, in_data = csc_arrays
-        return _color_degree_slice_pair(
-            _contig(out_indptr),
-            _contig(out_indices),
-            _contig(out_data),
-            _contig(in_indptr),
-            _contig(in_indices),
-            _contig(in_data),
-            _contig(rows),
-            _contig(labels),
-            n_colors,
-        )
-
+    # -- row-owned kernels: prange over independent output cells --
     def select_degrees_toward(self, indptr, indices, data, rows, labels, targets):
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:

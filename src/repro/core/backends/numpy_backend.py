@@ -110,71 +110,6 @@ def scatter_select_color_sums(
     return scatter_add(labels[indices[positions]], data[positions], n_colors)
 
 
-def color_degree_slice(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    rows: np.ndarray,
-    labels: np.ndarray,
-    n_colors: int,
-) -> np.ndarray:
-    """Dense ``k x |rows|`` degree slice of the selected CSR rows.
-
-    Column ``r`` holds the total weight from ``rows[r]`` toward every
-    color.  One ``O(nnz(rows) + k |rows|)`` bincount over flattened
-    ``(color, local row)`` keys.  Rows absent from the selection's
-    neighborhoods come out exactly zero (no subtraction residues), which
-    the geometric/relative split thresholds rely on.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    r = rows.size
-    if r == 0 or n_colors == 0:
-        return np.zeros((n_colors, r), dtype=np.float64)
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    positions = take_ranges(starts, counts)
-    local = np.repeat(np.arange(r, dtype=np.int64), counts)
-    flat = labels[indices[positions]] * r + local
-    return np.bincount(
-        flat, weights=data[positions], minlength=n_colors * r
-    ).reshape(n_colors, r)
-
-
-def color_degree_slice_pair(
-    csr_arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
-    csc_arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
-    rows: np.ndarray,
-    labels: np.ndarray,
-    n_colors: int,
-) -> np.ndarray:
-    """Both directions' degree slices of a row subset in one bincount.
-
-    Returns ``(2, k, |rows|)``: layer 0 is the out slice (from the CSR
-    arrays), layer 1 the in slice (from the CSC arrays).
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    r = rows.size
-    if r == 0 or n_colors == 0:
-        return np.zeros((2, n_colors, r), dtype=np.float64)
-    keys: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    for layer, (indptr, indices, data) in enumerate((csr_arrays, csc_arrays)):
-        starts = indptr[rows]
-        counts = indptr[rows + 1] - starts
-        positions = take_ranges(starts, counts)
-        local = np.repeat(np.arange(r, dtype=np.int64), counts)
-        keys.append(
-            (labels[indices[positions]] + layer * n_colors) * r + local
-        )
-        weights.append(data[positions])
-    flat = np.concatenate(keys)
-    if flat.size == 0:
-        return np.zeros((2, n_colors, r), dtype=np.float64)
-    return np.bincount(
-        flat, weights=np.concatenate(weights), minlength=2 * n_colors * r
-    ).reshape(2, n_colors, r)
-
-
 def select_degrees_toward(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -267,8 +202,6 @@ class NumpyBackend:
     take_ranges = staticmethod(take_ranges)
     scatter_select_sums = staticmethod(scatter_select_sums)
     scatter_select_color_sums = staticmethod(scatter_select_color_sums)
-    color_degree_slice = staticmethod(color_degree_slice)
-    color_degree_slice_pair = staticmethod(color_degree_slice_pair)
     select_degrees_toward = staticmethod(select_degrees_toward)
     grouped_minmax_by_labels = staticmethod(grouped_minmax_by_labels)
     grouped_minmax_ordered = staticmethod(grouped_minmax_ordered)

@@ -15,8 +15,6 @@ handful of primitives over CSR/CSC index arrays:
 * :func:`scatter_select_color_sums` — per-*color* total weight of a
   member subset (one row or column of the block-weight matrix
   ``W = S^T A S``) in ``O(nnz(members))``;
-* :func:`color_degree_slice` — the ``k x |rows|`` degree-matrix *slice*
-  of a row subset, in ``O(nnz(rows) + k |rows|)``;
 * :func:`select_degrees_toward` — per-selected-row total weight toward
   one target color (the split-threshold degree vector
   ``D[j, members(i)]``) in ``O(nnz(rows))``;
@@ -68,8 +66,6 @@ __all__ = [
     "take_ranges",
     "scatter_select_sums",
     "scatter_select_color_sums",
-    "color_degree_slice",
-    "color_degree_slice_pair",
     "select_degrees_toward",
     "color_degree_matrix",
     "color_degree_matrix_t",
@@ -139,48 +135,6 @@ def scatter_select_color_sums(
     """
     return default_backend().scatter_select_color_sums(
         indptr, indices, data, select, labels, n_colors
-    )
-
-
-def color_degree_slice(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    rows: np.ndarray,
-    labels: np.ndarray,
-    n_colors: int,
-) -> np.ndarray:
-    """Dense ``k x |rows|`` degree slice of the selected CSR rows.
-
-    Column ``r`` holds the total weight from ``rows[r]`` toward every
-    color: on CSR arrays this is ``D_out[:, rows].T`` restricted to the
-    selection, on CSC arrays ``D_in[:, rows].T``.  Entries are exactly
-    zero iff every term is (no subtraction residues), which the
-    geometric/relative split thresholds rely on.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    _obs._active.count("kernels.bincount_cells", n_colors * rows.size)
-    return default_backend().color_degree_slice(
-        indptr, indices, data, rows, labels, n_colors
-    )
-
-
-def color_degree_slice_pair(
-    csr_arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
-    csc_arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
-    rows: np.ndarray,
-    labels: np.ndarray,
-    n_colors: int,
-) -> np.ndarray:
-    """Both directions' degree slices of a row subset in one pass.
-
-    Returns ``(2, k, |rows|)``: layer 0 is the out slice (from the CSR
-    arrays), layer 1 the in slice (from the CSC arrays).
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    _obs._active.count("kernels.bincount_cells", 2 * n_colors * rows.size)
-    return default_backend().color_degree_slice_pair(
-        csr_arrays, csc_arrays, rows, labels, n_colors
     )
 
 

@@ -24,60 +24,70 @@ never ``O(n k)``.  It keeps only
 * the CSR/CSC adjacency snapshots (``O(m)``),
 * the per-color member lists and the label array (``O(n)`` total),
 * the ``k x k`` boundary matrices ``U`` / ``L`` — persistent across
-  iterations, patched per split.  The error matrices ``Err`` and the
-  size-weighted witness scores ``Err ⊙ C`` are derived from U/L on
-  demand during each witness scan (frozen-color masking applied
-  there), not maintained — every scan is ``O(k^2)`` regardless, so
-  maintaining them would only pin more ``k x k`` state.
+  iterations, patched per split,
+* each row's maximum and first argmax of the weighted and raw out/in
+  errors (``O(k)``),
+* a ``4n`` float64 column accumulator (two colors, two directions) and
+  its ``4n`` int32 slot map, reused by every refresh (48 bytes per
+  node, allocated by the first split).  The error matrices ``Err`` and
+  the size-weighted scores ``Err ⊙ C`` are never stored: the row maxima
+  are patched from the entries a split changes.
 
 The dense ``k x n`` degree matrices of the naive formulation are *never*
-materialized.  Instead, each split computes on demand exactly the two
-degree **slices** it needs, straight off the CSR/CSC index arrays:
+materialized.  A split of ``c`` into ``(c, t)`` touches only what its
+arcs reach; with ``vol(P)`` the number of arcs at the members of ``c``:
 
-* the split-threshold degree vector ``D[j, members(i)]``
-  (an edge-chunked masked bincount, ``O(nnz(members))``);
-* after the split of ``c`` into ``(c, t)``, the dirty *columns*
-  ``{c, t}`` of ``U``/``L`` from the two fresh degree columns
-  (:func:`repro.core.kernels.scatter_select_sums` + one member-order
-  gather and ``reduceat`` — no argsort) and the dirty *row-groups*
-  ``{c, t}`` from ``k x |members|`` degree slices
-  (:func:`repro.core.kernels.color_degree_slice`, reduced in bounded
-  member chunks so transient memory stays ``O(k)`` per chunk row).
+* the split-threshold degree vector ``D[j, members(i)]`` is an
+  edge-chunked masked bincount, ``O(vol(P))``;
+* one refresh of the dirty colors ``{c, t}`` gathers the arcs of the
+  pre-split members once, in edge-budget chunks, and rebuilds from them
+  each color's *row-group* (its ``U``/``L`` toward every color) and
+  *column* (every group's ``U``/``L`` toward it).  A group's max toward a
+  color comes from the
+  nonzero (member, color) sums; its min is 0 unless a per-color touch
+  count shows that every member touches that color.  A column comes
+  from the nodes adjacent to the color alone, grouped by label with a
+  per-group touch count the same way;
+* the row maxima are rescanned only for the two dirty rows and the rows
+  whose argmax sat in a dirty column; every other row compares its
+  maximum with its two dirty entries.  :meth:`Rothko._find_witness` is
+  then an ``O(k)`` argmax over the row maxima, with the full scan's
+  tie-break (row-major first, out before in).
 
-Witness selection stays a pair of ``O(k^2)`` argmax scans.  Per-split
-work is
-``O(n + nnz(touched rows/cols) + |c| k + k^2)`` — the same asymptotics
-as the previous dense-state engine — while peak memory drops from the
-two pinned ``k x n`` float64 matrices (16 GB at ``n`` = 1M, ``k`` =
-1024) to the adjacency snapshots plus ``O(n)`` transients, which is
-what lets ``bench_rothko_largescale`` color million-node graphs.
-Degree slices are direct sums of the (in relative mode, non-negative)
-weights, so entries are exactly zero iff every term is — the
+Each refresh half has a dense and a sparse form, picked from sizes the
+split can observe, never from an option: a chunk keeps the dense
+``2k x rows`` degree slice wherever its cells do not exceed the arcs
+gathered (early splits of large colors with dense rows), and a column
+keeps the member-order ``reduceat`` over all ``n`` nodes whenever the
+refreshed colors' arcs reach ``n``.  Per-split work is
+``O(vol(P) + k)`` up to the edge budget; peak memory stays the
+adjacency snapshots plus ``O(n)`` transients, which is what lets
+``bench_rothko_largescale`` color million-node graphs.  Degree sums
+are direct sums in a fixed arc order (both forms give the same bits),
+so entries are exactly zero iff every term is — the
 geometric/relative thresholds need no residue special-casing.
 
 ``strategy="batched"`` (default ``"greedy"``) turns the loop into
 rounds: the top-``B`` *non-conflicting* witnesses (pairwise-disjoint
 color pairs) are selected with one ``O(k^2)`` scan, all ``B`` splits
 are decided against the same pre-round state, and the ``2B`` dirtied
-columns/row-groups are refreshed in fused kernel passes sharing one
-member-order gather.  This amortizes the per-split ``O(n + k^2)``
-overhead for large color budgets; the fidelity contract (tested) is
+colors go through the same refresh.  The fidelity contract (tested) is
 that batched reaches a max q-error within a constant factor of greedy
 at equal ``k``, not the identical split sequence.  The default stays
 the paper-exact greedy rule.  :meth:`Rothko.verify_state` checks the
-maintained state against a from-scratch recompute; the invariant test
-suite drives it after every split in both strategies.
+maintained state against a from-scratch recompute, and the row maxima
+and the witness against a full scan; the invariant test suite drives
+it after every split in both strategies.
 
-The hot kernels dispatch through a resolved
+The threshold kernel dispatches through a resolved
 :class:`~repro.core.backends.base.Backend` (``backend=`` argument, the
 ``REPRO_BACKEND`` environment variable, or auto-detection — numba when
-importable, else the numpy reference; see :mod:`repro.core.backends`).
-The engine holds the resolved instance and calls its methods directly,
-so per-kernel dispatch is one attribute lookup.  All backends are
+importable, else the numpy reference; see :mod:`repro.core.backends`);
+the refresh is plain numpy, so every backend runs it.  All backends are
 bit-identical (the parity sweep enforces it), so the choice affects
-wall-clock only.  ``workers=`` (or ``REPRO_WORKERS``) opts batched rounds into
-parallel execution: the round's color-disjoint witness masks — and the
-post-round refresh of the dirtied columns/row-groups — fan across a
+wall-clock only.  ``workers=`` (or ``REPRO_WORKERS``) opts batched
+rounds into parallel execution: the round's color-disjoint witness
+masks fan across a
 :class:`~repro.core.backends.executor.RoundExecutor`, threads where
 the backend's kernels release the GIL (numba) and a
 shared-memory process pool for the numpy backend.  Results are
@@ -96,9 +106,14 @@ otherwise.
 The loop is instrumented for :mod:`repro.obs`: every split (greedy) or
 round (batched) opens a span carrying the chosen witness and the
 pre-split q-error, and the ``rothko.splits`` counter plus the
-``rothko.max_q_err`` gauge track progress.  With no recorder installed
-(the default) these calls hit the null recorder and cost nothing
-measurable.
+``rothko.max_q_err`` gauge track progress.  The counters
+``rothko.witness_s``, ``rothko.threshold_s`` and ``rothko.refresh_s``
+split the loop's time into witness selection (just before the span
+opens), the split threshold, and committing the split plus the state
+refresh (together the whole span), one add each per split (or round),
+no extra spans.
+With no recorder installed (the default) these calls hit the null
+recorder and cost nothing measurable.
 """
 
 from __future__ import annotations
@@ -127,23 +142,13 @@ SPLIT_MEANS = ("arithmetic", "geometric")
 ERROR_MODES = ("absolute", "relative")
 STRATEGIES = ("greedy", "batched")
 
-#: colors per fused boundary-column pass (2 directions x chunk rows kept
-#: live at once, so transient memory stays a few n-vectors)
-_COLUMN_CHUNK = 2
-#: cell budget (colors x member rows, both directions) per degree-slice
-#: pass in the row-group refresh — bounds the transient block to ~0.5 MB
-#: regardless of the split color's size
-_SLICE_CELLS = 24576
 #: edge budget per refresh chunk: caps the gathered position/weight
 #: arrays so a split of a huge color never holds O(nnz(color)) edge
-#: temporaries at once (the budget scales with n because O(n) column
-#: transients exist regardless)
+#: temporaries at once (the budget scales with n because the column
+#: accumulator is O(n) regardless)
 _EDGE_CHUNK = 4096
-#: below this many column cells (4n) a multi-chunk split accumulates the
-#: column scatter densely per chunk; above it, keys are collected for
-#: one final bincount (dense per-chunk adds would thrash at large n,
-#: holding the keys would spike transients at small n)
-_COLUMN_ACCUM_CELLS = 1 << 20
+#: witness-score track order of the per-row maxima
+_TRACKS = ("weighted out", "weighted in", "raw out", "raw in")
 
 
 def coerce_adjacency(graph) -> sp.csr_matrix:
@@ -174,6 +179,23 @@ def coerce_adjacency(graph) -> sp.csr_matrix:
         raise TypeError(f"cannot interpret {type(graph).__name__} as a graph")
     if matrix.shape[0] != matrix.shape[1]:
         raise ColoringError(f"adjacency must be square, got {matrix.shape}")
+    if matrix.data.flags.writeable:
+        # Read-only data is a memmapped edge-store snapshot, which ingest
+        # already validated; scanning it would page the whole file in.
+        if not matrix.has_canonical_format:
+            # Duplicate or unsorted entries would sum in a different
+            # order per direction; the canonical form keeps a degree
+            # exactly equal however the refresh gathers it.
+            matrix = matrix.copy()
+            matrix.sum_duplicates()
+        bad = np.flatnonzero(~np.isfinite(matrix.data))
+        if bad.size:
+            position = int(bad[0])
+            row = np.searchsorted(matrix.indptr, position, side="right") - 1
+            raise ColoringError(
+                f"non-finite weight {matrix.data[position]} on arc "
+                f"{int(row)} -> {int(matrix.indices[position])}"
+            )
     return matrix
 
 
@@ -394,9 +416,9 @@ class Rothko:
     workers:
         Worker fan-out for batched rounds (``None`` consults
         ``REPRO_WORKERS``, default 1 = serial).  With more than one
-        worker, each round's color-disjoint eject masks and the fused
-        refresh are mapped across threads (backends whose kernels
-        release the GIL) or a shared-memory process pool (numpy).
+        worker, each round's color-disjoint eject masks are mapped
+        across threads (backends whose kernels release the GIL) or a
+        shared-memory process pool (numpy).
         Parallel rounds commit bit-for-bit the serial rounds' splits.
         Ignored under the greedy strategy.
     parallel_mode:
@@ -463,7 +485,9 @@ class Rothko:
             raise ColoringError(
                 f"initial coloring has {initial.n} nodes, graph has {self.n}"
             )
-        bad_frozen = [c for c in self.frozen if c >= initial.n_colors]
+        bad_frozen = [
+            c for c in self.frozen if not 0 <= c < initial.n_colors
+        ]
         if bad_frozen:
             raise ColoringError(f"frozen color ids out of range: {bad_frozen}")
 
@@ -490,31 +514,39 @@ class Rothko:
         return self._workers
 
     # ------------------------------------------------------------------
-    # incremental state: U/L, Err, weighted witness scores (all k x k)
+    # incremental state: U/L (k x k) and the per-row witness maxima
     # ------------------------------------------------------------------
     def _init_state(self) -> None:
-        """Build the boundary/error/witness state once, memory-flat.
+        """Build the boundary state and the row maxima once, memory-flat.
 
-        The ``U``/``L`` matrices are filled by the same chunked
-        column-refresh pass the splits use — every color's degree column
-        is computed on demand and reduced per group, so no ``k x n``
-        matrix ever exists.  ``O(m + n k)`` time, ``O(n)`` transients.
+        Every initial color is dirty, so the same refresh the splits use
+        fills all ``U``/``L`` rows (the columns follow from the rows) and
+        rescans every row's maxima: ``O(m + k^2)`` time, no ``k x n``
+        matrix ever exists.
         """
         capacity = max(16, 2 * self.k)
         k = self.k
         self._sizes = np.zeros(capacity, dtype=np.int64)
         self._alpha_pow = np.ones(capacity, dtype=np.float64)
         self._beta_pow = np.ones(capacity, dtype=np.float64)
+        self._frozen = np.zeros(capacity, dtype=bool)
+        self._frozen[self._frozen_ids] = True
         # Boundary matrices in "natural" orientation: row = the node's
         # color group, column = the color the degree points at.
         self._u_out = np.zeros((capacity, capacity), dtype=np.float64)
         self._l_out = np.zeros((capacity, capacity), dtype=np.float64)
         self._u_in = np.zeros((capacity, capacity), dtype=np.float64)
         self._l_in = np.zeros((capacity, capacity), dtype=np.float64)
-        # The error matrices and the size-weighted witness scores are
-        # *derived* from U/L on demand (`_error_matrices`,
-        # `_weighted_scores`) — each witness scan is O(k^2) regardless,
-        # so maintaining them would only pin more k x k state.
+        # Per-row maxima and first argmaxes of the witness scores, one
+        # row per _TRACKS entry: what a full O(k^2) scan would find in
+        # each row, patched per split (see _update_row_maxima).
+        self._best = np.zeros((len(_TRACKS), capacity), dtype=np.float64)
+        self._best_at = np.zeros((len(_TRACKS), capacity), dtype=np.int64)
+        # Column refresh scratch over the (color, direction, node) cells
+        # of a two-color pass: a zero accumulator and a slot map,
+        # allocated on first use.
+        self._column_sums: np.ndarray | None = None
+        self._column_slots: np.ndarray | None = None
         if k == 0:
             return
 
@@ -523,51 +555,44 @@ class Rothko:
         self._alpha_pow[:k] = np.power(sizes_f, self.alpha)
         self._beta_pow[:k] = np.power(sizes_f, self.beta)
 
-        self._update_boundary_columns(range(k))
+        self._refresh(range(k))
 
     def _spread(self, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
         if self.error_mode == "absolute":
             return upper - lower
         return relative_spread(upper, lower)
 
-    def _error_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh ``(out_err, in_err)`` in (source, target) orientation,
-        derived from the maintained U/L in one ``O(k^2)`` pass."""
-        k = self.k
-        out_err = self._spread(self._u_out[:k, :k], self._l_out[:k, :k])
-        in_err = self._spread(self._u_in[:k, :k], self._l_in[:k, :k]).T
-        return out_err, in_err
+    def _scores(self, rows=None, cols=None) -> np.ndarray:
+        """Witness scores of a block, ``(4, rows, cols)`` in
+        :data:`_TRACKS` order.  ``rows``/``cols`` index the colors (at
+        most one of them an array); ``None`` means all ``k``.
 
-    def _weighted_scores(
-        self, err_out: np.ndarray, err_in: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Size-weighted witness scores ``Err ⊙ C``, frozen rows/columns
-        masked to ``-inf`` (an out-witness splits the source color, an
-        in-witness the target color).
-
-        Derived from the given error matrices — one ``O(k^2)`` product
-        per witness scan, the same order as the argmax itself, in
-        exchange for no pinned score matrices and no per-split score
-        patching.  May return the error matrices themselves (unweighted,
-        unfrozen case); callers must not mutate the result.
+        The one score computation: the weighted scores ``Err ⊙ C``
+        (``C[i, j] = |P_i|^alpha |P_j|^beta``) with frozen rows (out,
+        the source splits) and columns (in, the target splits) masked to
+        ``-inf``, then the raw errors.  Element-wise, so maxima patched
+        from blocks equal the maxima of a full scan bit for bit.
         """
-        k = self.k
+        everything = slice(0, self.k)
+        rows = everything if rows is None else rows
+        cols = everything if cols is None else cols
+        out_block, in_block = (rows, cols), (cols, rows)
+        raw_out = self._spread(self._u_out[out_block], self._l_out[out_block])
+        raw_in = self._spread(self._u_in[in_block], self._l_in[in_block]).T
+        scores = np.empty((len(_TRACKS),) + raw_out.shape)
+        scores[2] = raw_out
+        scores[3] = raw_in
         if self.alpha == 0.0 and self.beta == 0.0:
-            # Unweighted witnesses (the paper's max-flow setting): the
-            # scores ARE the error matrices; only freeze-masking forces
-            # a copy.
-            if not self._frozen_ids.size:
-                return err_out, err_in
-            weighted_out = err_out.copy()
-            weighted_in = err_in.copy()
+            scores[0] = raw_out
+            scores[1] = raw_in
         else:
-            weight = self._alpha_pow[:k, None] * self._beta_pow[None, :k]
-            weighted_out = err_out * weight
-            weighted_in = err_in * weight
+            weight = self._alpha_pow[rows, None] * self._beta_pow[None, cols]
+            np.multiply(raw_out, weight, out=scores[0])
+            np.multiply(raw_in, weight, out=scores[1])
         if self._frozen_ids.size:
-            weighted_out[self._frozen_ids, :] = -np.inf
-            weighted_in[:, self._frozen_ids] = -np.inf
-        return weighted_out, weighted_in
+            scores[0][self._frozen[rows]] = -np.inf
+            scores[1][:, self._frozen[cols]] = -np.inf
+        return scores
 
     def _grow(self) -> None:
         capacity = self._u_out.shape[0]
@@ -594,133 +619,319 @@ class Rothko:
             grown = np.zeros((new_capacity, new_capacity), dtype=np.float64)
             grown[:capacity, :capacity] = old
             setattr(self, name, grown)
+        for name in ("_best", "_best_at"):
+            old = getattr(self, name)
+            grown = np.zeros((old.shape[0], new_capacity), dtype=old.dtype)
+            grown[:, :capacity] = old
+            setattr(self, name, grown)
         for name, fill in (
-            ("_sizes", 0), ("_alpha_pow", 1.0), ("_beta_pow", 1.0)
+            ("_sizes", 0), ("_alpha_pow", 1.0), ("_beta_pow", 1.0),
+            ("_frozen", False),
         ):
             old = getattr(self, name)
             grown = np.full(new_capacity, fill, dtype=old.dtype)
             grown[:capacity] = old
             setattr(self, name, grown)
 
-    def _update_boundary_columns(self, touched: Iterable[int]) -> None:
-        """Recompute U/L columns for the dirtied colors over all groups.
+    def _refresh(self, dirty: Iterable[int]) -> None:
+        """Recompute the dirty colors' U/L rows and columns, then patch
+        the row maxima — the one state update behind the initial build,
+        greedy splits and batched rounds.
 
-        Each dirty color's two degree columns are rebuilt from the
-        adjacency — ``D_out[:, c]`` off the CSC arrays, ``D_in[:, c]``
-        off the CSR arrays, fused into one key-offset bincount per chunk
-        (``O(nnz(columns) + n)``) — and reduced per group with the shared
-        member-order gather + ``reduceat`` (no argsort).  Direct sums, so
-        entries are exactly zero iff every term is (the property the
-        geometric/relative thresholds need).  The member order is built
-        once per call, so a batched round's ``2B`` dirty colors amortize
-        it.  Chunks read shared pre-round state and write disjoint U/L
-        columns, so the round executor may fan them across threads; the
-        scattered cell count is accumulated locally and reported to the
-        ``kernels.bincount_cells`` counter once per call, not per chunk.
+        Dirty colors are refreshed two at a time (a greedy split's pair
+        ``(c, t)`` is one pass over the pre-split members): each pass
+        gathers the colors' arcs once, in edge-budget chunks, and both
+        pieces of state come out of that gather:
+
+        * each color's *row-group* (its ``U``/``L`` toward all ``k``
+          colors) from the nonzero (member, color) degree sums — a
+          group's max toward a color is the max of those sums, and its
+          min is the min of them only if every member touches the color
+          (a per-color touch count), else 0;
+        * each color's *column* (every group's ``U``/``L`` toward it)
+          from the nodes adjacent to its members, grouped by label with
+          a per-group touch count the same way.
+
+        Both come in a dense and a sparse form, picked from sizes the
+        pass can observe (see :meth:`_refresh_colors`).  Sums are direct,
+        in arc order, so both forms give the same bits and exact zeros
+        stay exact (what the geometric/relative thresholds rely on).
+        When every color is dirty (the initial state) the rows already
+        cover every entry and the columns are skipped.
         """
-        k = self.k
-        kernel = self._backend
-        order, starts = members_order(self._members, self._sizes[:k])
-        touched = list(touched)
-        chunks = [
-            touched[begin:begin + _COLUMN_CHUNK]
-            for begin in range(0, len(touched), _COLUMN_CHUNK)
-        ]
-        csr_arrays = (self._csr.indptr, self._csr.indices, self._csr.data)
-        csc_arrays = (self._csc.indptr, self._csc.indices, self._csc.data)
-        # The gather inside ``scatter_select_sums`` is O(nnz(members)),
-        # so a color covering most of a dense graph (the k=1 trivial
-        # coloring, above all) would pull the whole edge list onto the
-        # heap.  Accumulating over member sub-ranges bounds the transient
-        # at O(n) regardless of m — the chunk cuts depend only on array
-        # sizes, so mmap and resident snapshots take identical paths and
-        # stay bit-identical.
-        edge_budget = max(_EDGE_CHUNK, self.n)
+        dirty = np.unique(np.fromiter(dirty, dtype=np.int64))
+        columns = dirty.size < self.k
+        if columns and self._column_sums is None:
+            self._column_sums = np.zeros(4 * self.n, dtype=np.float64)
+            self._column_slots = np.zeros(4 * self.n, dtype=np.int32)
+        order = starts = None
+        cells = 0
+        for begin in range(0, dirty.size, 2):
+            colors = dirty[begin:begin + 2].tolist()
+            dense_columns, pass_cells = self._refresh_colors(colors, columns)
+            cells += pass_cells
+            if dense_columns:
+                if order is None:
+                    order, starts = members_order(
+                        self._members, self._sizes[:self.k]
+                    )
+                cells += self._dense_columns(colors, order, starts)
+        _obs._active.count("kernels.bincount_cells", cells)
+        self._update_row_maxima(dirty)
 
-        def refresh_chunk(chunk: list[int]) -> None:
-            rows = len(chunk)
-            fused = np.zeros((2 * rows, self.n), dtype=np.float64)
-            for offset, color in enumerate(chunk):
-                members = self._members[color]
-                for arrays, row in (
-                    (csc_arrays, offset), (csr_arrays, rows + offset)
-                ):
-                    indptr = arrays[0]
-                    counts = indptr[members + 1] - indptr[members]
-                    for begin, end in self._row_chunks(
-                        counts, max(1, members.size), edge_budget
-                    ):
-                        fused[row] += kernel.scatter_select_sums(
-                            *arrays, members[begin:end], self.n
-                        )
-            upper, lower = kernel.grouped_minmax_ordered(fused, order, starts)
-            self._u_out[:k, chunk] = upper[:rows].T
-            self._l_out[:k, chunk] = lower[:rows].T
-            self._u_in[:k, chunk] = upper[rows:].T
-            self._l_in[:k, chunk] = lower[rows:].T
+    def _refresh_colors(
+        self, colors: list[int], columns: bool
+    ) -> tuple[bool, int]:
+        """One refresh pass over one or two dirty colors: rewrite their
+        row-groups and (with ``columns``) their sparse-form columns;
+        returns whether the columns need the dense form instead, and the
+        cells scattered.
 
-        if self._workers > 1 and len(chunks) > 1:
-            self._round_executor().map(refresh_chunk, chunks)
-        else:
-            for chunk in chunks:
-                refresh_chunk(chunk)
-        _obs._active.count(
-            "kernels.bincount_cells", 2 * len(touched) * self.n
+        The columns take the dense form when the colors' arcs reach
+        ``n``: one ``O(n)`` member-order ``reduceat`` then beats per-node
+        reductions, and the arc-order accumulation spans chunks.  Below
+        that, the columns are reduced from the adjacent nodes alone, in
+        one chunk (the edge budget is at least ``n``).
+        """
+        n, k = self.n, self.k
+        width = 2 * k
+        csr, csc = self._csr, self._csc
+        labels = self.labels
+        take_ranges = self._backend.take_ranges
+        parts = [self._members[color] for color in colors]
+        members = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        row_group = np.repeat(
+            np.arange(len(parts)), [part.size for part in parts]
         )
+        counts_out = csr.indptr[members + 1] - csr.indptr[members]
+        counts_in = csc.indptr[members + 1] - csc.indptr[members]
+        counts = counts_out + counts_in
+        dense_columns = columns and int(counts.sum()) >= n
+        # [group * 2k + direction * k + color] row-group accumulators
+        upper = np.full(len(parts) * width, -np.inf)
+        lower = np.full(len(parts) * width, np.inf)
+        touch = np.zeros(len(parts) * width, dtype=np.int64)
+        cells = 0
+        for begin, end in self._edge_chunks(counts, max(_EDGE_CHUNK, n)):
+            rows = members[begin:end]
+            chunk_out = counts_out[begin:end]
+            chunk_in = counts_in[begin:end]
+            positions = take_ranges(csr.indptr[rows], chunk_out)
+            out_nodes = csr.indices[positions]
+            out_weights = csr.data[positions]
+            positions = take_ranges(csc.indptr[rows], chunk_in)
+            in_nodes = csc.indices[positions]
+            in_weights = csc.data[positions]
+            del positions
+            local = np.arange(end - begin, dtype=np.int64)
+            local_out = np.repeat(local, chunk_out)
+            local_in = np.repeat(local, chunk_in)
+            local = np.concatenate([local_out, local_in])
+            far = np.concatenate([labels[out_nodes], labels[in_nodes] + k])
+            weights = np.concatenate([out_weights, in_weights])
+            groups = row_group[begin:end]
+            if width * (end - begin) <= far.size:
+                fold = self._fold_row_slice
+            else:
+                fold = self._fold_row_pairs
+            cells += fold(local, far, weights, groups, (upper, lower, touch))
+            if not columns:
+                continue
+            # Column cells (2 * group + direction) * n + node, in the
+            # same arc order as ``weights``: D_in[:, color] collects the
+            # arcs out of the members (CSR side, direction 1),
+            # D_out[:, color] the arcs *into* them (direction 0).
+            if groups[0] == groups[-1]:
+                offset_out = offset_in = 2 * n * int(groups[0])
+            else:
+                offset_out = 2 * n * groups[local_out]
+                offset_in = 2 * n * groups[local_in]
+            keys = np.concatenate([
+                np.add(out_nodes, offset_out + n, dtype=np.int64),
+                np.add(in_nodes, offset_in, dtype=np.int64),
+            ])
+            if dense_columns:
+                # Unbuffered, in arc order: the same sums a single
+                # bincount over the whole pass would produce.
+                np.add.at(self._column_sums, keys, weights)
+        sizes = np.repeat([part.size for part in parts], width)
+        self._close_extrema(upper, lower, touch, sizes)
+        for group, color in enumerate(colors):
+            base = group * width
+            self._u_out[color, :k] = upper[base:base + k]
+            self._l_out[color, :k] = lower[base:base + k]
+            self._u_in[color, :k] = upper[base + k:base + width]
+            self._l_in[color, :k] = lower[base + k:base + width]
+        if columns and not dense_columns:
+            cells += self._column_extrema(colors, keys, weights)
+        return dense_columns, cells
 
-    def _update_boundary_rowgroups(self, touched: Iterable[int]) -> None:
-        """Recompute U/L rows for the dirtied groups over all colors.
+    def _fold_row_slice(self, local, far, weights, groups, accumulators) -> int:
+        """Dense row form: one bincount into the ``2k x rows`` slice, so
+        every member counts as touching every color (its zeros are
+        explicit).  Kept wherever the slice has no more cells than the
+        chunk has arcs: early splits of big colors, dense rows."""
+        upper, lower, touch = accumulators
+        width = 2 * self.k
+        rows = groups.size
+        # Cell [color, row] sums the row's arcs toward the color in arc
+        # order; cells without an arc stay exactly zero.
+        block = np.bincount(
+            far * rows + local, weights=weights, minlength=width * rows
+        ).reshape(width, rows)
+        # Members are concatenated color by color: one run per group.
+        cuts = np.flatnonzero(groups[1:] != groups[:-1]) + 1
+        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), rows]):
+            span = slice(groups[lo] * width, (groups[lo] + 1) * width)
+            run = block[:, lo:hi]
+            np.maximum(upper[span], run.max(axis=1), out=upper[span])
+            np.minimum(lower[span], run.min(axis=1), out=lower[span])
+            touch[span] += hi - lo
+        return block.size
 
-        ``O(nnz(members) + |members| k)`` per group via on-demand
-        ``(2, k, |members|)`` degree slices (both directions in one
-        fused bincount), reduced in chunks bounded by both the slice-cell
-        and the edge budget, so neither the block nor the gathered
-        position/weight temporaries grow with the color's size or its
-        hubs' degrees.  Groups read shared pre-round state and write
-        disjoint U/L rows, so the round executor may fan them across
-        threads; the per-chunk cell counts accumulate locally and reach
-        the ``kernels.bincount_cells`` counter as one add per call.
+    def _fold_row_pairs(self, local, far, weights, groups, accumulators) -> int:
+        """Sparse row form, ``O(arcs)`` instead of ``O(k rows)``: a stable
+        radix sort by color makes each (member, color) pair contiguous,
+        the pair sums are a bincount in arc order (the dense form's sums,
+        bit for bit), and max/min/touch fold over the pairs alone."""
+        upper, lower, touch = accumulators
+        arcs = far.size
+        if arcs == 0:
+            return 0
+        radix = far.astype(np.uint16) if 2 * self.k <= 1 << 16 else far
+        order = np.argsort(radix, kind="stable")
+        far = far[order]
+        local = local[order]
+        starts = np.empty(arcs, dtype=bool)
+        starts[0] = True
+        np.not_equal(far[1:], far[:-1], out=starts[1:])
+        starts[1:] |= local[1:] != local[:-1]
+        ids = np.cumsum(starts)
+        pair = np.empty(arcs, dtype=np.int64)
+        pair[order] = ids - 1
+        sums = np.bincount(pair, weights=weights, minlength=int(ids[-1]))
+        cell = groups[local[starts]] * (2 * self.k) + far[starts]
+        np.maximum.at(upper, cell, sums)
+        np.minimum.at(lower, cell, sums)
+        touch += np.bincount(cell, minlength=touch.size)
+        return sums.size
+
+    @staticmethod
+    def _close_extrema(
+        upper: np.ndarray, lower: np.ndarray, touch: np.ndarray,
+        sizes: np.ndarray,
+    ) -> None:
+        """Fold the implicit zeros in: where some member did not touch a
+        color (``touch < size``), that member's degree 0 joins the max
+        and the min — and untouched cells (``-inf``/``inf``) become 0."""
+        partial = touch < sizes
+        np.maximum(upper, 0.0, out=upper, where=partial)
+        np.minimum(lower, 0.0, out=lower, where=partial)
+
+    def _dense_columns(
+        self, colors: list[int], order: np.ndarray, starts: np.ndarray
+    ) -> int:
+        """Dense column form: reduce the accumulated ``(2, n)`` column
+        sums of each color per group with the member-order ``reduceat``,
+        then re-zero the buffer; returns the cells reduced."""
+        sums = self._column_sums[:2 * len(colors) * self.n]
+        upper, lower = self._backend.grouped_minmax_ordered(
+            sums.reshape(2 * len(colors), self.n), order, starts
+        )
+        for group, color in enumerate(colors):
+            self._write_column(
+                color, upper[2 * group:2 * group + 2],
+                lower[2 * group:2 * group + 2],
+            )
+        sums[:] = 0.0
+        return sums.size
+
+    def _column_extrema(
+        self, colors: list[int], keys: np.ndarray, weights: np.ndarray
+    ) -> int:
+        """Sparse column form: sum the arcs per column cell in the zero
+        accumulator, keep one representative arc per cell (the last
+        writer of the slot map), and reduce those cells per group with a
+        per-group touch count; returns the cells reduced."""
+        n, k = self.n, self.k
+        size = 2 * len(colors) * k
+        upper = np.full(size, -np.inf)
+        lower = np.full(size, np.inf)
+        touch = np.zeros(size, dtype=np.int64)
+        reduced = 0
+        if keys.size:
+            np.add.at(self._column_sums, keys, weights)
+            arcs = np.arange(keys.size, dtype=np.int32)
+            self._column_slots[keys] = arcs
+            cells = keys[self._column_slots[keys] == arcs]
+            sums = self._column_sums[cells]
+            self._column_sums[cells] = 0.0
+            column = cells // n
+            group = column * k + self.labels[cells - column * n]
+            np.maximum.at(upper, group, sums)
+            np.minimum.at(lower, group, sums)
+            touch += np.bincount(group, minlength=size)
+            reduced = cells.size
+        self._close_extrema(
+            upper, lower, touch, np.tile(self._sizes[:k], 2 * len(colors))
+        )
+        upper = upper.reshape(-1, 2, k)
+        lower = lower.reshape(-1, 2, k)
+        for group, color in enumerate(colors):
+            self._write_column(color, upper[group], lower[group])
+        return reduced
+
+    def _write_column(
+        self, color: int, upper: np.ndarray, lower: np.ndarray
+    ) -> None:
+        k = self.k
+        self._u_out[:k, color] = upper[0]
+        self._l_out[:k, color] = lower[0]
+        self._u_in[:k, color] = upper[1]
+        self._l_in[:k, color] = lower[1]
+
+    def _update_row_maxima(self, dirty: np.ndarray) -> None:
+        """Patch the per-row witness maxima after a refresh of ``dirty``.
+
+        Only the dirty rows and dirty columns changed (sizes, and so the
+        witness weights, change only for dirty colors).  Every row first
+        compares its maximum with its dirty entries, with ``np.argmax``'s
+        first-index (and first-NaN) tie-break; then the dirty rows, and
+        the rows whose maximum sat in a dirty column (it may have
+        dropped), are rescanned in full — ``O(k)`` per split outside the
+        rescans.
         """
         k = self.k
-        kernel = self._backend
-        csr_arrays = (self._csr.indptr, self._csr.indices, self._csr.data)
-        csc_arrays = (self._csc.indptr, self._csc.indices, self._csc.data)
-        cap = max(16, _SLICE_CELLS // (2 * k))
-        edge_budget = max(_EDGE_CHUNK, self.n // 2)
-        touched = list(touched)
+        is_dirty = np.zeros(k, dtype=bool)
+        is_dirty[dirty] = True
+        rescan = np.flatnonzero(
+            is_dirty | is_dirty[self._best_at[:, :k]].any(axis=0)
+        )
+        scores = self._scores(cols=dirty)
+        value = scores.max(axis=2)
+        column = dirty[scores.argmax(axis=2)]
+        best = self._best[:, :k]
+        best_at = self._best_at[:, :k]
+        nan_value, nan_best = np.isnan(value), np.isnan(best)
+        take = (
+            (value > best)
+            | (nan_value & ~nan_best)
+            | (((value == best) | (nan_value & nan_best)) & (column < best_at))
+        )
+        np.copyto(best, value, where=take)
+        np.copyto(best_at, column, where=take)
+        self._rescan_rows(rescan)
 
-        def refresh_group(group: int) -> None:
-            members = self._members[group]
-            counts = (
-                self._csr.indptr[members + 1] - self._csr.indptr[members]
-                + self._csc.indptr[members + 1] - self._csc.indptr[members]
-            )
-            upper = lower = None
-            for begin, end in self._row_chunks(counts, cap, edge_budget):
-                block = kernel.color_degree_slice_pair(
-                    csr_arrays, csc_arrays,
-                    members[begin:end],
-                    self.labels, k,
-                )
-                chunk_upper = block.max(axis=2)
-                chunk_lower = block.min(axis=2)
-                if upper is None:
-                    upper, lower = chunk_upper, chunk_lower
-                else:
-                    np.maximum(upper, chunk_upper, out=upper)
-                    np.minimum(lower, chunk_lower, out=lower)
-            self._u_out[group, :k] = upper[0]
-            self._l_out[group, :k] = lower[0]
-            self._u_in[group, :k] = upper[1]
-            self._l_in[group, :k] = lower[1]
-
-        if self._workers > 1 and len(touched) > 1:
-            self._round_executor().map(refresh_group, touched)
-        else:
-            for group in touched:
-                refresh_group(group)
-        total_rows = int(sum(self._members[group].size for group in touched))
-        _obs._active.count("kernels.bincount_cells", 2 * k * total_rows)
+    def _rescan_rows(self, rows: np.ndarray) -> None:
+        """Recompute the maxima of whole rows, in row blocks so the
+        ``(4, rows, k)`` score block stays near the edge budget."""
+        step = max(1, 4 * _EDGE_CHUNK // max(self.k, 1))
+        for begin in range(0, rows.size, step):
+            block = rows[begin:begin + step]
+            scores = self._scores(rows=block)
+            # max() is the value at argmax(), NaN (the first NaN) included
+            self._best[:, block] = scores.max(axis=2)
+            self._best_at[:, block] = scores.argmax(axis=2)
 
     # ------------------------------------------------------------------
     # error matrices and witness selection
@@ -736,25 +947,45 @@ class Rothko:
         Derived from the maintained U/L in ``O(k^2)`` (fresh arrays are
         returned; mutating them does not disturb the engine).
         """
-        return self._error_matrices()
+        scores = self._scores()
+        return scores[2], scores[3]
 
     def _find_witness(self) -> tuple[float, float, int, int, str]:
         """Return (max_raw_err, max_weighted_err, i, j, direction).
 
-        Pure ``O(k^2)`` spread + argmax scans over the maintained U/L —
-        no degree-matrix sweep, no argsort.
+        ``O(k)`` over the maintained per-row maxima: the first row
+        holding the global maximum, then that row's first argmax, is
+        exactly the row-major first argmax of the full score matrix, and
+        an out-witness wins ties with an in-witness — the same answer as
+        the reference :meth:`_scan_witness`.
         """
         k = self.k
         if k == 0:
             return 0.0, 0.0, 0, 0, "out"
-        err_out, err_in = self._error_matrices()
-        raw_max = float(max(err_out.max(initial=0.0), err_in.max(initial=0.0)))
+        best = self._best[:, :k]
+        raw_max = float(best[2:].max(initial=0.0))
+        row_out = int(np.argmax(best[0]))
+        row_in = int(np.argmax(best[1]))
+        best_out = best[0, row_out]
+        best_in = best[1, row_in]
+        if best_out >= best_in:
+            column = int(self._best_at[0, row_out])
+            return raw_max, float(best_out), row_out, column, "out"
+        column = int(self._best_at[1, row_in])
+        return raw_max, float(best_in), row_in, column, "in"
 
-        weighted_out, weighted_in = self._weighted_scores(err_out, err_in)
-        flat_out = int(np.argmax(weighted_out))
-        flat_in = int(np.argmax(weighted_in))
-        best_out = weighted_out.flat[flat_out]
-        best_in = weighted_in.flat[flat_in]
+    def _scan_witness(self) -> tuple[float, float, int, int, str]:
+        """The ``O(k^2)`` reference for :meth:`_find_witness`: spread and
+        argmax over the full score matrices."""
+        k = self.k
+        if k == 0:
+            return 0.0, 0.0, 0, 0, "out"
+        scores = self._scores()
+        raw_max = float(scores[2:].max(initial=0.0))
+        flat_out = int(np.argmax(scores[0]))
+        flat_in = int(np.argmax(scores[1]))
+        best_out = scores[0].flat[flat_out]
+        best_in = scores[1].flat[flat_in]
         if best_out >= best_in:
             i, j = divmod(flat_out, k)
             return raw_max, float(best_out), i, j, "out"
@@ -764,36 +995,20 @@ class Rothko:
     # ------------------------------------------------------------------
     # splitting
     # ------------------------------------------------------------------
-    def _witness_degrees(self, i: int, j: int, direction: str) -> np.ndarray:
-        """The split-threshold degree vector ``D[j, members(i)]`` (out)
-        or ``D[i, members(j)]`` (in), computed on demand off the index
-        arrays in ``O(nnz(members))`` — chunk-bounded like every other
-        degree gather."""
-        if direction == "out":
-            members, target = self._members[i], j
-            indptr = self._csr.indptr
-        else:
-            members, target = self._members[j], i
-            indptr = self._csc.indptr
-        counts = indptr[members + 1] - indptr[members]
-        return self._threshold_degrees(members, counts, direction, target)
-
-    def _row_chunks(
-        self, counts: np.ndarray, cap: int, edge_budget: int
-    ) -> list[tuple[int, int]]:
-        """Partition member rows into chunks bounded by a row cap and an
-        edge budget (rows are atomic, so a single hub row may exceed the
-        budget on its own)."""
+    @staticmethod
+    def _edge_chunks(counts: np.ndarray, budget: int) -> list[tuple[int, int]]:
+        """Partition member rows into chunks of at most ``budget`` arcs
+        (rows are atomic, so a single hub row may exceed it alone)."""
         r = counts.size
-        if r <= cap and int(counts.sum()) <= edge_budget:
+        if int(counts.sum()) <= budget:
             return [(0, r)]
         cum = np.cumsum(counts, dtype=np.int64)
         bounds: list[tuple[int, int]] = []
         start = 0
         while start < r:
             prev = int(cum[start - 1]) if start else 0
-            end = int(np.searchsorted(cum, prev + edge_budget, side="right"))
-            end = max(min(end, start + cap, r), start + 1)
+            end = int(np.searchsorted(cum, prev + budget, side="right"))
+            end = max(min(end, r), start + 1)
             bounds.append((start, end))
             start = end
         return bounds
@@ -805,12 +1020,11 @@ class Rothko:
         """Split-threshold degree vector ``D[target, members]``, gathered
         in edge-budget chunks so no O(nnz(members)) temporary is held."""
         compressed = self._csr if direction == "out" else self._csc
-        r = members.size
-        degrees = np.empty(r, dtype=np.float64)
+        degrees = np.empty(members.size, dtype=np.float64)
         # Single direction, fewer temporaries per edge than the refresh
         # pass — a doubled edge budget keeps the same transient bound.
-        for begin, end in self._row_chunks(
-            counts, r, max(2 * _EDGE_CHUNK, self.n // 2)
+        for begin, end in self._edge_chunks(
+            counts, max(2 * _EDGE_CHUNK, self.n // 2)
         ):
             degrees[begin:end] = self._backend.select_degrees_toward(
                 compressed.indptr, compressed.indices, compressed.data,
@@ -819,227 +1033,31 @@ class Rothko:
         return degrees
 
     def _split(self, i: int, j: int, direction: str) -> int:
-        """Greedy split with a fused, chunk-bounded state refresh.
+        """Greedy split at one witness: threshold, commit, refresh.
 
-        The threshold degree vector, both row-group slices, and both
-        fresh boundary columns are key-offset bincounts over the split
-        color's edges, gathered in edge-budget chunks — one fused
-        kernel pass per chunk instead of a kernel call per piece of
-        state, and never more than a chunk of edge temporaries live.
+        Reports the threshold seconds, then the seconds to commit the
+        split and refresh the state, to the ``rothko.threshold_s`` /
+        ``rothko.refresh_s`` counters (one add each per split).
         """
-        split_color = i if direction == "out" else j
+        start = time.perf_counter()
+        split_color, target = (i, j) if direction == "out" else (j, i)
         members = self._members[split_color]
-        csr, csc = self._csr, self._csc
-        counts_out = csr.indptr[members + 1] - csr.indptr[members]
-        counts_in = csc.indptr[members + 1] - csc.indptr[members]
-        if direction == "out":
-            degrees = self._threshold_degrees(members, counts_out, "out", j)
-        else:
-            degrees = self._threshold_degrees(members, counts_in, "in", i)
+        indptr = (self._csr if direction == "out" else self._csc).indptr
+        degrees = self._threshold_degrees(
+            members, indptr[members + 1] - indptr[members], direction, target
+        )
         eject_mask = split_eject_mask(
             degrees, self.split_mean, relative=self.error_mode == "relative"
         )
+        decided = time.perf_counter()
         self._apply_split(
             split_color, members[~eject_mask], members[eject_mask]
         )
-        self._refresh_split(
-            split_color, members, eject_mask, counts_out, counts_in
-        )
+        self._refresh((split_color, self.k - 1))
+        recorder = _obs._active
+        recorder.count("rothko.threshold_s", decided - start)
+        recorder.count("rothko.refresh_s", time.perf_counter() - decided)
         return split_color
-
-    def _refresh_split(
-        self,
-        split_color: int,
-        pre_members: np.ndarray,
-        eject_mask: np.ndarray,
-        counts_out: np.ndarray,
-        counts_in: np.ndarray,
-    ) -> None:
-        """Patch U/L after a greedy split in fused chunk passes.
-
-        Iterates the *pre-split* member list (``retain ∪ eject`` in the
-        original order) in chunks bounded by the slice-cell and edge
-        budgets.  Per chunk, one bincount scatters both row-group slice
-        layers *and* both dirty boundary columns: the labels are already
-        post-split, so slice entries toward the sibling color come out
-        exact (direct sums, no residues), and the eject mask routes
-        every edge to its post-split column.  The chunk's slice block is
-        reduced into the ``c``/``t`` row-groups immediately; single-chunk
-        splits scatter the column cells in the same bincount, multi-chunk
-        splits collect column keys into an O(n)-bounded buffer scattered
-        on fill, so the ``4n`` column range is touched once per ~``4n``
-        edges rather than once per chunk — and never O(nnz(color)) keys.
-        """
-        c, t = split_color, self.k - 1
-        k, n = self.k, self.n
-        csr, csc = self._csr, self._csc
-        kernel = self._backend
-        labels = self.labels
-        r = pre_members.size
-        cap = max(16, _SLICE_CELLS // (2 * k))
-        bounds = self._row_chunks(
-            counts_out + counts_in, cap, max(_EDGE_CHUNK, n // 2)
-        )
-        single = len(bounds) == 1
-        accumulate = not single and 4 * n <= _COLUMN_ACCUM_CELLS
-        collect = not single and not accumulate
-        if collect:
-            # Large-n multi-chunk splits: collect column keys into a
-            # buffer bounded at O(n) and scatter-accumulate whenever it
-            # fills, so the dense 4n add amortizes to one per ~4n edges
-            # while a whole-graph color never holds O(nnz(color)) keys.
-            # A buffer covering the full edge total keeps the historical
-            # single-scatter behavior bit for bit.
-            total_edges = int(counts_out.sum() + counts_in.sum())
-            buffer_cap = min(
-                total_edges, max(4 * n, _COLUMN_ACCUM_CELLS)
-            )
-            key_buffer = np.empty(buffer_cap, dtype=np.int64)
-            weight_buffer = np.empty(buffer_cap, dtype=np.float64)
-            filled = 0
-
-        # The member lists are a color-sorted node order and the sizes
-        # are maintained, so node -> rank within that order is one
-        # scatter, and the column scatter below lands directly in
-        # reduceat layout — no post-hoc (4, n) gather.
-        order, starts = members_order(self._members, self._sizes[:k])
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n, dtype=np.int64)
-
-        # Single-chunk splits (the common case) scatter the column cells
-        # in the same bincount as the slice; multi-chunk splits either
-        # accumulate dense column contributions (small n) or fill the
-        # preallocated buffers (large n), so the 4n column range is
-        # zeroed once per split, not once per chunk.
-        fused: np.ndarray | None = None
-        upper = lower = None
-        for begin, end in bounds:
-            rows = pre_members[begin:end]
-            rc = end - begin
-            chunk_out = counts_out[begin:end]
-            chunk_in = counts_in[begin:end]
-            positions = kernel.take_ranges(csr.indptr[rows], chunk_out)
-            nodes_o = csr.indices[positions]
-            w_o = csr.data[positions]
-            positions = kernel.take_ranges(csc.indptr[rows], chunk_in)
-            nodes_i = csc.indices[positions]
-            w_i = csc.data[positions]
-            del positions
-            mask = eject_mask[begin:end]
-            # Remap local row ids retained-first so the slice block's
-            # last axis is [retain | eject] and the group reductions are
-            # plain views, not boolean-mask copies.
-            retained = int(rc - mask.sum())
-            remap = np.empty(rc, dtype=np.int64)
-            remap[~mask] = np.arange(retained, dtype=np.int64)
-            remap[mask] = np.arange(retained, rc, dtype=np.int64)
-            local_o = np.repeat(remap, chunk_out)
-            local_i = np.repeat(remap, chunk_in)
-            cells = 2 * k * rc
-            # Column keys: D_out[:, c|t] sums edges *into* the members
-            # (CSC positions, rows 0-1), D_in[:, c|t] edges out of them
-            # (CSR positions, rows 2-3); the remapped local id picks c
-            # vs t, and the rank mapping puts nodes in reduceat order.
-            keys_cols_i = (local_i >= retained) * n + rank[nodes_i]
-            keys_cols_o = (2 + (local_o >= retained)) * n + rank[nodes_o]
-            keys_slice = [
-                labels[nodes_o] * rc + local_o,
-                (k + labels[nodes_i]) * rc + local_i,
-            ]
-            if single:
-                combined = kernel.bincount(
-                    np.concatenate(
-                        keys_slice
-                        + [cells + keys_cols_i, cells + keys_cols_o]
-                    ),
-                    np.concatenate([w_o, w_i, w_i, w_o]),
-                    cells + 4 * n,
-                )
-                block = combined[:cells].reshape(2, k, rc)
-                fused = combined[cells:].reshape(4, n)
-                for group, lo, hi in ((c, 0, retained), (t, retained, rc)):
-                    sub = block[:, :, lo:hi]
-                    self._u_out[group, :k] = sub[0].max(axis=1)
-                    self._l_out[group, :k] = sub[0].min(axis=1)
-                    self._u_in[group, :k] = sub[1].max(axis=1)
-                    self._l_in[group, :k] = sub[1].min(axis=1)
-            else:
-                block = kernel.bincount(
-                    np.concatenate(keys_slice),
-                    np.concatenate([w_o, w_i]),
-                    cells,
-                ).reshape(2, k, rc)
-                if accumulate:
-                    part = kernel.bincount(
-                        np.concatenate([keys_cols_i, keys_cols_o]),
-                        np.concatenate([w_i, w_o]),
-                        4 * n,
-                    )
-                    if fused is None:
-                        fused = part.reshape(4, n)
-                    else:
-                        fused += part.reshape(4, n)
-                else:
-                    for keys, weights in (
-                        (keys_cols_i, w_i), (keys_cols_o, w_o)
-                    ):
-                        if filled + keys.size > buffer_cap:
-                            # Flush: row incidences are <= 2n per atomic
-                            # hub row and the cap is >= 4n, so a drained
-                            # buffer always fits the incoming chunk.
-                            part = kernel.bincount(
-                                key_buffer[:filled],
-                                weight_buffer[:filled],
-                                4 * n,
-                            )
-                            if fused is None:
-                                fused = part.reshape(4, n)
-                            else:
-                                fused += part.reshape(4, n)
-                            filled = 0
-                        key_buffer[filled:filled + keys.size] = keys
-                        weight_buffer[filled:filled + keys.size] = weights
-                        filled += keys.size
-                if upper is None:
-                    # [group (c, t), direction, color]
-                    upper = np.full((2, 2, k), -np.inf)
-                    lower = np.full((2, 2, k), np.inf)
-                for group_index, lo, hi in ((0, 0, retained), (1, retained, rc)):
-                    if lo < hi:
-                        sub = block[:, :, lo:hi]
-                        np.maximum(
-                            upper[group_index], sub.max(axis=2),
-                            out=upper[group_index],
-                        )
-                        np.minimum(
-                            lower[group_index], sub.min(axis=2),
-                            out=lower[group_index],
-                        )
-        if not single:
-            for group_index, group in ((0, c), (1, t)):
-                self._u_out[group, :k] = upper[group_index, 0]
-                self._l_out[group, :k] = lower[group_index, 0]
-                self._u_in[group, :k] = upper[group_index, 1]
-                self._l_in[group, :k] = lower[group_index, 1]
-            if collect:
-                part = kernel.bincount(
-                    key_buffer[:filled],
-                    weight_buffer[:filled],
-                    4 * n,
-                )
-                if fused is None:
-                    fused = part.reshape(4, n)
-                else:
-                    fused += part.reshape(4, n)
-
-        _obs._active.count("kernels.bincount_cells", 2 * k * r + 4 * n)
-        col_upper = np.maximum.reduceat(fused, starts, axis=1)
-        col_lower = np.minimum.reduceat(fused, starts, axis=1)
-        cols = [c, t]
-        self._u_out[:k, cols] = col_upper[:2].T
-        self._l_out[:k, cols] = col_lower[:2].T
-        self._u_in[:k, cols] = col_upper[2:].T
-        self._l_in[:k, cols] = col_lower[2:].T
 
     def _apply_split(
         self, split_color: int, retain: np.ndarray, eject: np.ndarray
@@ -1127,11 +1145,11 @@ class Rothko:
         k = self.k
         if k == 0 or limit <= 0:
             return 0.0, []
-        err_out, err_in = self._error_matrices()
-        raw = np.concatenate([err_out.ravel(), err_in.ravel()])
+        scores = self._scores()
+        # [out | in] halves, each row-major over (source, target)
+        raw = scores[2:].ravel()
         raw_max = float(raw.max(initial=0.0))
-        weighted_out, weighted_in = self._weighted_scores(err_out, err_in)
-        scores = np.concatenate([weighted_out.ravel(), weighted_in.ravel()])
+        scores = scores[:2].ravel()
         # NaN scores (inf error x zero size weight) stop greedy; exclude
         # them outright so argpartition cannot surface them first.
         eligible = np.flatnonzero(
@@ -1164,15 +1182,17 @@ class Rothko:
 
         All eject masks are decided against the pre-round state (the
         witnesses are color-disjoint, so each degree vector is still
-        exact when its split commits), then the ``2B`` dirtied colors'
-        columns, row-groups, and error entries are refreshed in fused
-        passes sharing one member-order gather.
+        exact when its split commits), then the ``2B`` dirtied colors
+        go through the same :meth:`_refresh` a greedy split uses.
 
         With ``workers > 1`` the masks fan across the round executor —
         read-only work against the pre-round snapshot, collected in
         witness order, so the parallel round commits exactly the serial
-        round's splits.
+        round's splits.  Threshold and refresh seconds reach the
+        ``rothko.threshold_s`` / ``rothko.refresh_s`` counters once per
+        round.
         """
+        start = time.perf_counter()
         relative = self.error_mode == "relative"
         jobs: list[tuple] = []
         for i, j, direction in picked:
@@ -1197,6 +1217,7 @@ class Rothko:
             i, j, direction = witness
             split_color = i if direction == "out" else j
             pending.append((witness, split_color, eject_mask))
+        decided = time.perf_counter()
         splits: list[tuple[tuple[int, int, str], int]] = []
         dirty: list[int] = []
         for witness, split_color, eject_mask in pending:
@@ -1207,8 +1228,10 @@ class Rothko:
             dirty.extend((split_color, self.k - 1))
             splits.append((witness, split_color))
         if dirty:
-            self._update_boundary_columns(dirty)
-            self._update_boundary_rowgroups(dirty)
+            self._refresh(dirty)
+        recorder = _obs._active
+        recorder.count("rothko.threshold_s", decided - start)
+        recorder.count("rothko.refresh_s", time.perf_counter() - decided)
         return splits
 
     # ------------------------------------------------------------------
@@ -1234,7 +1257,7 @@ class Rothko:
     def max_q_err(self) -> float:
         """Max unweighted q-error of the current coloring.
 
-        Served from the maintained error matrices in ``O(k^2)`` — no
+        Served from the maintained per-row maxima in ``O(k)`` — no
         degree-matrix rebuild.  Equals ``RothkoResult.max_q_err`` of a
         fresh run stopped at this state.
         """
@@ -1293,7 +1316,9 @@ class Rothko:
                 return
             if max_iterations is not None and iteration >= max_iterations:
                 return
+            scan_start = time.perf_counter()
             raw_err, weighted_err, i, j, direction = self._find_witness()
+            witness_s = time.perf_counter() - scan_start
             if raw_err <= q_tolerance:
                 return
             if weighted_err <= 0 or np.isnan(weighted_err):
@@ -1309,6 +1334,7 @@ class Rothko:
             ):
                 parent_color = self._split(i, j, direction)
             recorder = _obs._active
+            recorder.count("rothko.witness_s", witness_s)
             recorder.count("rothko.splits")
             recorder.gauge("rothko.max_q_err", raw_err)
             iteration += 1
@@ -1355,7 +1381,9 @@ class Rothko:
                 limit = min(limit, max_iterations - iteration)
             if limit <= 0:
                 return
+            scan_start = time.perf_counter()
             raw_err, picked = self._find_witness_batch(limit, q_tolerance)
+            witness_s = time.perf_counter() - scan_start
             if raw_err <= q_tolerance or not picked:
                 return
             k_before = self.k
@@ -1365,6 +1393,7 @@ class Rothko:
                 splits = self._apply_batch(picked)
                 round_span.set(splits=len(splits))
             recorder = _obs._active
+            recorder.count("rothko.witness_s", witness_s)
             recorder.count("rothko.rounds")
             recorder.count("rothko.splits", len(splits))
             recorder.gauge("rothko.max_q_err", raw_err)
@@ -1457,23 +1486,18 @@ class Rothko:
             ("U_in", self._u_in[:k, :k], u_in),
             ("L_in", self._l_in[:k, :k], l_in),
         ]
-        derived_err_out, derived_err_in = self._error_matrices()
-        checks += [
-            ("Err_out", derived_err_out, self._spread(u_out, l_out)),
-            ("Err_in", derived_err_in, self._spread(u_in, l_in).T),
-        ]
+        derived = self._scores()
         weight = self._alpha_pow[:k, None] * self._beta_pow[None, :k]
         w_out = self._spread(u_out, l_out) * weight
         w_in = self._spread(u_in, l_in).T * weight
         if self._frozen_ids.size:
             w_out[self._frozen_ids, :] = -np.inf
             w_in[:, self._frozen_ids] = -np.inf
-        derived_out, derived_in = self._weighted_scores(
-            derived_err_out, derived_err_in
-        )
         checks += [
-            ("weighted_out", derived_out, w_out),
-            ("weighted_in", derived_in, w_in),
+            ("weighted_out", derived[0], w_out),
+            ("weighted_in", derived[1], w_in),
+            ("Err_out", derived[2], self._spread(u_out, l_out)),
+            ("Err_in", derived[3], self._spread(u_in, l_in).T),
         ]
         for name, maintained, scratch in checks:
             # Maintained sums accumulate edge weights in a different
@@ -1491,6 +1515,29 @@ class Rothko:
                 raise ColoringError(
                     f"maintained {name} diverged from scratch recompute"
                 )
+        # The row maxima are derived from the maintained U/L, so they
+        # must match a full scan of it exactly, as must the witness.
+        if k:
+            at = derived.argmax(axis=2)
+            best = np.take_along_axis(derived, at[..., None], axis=2)[..., 0]
+            for track, name in enumerate(_TRACKS):
+                if not (
+                    np.array_equal(self._best_at[track, :k], at[track])
+                    and np.array_equal(
+                        self._best[track, :k], best[track], equal_nan=True
+                    )
+                ):
+                    raise ColoringError(
+                        f"maintained {name} row maxima diverged from a "
+                        f"full scan"
+                    )
+        fast, scan = self._find_witness(), self._scan_witness()
+        if fast[2:] != scan[2:] or not np.array_equal(
+            fast[:2], scan[:2], equal_nan=True
+        ):
+            raise ColoringError(
+                f"witness {fast} diverged from the full scan's {scan}"
+            )
 
 
 def q_color(

@@ -5,9 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import settings
 
 from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.generators import karate_club
+
+#: the longer property sweep CI runs with ``--hypothesis-profile=ci``
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture

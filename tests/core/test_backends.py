@@ -192,38 +192,6 @@ class TestKernelParity:
         )
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_color_degree_slice(self, name, seed):
-        backend = optional_backend(name)
-        matrix, _, labels, k = self._fixture(seed, negative=seed == 2)
-        rows = np.flatnonzero(labels == seed % k)
-        expected = REFERENCE.color_degree_slice(
-            matrix.indptr, matrix.indices, matrix.data, rows, labels, k
-        )
-        np.testing.assert_array_equal(
-            backend.color_degree_slice(
-                matrix.indptr, matrix.indices, matrix.data, rows, labels, k
-            ),
-            expected,
-        )
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_color_degree_slice_pair(self, name, seed):
-        backend = optional_backend(name)
-        matrix, csc, labels, k = self._fixture(seed)
-        csr_arrays = (matrix.indptr, matrix.indices, matrix.data)
-        csc_arrays = (csc.indptr, csc.indices, csc.data)
-        rows = np.flatnonzero(labels == seed % k)
-        expected = REFERENCE.color_degree_slice_pair(
-            csr_arrays, csc_arrays, rows, labels, k
-        )
-        np.testing.assert_array_equal(
-            backend.color_degree_slice_pair(
-                csr_arrays, csc_arrays, rows, labels, k
-            ),
-            expected,
-        )
-
-    @pytest.mark.parametrize("seed", range(3))
     def test_select_degrees_toward(self, name, seed):
         backend = optional_backend(name)
         matrix, _, labels, k = self._fixture(seed)
@@ -272,10 +240,10 @@ class TestKernelParity:
         assert backend.scatter_add(empty, empty.astype(float), 5).shape == (5,)
         assert backend.take_ranges(empty, empty).size == 0
         matrix = _random_csr(10, 0.2, 0)
-        assert backend.color_degree_slice(
+        assert backend.select_degrees_toward(
             matrix.indptr, matrix.indices, matrix.data,
-            empty, np.zeros(10, dtype=np.int64), 3,
-        ).shape == (3, 0)
+            empty, np.zeros(10, dtype=np.int64), 0,
+        ).shape == (0,)
 
 
 # ----------------------------------------------------------------------
@@ -409,16 +377,6 @@ class TestParallelDeterminism:
         executor = RoundExecutor.resolve(2, None, parallel_kernels=False)
         assert executor.mode == "processes"
         executor.release()
-
-    def test_executor_map_order(self):
-        executor = RoundExecutor("threads", 3)
-        try:
-            items = list(range(20))
-            assert executor.map(lambda x: x * x, items) == [
-                x * x for x in items
-            ]
-        finally:
-            executor.release()
 
 
 # ----------------------------------------------------------------------

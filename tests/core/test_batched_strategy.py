@@ -6,7 +6,8 @@ greedy (the invariant sweep re-runs `verify_state` plus the qerror
 cross-check across directed/weighted/frozen/relative graphs).
 **Fidelity**: at an equal color count, the batched coloring's max
 q-error stays within a constant factor of greedy's — batched trades the
-paper-exact split sequence for fused refresh rounds, not for quality.
+paper-exact split sequence for rounds of color-disjoint splits, not
+for quality.
 """
 
 import numpy as np

@@ -1,8 +1,9 @@
 """The incremental-maintenance invariant of the Rothko engine.
 
-The memory-flat engine keeps the U/L boundary matrices and error
-matrices as persistent ``k x k`` state, patched after every split from
-on-demand degree slices (no dense degree matrices exist).  These tests
+The memory-flat engine keeps the U/L boundary matrices as persistent
+``k x k`` state, patched after every split from the split color's
+gathered arcs (no dense degree matrices exist), plus the per-row
+witness maxima derived from them.  These tests
 certify that after *every* split — across directed/undirected,
 weighted/unweighted, frozen, and relative-mode graphs — the maintained
 state is exactly what a from-scratch recompute
@@ -212,63 +213,101 @@ class TestLazySnapshots:
 
 
 class TestChunkedRefreshPaths:
-    """Certify the multi-chunk refresh machinery, not just the common
-    single-chunk fast path.
+    """Certify the multi-chunk refresh and both forms of each refresh
+    half, not just the single-chunk common case.
 
-    The production chunk budgets (`_EDGE_CHUNK`, `_SLICE_CELLS`,
-    `_COLUMN_ACCUM_CELLS`) are far larger than any test graph, so the
-    plain invariant sweep above only ever exercises single-chunk splits.
-    These cases shrink the budgets so every split runs the chunked
-    row-group reduction, the chunked degree gather, and both column
-    scatter strategies (dense per-chunk accumulation and collected-key
-    buffers), then re-run `verify_state` after every split.
+    The production edge budget (``_EDGE_CHUNK``) is far larger than any
+    test graph, so these cases shrink it alone: every color whose arcs
+    exceed ``max(_EDGE_CHUNK, n)`` then refreshes in several chunks.
+    The dense and sparse forms are picked from sizes, and spies record
+    which ones each case reached — the dense ``2k x rows`` slice vs the
+    sorted (member, color) pairs for row-groups, the accumulated
+    member-order ``reduceat`` vs the adjacent-node cells for columns —
+    while ``verify_state`` runs after every split.
     """
 
-    def _shrink(self, monkeypatch, column_accum_cells):
+    FORMS = (
+        "_fold_row_slice", "_fold_row_pairs",
+        "_dense_columns", "_column_extrema",
+    )
+
+    def _shrink(self, monkeypatch):
+        from collections import Counter
+
         from repro.core import rothko as rothko_module
 
         monkeypatch.setattr(rothko_module, "_EDGE_CHUNK", 16)
-        monkeypatch.setattr(rothko_module, "_SLICE_CELLS", 64)
+        reached = Counter()
+
+        def spy(name):
+            method = getattr(Rothko, name)
+
+            def wrapped(*args, **kwargs):
+                reached[name] += 1
+                return method(*args, **kwargs)
+
+            return wrapped
+
+        for name in self.FORMS:
+            monkeypatch.setattr(Rothko, name, spy(name))
+        chunks = Rothko._edge_chunks
+
+        def counting_chunks(counts, budget):
+            bounds = chunks(counts, budget)
+            reached["multi_chunk"] += len(bounds) > 1
+            return bounds
+
         monkeypatch.setattr(
-            rothko_module, "_COLUMN_ACCUM_CELLS", column_accum_cells
+            Rothko, "_edge_chunks", staticmethod(counting_chunks)
         )
+        return reached
 
     @pytest.mark.parametrize("seed", range(3))
     def test_accumulate_path(self, monkeypatch, seed):
-        """Multi-chunk splits with dense per-chunk column accumulation."""
-        self._shrink(monkeypatch, column_accum_cells=1 << 30)
+        """Multi-chunk splits whose columns accumulate in arc order and
+        reduce densely, next to dense row-group slices."""
+        reached = self._shrink(monkeypatch)
         adjacency = _random_weighted(60, 0.2, seed)
         _drive_and_check(Rothko(adjacency), adjacency, max_colors=16)
+        assert reached["multi_chunk"] and reached["_dense_columns"]
+        assert reached["_fold_row_slice"]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_collect_path(self, monkeypatch, seed):
-        """Multi-chunk splits with preallocated collected-key buffers."""
-        self._shrink(monkeypatch, column_accum_cells=0)
-        adjacency = _random_weighted(60, 0.2, seed + 5)
-        _drive_and_check(Rothko(adjacency), adjacency, max_colors=16)
+        """Splits whose columns are collected from the adjacent nodes'
+        cells, next to sparse (member, color) row-group pairs."""
+        reached = self._shrink(monkeypatch)
+        adjacency = _random_weighted(60, 0.06, seed + 5)
+        _drive_and_check(Rothko(adjacency), adjacency, max_colors=24)
+        assert reached["multi_chunk"] and reached["_column_extrema"]
+        assert reached["_fold_row_pairs"]
 
     @pytest.mark.parametrize("seed", range(2))
     def test_collect_path_geometric(self, monkeypatch, seed):
-        """Exact-zero degree entries must survive the chunked paths
-        (the geometric threshold crashes on residues)."""
-        self._shrink(monkeypatch, column_accum_cells=0)
+        """Exact-zero degree entries must survive the chunked and sparse
+        forms (the geometric threshold crashes on residues)."""
+        reached = self._shrink(monkeypatch)
         adjacency = _random_weighted(80, 0.08, seed + 20)
         engine = Rothko(adjacency, split_mean="geometric")
         _drive_and_check(engine, adjacency, max_colors=20)
+        assert all(reached[name] for name in self.FORMS)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_relative_mode_chunked(self, monkeypatch, seed):
-        self._shrink(monkeypatch, column_accum_cells=0)
+        reached = self._shrink(monkeypatch)
         adjacency = _random_weighted(50, 0.25, seed + 9)
         engine = Rothko(adjacency, error_mode="relative")
         _drive_and_check(engine, adjacency, max_colors=14)
+        assert reached["multi_chunk"]
 
     @pytest.mark.parametrize("seed", range(2))
     def test_batched_chunked(self, monkeypatch, seed):
-        """The batched scheduler's generic chunked row-group refresh."""
-        self._shrink(monkeypatch, column_accum_cells=0)
+        """Batched rounds refresh all their dirty colors through the same
+        chunked refresh."""
+        reached = self._shrink(monkeypatch)
         adjacency = _random_weighted(50, 0.25, seed + 13)
         engine = Rothko(adjacency, strategy="batched", batch_size=4)
         for _ in engine.steps(max_colors=14):
             engine.verify_state()
             _assert_matches_scratch(engine, adjacency)
+        assert reached["multi_chunk"]

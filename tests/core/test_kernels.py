@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from repro.core import kernels
 from repro.core.partition import Coloring
+from repro.core.rothko import Rothko
 
 
 def _random_csr(n, density, seed):
@@ -189,65 +190,121 @@ class TestAsCsrSquare:
         assert kernels.as_csr_square(dense).toarray().tolist() == dense.tolist()
 
 
+def _fold_rows(matrix, labels, parts, form):
+    """Fold the out- and in-arcs of each row group in ``parts`` through
+    one row form of the Rothko refresh (``"_fold_row_slice"``, the dense
+    ``2k x |rows|`` degree slice, or ``"_fold_row_pairs"``) on an engine
+    colored by ``labels``.  Returns the engine and the closed
+    ``(upper, lower)``, each ``(len(parts), 2, k)`` with direction 0
+    out and 1 in."""
+    engine = Rothko(matrix, initial=Coloring(labels))
+    k, csr, csc = engine.k, engine._csr, engine._csc
+    rows = np.concatenate(parts)
+    groups = np.repeat(np.arange(len(parts)), [part.size for part in parts])
+    out_counts = csr.indptr[rows + 1] - csr.indptr[rows]
+    in_counts = csc.indptr[rows + 1] - csc.indptr[rows]
+    out_positions = kernels.take_ranges(csr.indptr[rows], out_counts)
+    in_positions = kernels.take_ranges(csc.indptr[rows], in_counts)
+    local = np.arange(rows.size)
+    size = len(parts) * 2 * k
+    upper = np.full(size, -np.inf)
+    lower = np.full(size, np.inf)
+    touch = np.zeros(size, dtype=np.int64)
+    getattr(engine, form)(
+        np.concatenate(
+            [np.repeat(local, out_counts), np.repeat(local, in_counts)]
+        ),
+        np.concatenate([
+            engine.labels[csr.indices[out_positions]],
+            engine.labels[csc.indices[in_positions]] + k,
+        ]),
+        np.concatenate([csr.data[out_positions], csc.data[in_positions]]),
+        groups,
+        (upper, lower, touch),
+    )
+    engine._close_extrema(
+        upper, lower, touch, np.repeat([part.size for part in parts], 2 * k)
+    )
+    return engine, upper.reshape(-1, 2, k), lower.reshape(-1, 2, k)
+
+
+_ROW_FORMS = ("_fold_row_slice", "_fold_row_pairs")
+
+
 class TestColorDegreeSlice:
+    """The dense ``2k x |rows|`` degree slice of the Rothko refresh
+    (:meth:`Rothko._fold_row_slice`): a row group's ``U``/``L`` toward
+    every color in both directions, checked against the dense degree
+    matrices and, bit for bit, against the sparse pairs form."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_dense_degree_matrix(self, seed):
         matrix = _random_csr(22, 0.3, seed)
-        generator = np.random.default_rng(seed)
-        k = 4
-        labels = generator.integers(0, k, size=22)
+        labels = np.random.default_rng(seed).integers(0, 4, size=22)
         rows = np.array([0, 3, 9, 17, 21])
-        slice_out = kernels.color_degree_slice(
-            matrix.indptr, matrix.indices, matrix.data, rows, labels, k
+        folds = [
+            _fold_rows(matrix, labels, [rows], form) for form in _ROW_FORMS
+        ]
+        engine, upper, lower = folds[0]
+        dense = kernels.color_degree_matrices(
+            engine._csr, engine.labels, engine.k
         )
-        dense = kernels.color_degree_matrix(
-            matrix.indptr, matrix.indices, matrix.data, labels, k
-        )
-        np.testing.assert_allclose(slice_out, dense[rows].T)
+        for direction, degrees in enumerate(dense):
+            np.testing.assert_allclose(
+                upper[0, direction], degrees[rows].max(axis=0)
+            )
+            np.testing.assert_allclose(
+                lower[0, direction], degrees[rows].min(axis=0)
+            )
+        np.testing.assert_array_equal(folds[1][1], upper)
+        np.testing.assert_array_equal(folds[1][2], lower)
 
     def test_exact_zeros(self):
-        """Entries with no contributing edge are exactly 0.0 (the
+        """Cells with no contributing arc are exactly 0.0 (the
         geometric/relative thresholds depend on it)."""
-        matrix = sp.csr_matrix(
-            np.array([[0.0, 0.3], [0.0, 0.0]])
-        )
-        labels = np.array([0, 1])
-        block = kernels.color_degree_slice(
-            matrix.indptr, matrix.indices, matrix.data,
-            np.array([0, 1]), labels, 2,
-        )
-        assert block[0, 0] == 0.0 and block[0, 1] == 0.0
-        assert block[1, 0] == 0.3 and block[1, 1] == 0.0
+        matrix = sp.csr_matrix(np.array([[0.0, 0.3], [0.0, 0.0]]))
+        for form in _ROW_FORMS:
+            _, upper, lower = _fold_rows(
+                matrix, np.array([0, 1]), [np.array([0, 1])], form
+            )
+            assert upper[0].tolist() == [[0.0, 0.3], [0.3, 0.0]]
+            assert lower[0].tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_empty_rows(self):
-        matrix = _random_csr(10, 0.3, 1)
-        block = kernels.color_degree_slice(
-            matrix.indptr, matrix.indices, matrix.data,
-            np.empty(0, dtype=np.int64), np.zeros(10, dtype=np.int64), 1,
-        )
-        assert block.shape == (1, 0)
+        """Rows without arcs (isolated members) fold to exact zeros."""
+        matrix = sp.csr_matrix((10, 10))
+        rows = np.array([2, 5, 7])
+        for form in _ROW_FORMS:
+            _, upper, lower = _fold_rows(
+                matrix, np.zeros(10, dtype=np.int64), [rows], form
+            )
+            assert upper.shape == (1, 2, 1)
+            assert not upper.any() and not lower.any()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_pair_stacks_both_directions(self, seed):
+        """A refresh pass folds a color pair at once: group ``g``'s
+        direction ``d`` lands at ``[g * 2k + d * k + color]``."""
         matrix = _random_csr(18, 0.3, seed + 7)
-        csc = matrix.tocsc()
-        generator = np.random.default_rng(seed)
-        k = 3
-        labels = generator.integers(0, k, size=18)
-        rows = np.array([2, 5, 11])
-        pair = kernels.color_degree_slice_pair(
-            (matrix.indptr, matrix.indices, matrix.data),
-            (csc.indptr, csc.indices, csc.data),
-            rows, labels, k,
+        labels = np.random.default_rng(seed).integers(0, 3, size=18)
+        parts = [np.array([2, 5, 11]), np.array([1, 8])]
+        folds = [
+            _fold_rows(matrix, labels, parts, form) for form in _ROW_FORMS
+        ]
+        engine, upper, lower = folds[0]
+        dense = kernels.color_degree_matrices(
+            engine._csr, engine.labels, engine.k
         )
-        out_slice = kernels.color_degree_slice(
-            matrix.indptr, matrix.indices, matrix.data, rows, labels, k
-        )
-        in_slice = kernels.color_degree_slice(
-            csc.indptr, csc.indices, csc.data, rows, labels, k
-        )
-        np.testing.assert_allclose(pair[0], out_slice)
-        np.testing.assert_allclose(pair[1], in_slice)
+        for group, rows in enumerate(parts):
+            for direction, degrees in enumerate(dense):
+                np.testing.assert_allclose(
+                    upper[group, direction], degrees[rows].max(axis=0)
+                )
+                np.testing.assert_allclose(
+                    lower[group, direction], degrees[rows].min(axis=0)
+                )
+        np.testing.assert_array_equal(folds[1][1], upper)
+        np.testing.assert_array_equal(folds[1][2], lower)
 
 
 class TestSelectDegreesToward:

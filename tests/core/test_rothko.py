@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from repro.core.partition import Coloring
 from repro.core.qerror import max_q_err
 from repro.core.reference import rothko_step_reference
-from repro.core.rothko import Rothko, coerce_adjacency, q_color
+from repro.core.rothko import Rothko, coerce_adjacency, eps_color, q_color
 from repro.exceptions import ColoringError
 from repro.graphs.generators import barabasi_albert, karate_club
 from tests.conftest import random_adjacency
@@ -36,6 +36,47 @@ class TestCoerceAdjacency:
     def test_garbage_rejected(self):
         with pytest.raises(TypeError):
             coerce_adjacency("not a graph")
+
+    def test_duplicate_and_unsorted_entries_canonicalized(self):
+        """Every degree sum must come out the same whichever side of
+        the adjacency gathers it, so raw CSR input is canonicalized
+        (duplicates summed, indices sorted) — on a copy."""
+        data = np.array([0.3, 0.1, 0.2, 0.7])
+        indices = np.array([2, 1, 1, 0])
+        indptr = np.array([0, 3, 3, 4])
+        matrix = sp.csr_matrix((data, indices, indptr), shape=(3, 3))
+        coerced = coerce_adjacency(matrix)
+        assert coerced.has_canonical_format
+        np.testing.assert_array_equal(coerced.toarray(), matrix.toarray())
+        np.testing.assert_array_equal(matrix.indices, indices)  # untouched
+
+
+class TestNonFiniteWeights:
+    """Raw-matrix input with a NaN or infinite weight fails loudly,
+    naming the first bad arc, instead of coloring into ``nan``."""
+
+    @staticmethod
+    def _dense(bad):
+        dense = np.zeros((4, 4))
+        dense[0, 1] = dense[1, 2] = dense[3, 0] = 1.0
+        dense[2, 3] = bad
+        return dense
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("color", [q_color, eps_color])
+    @pytest.mark.parametrize("form", ["csr", "ndarray"])
+    def test_rejected_naming_the_arc(self, bad, color, form):
+        dense = self._dense(bad)
+        graph = sp.csr_matrix(dense) if form == "csr" else dense
+        with pytest.raises(ColoringError, match=r"2 -> 3"):
+            color(graph, n_colors=4)
+
+    def test_readonly_snapshot_passes_through(self):
+        """Read-only data (a memmapped edge-store snapshot, validated at
+        ingest) is neither copied nor rescanned."""
+        matrix = sp.csr_matrix(self._dense(1.0))
+        matrix.data.flags.writeable = False
+        assert coerce_adjacency(matrix) is matrix
 
 
 class TestQColorKarate:
@@ -152,6 +193,10 @@ class TestInitialAndFrozen:
     def test_frozen_out_of_range(self):
         with pytest.raises(ColoringError):
             Rothko(np.zeros((3, 3)), frozen=(5,))
+        # A negative id would mask whichever color is currently last.
+        initial = Coloring([0, 0, 1])
+        with pytest.raises(ColoringError, match="out of range"):
+            Rothko(np.zeros((3, 3)), initial=initial, frozen=(-1,))
 
     def test_initial_size_mismatch(self):
         with pytest.raises(ColoringError):

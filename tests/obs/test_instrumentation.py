@@ -54,6 +54,23 @@ class TestRothkoInstrumentation:
             assert "witness" in split.attrs
             assert split.attrs["q_err_before"] >= 0.0
 
+    def test_split_timers_cover_split_spans(self):
+        """The sub-split counters explain a split's time: the threshold
+        and refresh timers, which run inside the ``rothko.split`` spans,
+        cover >= 95% of them on their own.  The witness scan runs just
+        before each span opens, so its timer adds on top."""
+        graph = barabasi_albert(400, 3, seed=1)
+        with recording() as rec:
+            q_color(graph, n_colors=40)
+        counters = rec.snapshot()["counters"]
+        inside = counters["rothko.threshold_s"] + counters["rothko.refresh_s"]
+        spans = sum(
+            r.wall_seconds for r in rec.spans if r.name == "rothko.split"
+        )
+        assert spans > 0
+        assert counters["rothko.witness_s"] > 0
+        assert spans >= inside >= 0.95 * spans
+
     def test_batched_strategy_counts_rounds(self):
         with recording() as rec:
             q_color(
