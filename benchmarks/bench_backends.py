@@ -20,8 +20,8 @@ finds:
   than the directly-requested numpy run.
 
 Speedup is reported, not asserted: it depends on which accelerator the
-machine has.  The parallel batched-round guard (>= 1.5x on >= 4 cores)
-lives in ``bench_rothko_largescale.py``.
+machine has.  The one parallel guard, Brandes source batches over
+threads (>= 2x on >= 4 cores), lives in ``bench_solver_backends.py``.
 """
 
 import os

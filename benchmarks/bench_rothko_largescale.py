@@ -8,14 +8,12 @@ records its tracemalloc peak (and the dense-equivalent state bytes it
 avoided) in ``extra_info``, so ``run_benchmarks.py --json`` persists
 peak memory alongside time in ``benchmarks/results/*.json``.
 
-Three guards:
+Two guards:
 
 * the n >= 1M coloring completes with peak memory under a hard ceiling
   an order of magnitude below the dense-equivalent state;
 * the colors[128]-class case (the ``bench_rothko_scaling`` workload)
-  stays >= 5x below a measured dense-state reconstruction;
-* ``strategy="batched"`` lands within the fidelity contract while
-  beating greedy wall-clock at a large color budget.
+  stays >= 5x below a measured dense-state reconstruction.
 """
 
 import tracemalloc
@@ -134,75 +132,3 @@ def test_colors128_memory_reduction(benchmark):
         f"state's {dense_peak / 1e6:.2f} MB"
     )
 
-
-def test_batched_strategy_largescale(benchmark):
-    """Batched split rounds amortize per-split overhead at large color
-    budgets: faster than greedy wall-clock, q-error within the fidelity
-    factor, on a quarter-million-node graph."""
-    import time
-
-    graph = uniform_random_digraph(250_000, 4, seed=7)
-    adjacency = graph.to_csr()
-    budget = 256
-
-    start = time.perf_counter()
-    greedy = Rothko(adjacency).run(max_colors=budget)
-    greedy_seconds = time.perf_counter() - start
-
-    batched_engine = Rothko(adjacency, strategy="batched", batch_size=16)
-    batched = run_once(
-        benchmark, lambda: batched_engine.run(max_colors=budget)
-    )
-    assert batched.n_colors == greedy.n_colors == budget
-    assert batched.max_q_err <= 2.0 * greedy.max_q_err + 1e-9
-    benchmark.extra_info["greedy_seconds"] = round(greedy_seconds, 3)
-    benchmark.extra_info["greedy_q_err"] = greedy.max_q_err
-    benchmark.extra_info["batched_q_err"] = batched.max_q_err
-    # Real margin is ~2.7x; 0.75 keeps headroom for one-shot timing
-    # noise while still catching an amortization regression.
-    assert benchmark.stats.stats.median <= 0.75 * greedy_seconds
-
-
-def test_parallel_batched_rounds(benchmark):
-    """Fanned batched rounds (``workers=cores``) vs sequential: the
-    eject-mask and boundary-refresh stages of each round run across a
-    worker pool, and must land on bit-identical labels.  On machines
-    with >= 4 cores the fan-out is asserted >= 1.5x faster; below that
-    the speedup is only reported (a 1-core box legitimately sees ~1x)."""
-    import os
-    import time
-
-    graph = uniform_random_digraph(250_000, 4, seed=7)
-    adjacency = graph.to_csr()
-    budget = 256
-    cores = os.cpu_count() or 1
-
-    start = time.perf_counter()
-    sequential = Rothko(adjacency, strategy="batched", batch_size=16).run(
-        max_colors=budget
-    )
-    sequential_seconds = time.perf_counter() - start
-
-    engine = Rothko(
-        adjacency, strategy="batched", batch_size=16, workers=cores
-    )
-    parallel = run_once(benchmark, lambda: engine.run(max_colors=budget))
-
-    # Parallel rounds are deterministic: masks are collected in
-    # submission order, so the split sequence cannot drift.
-    assert np.array_equal(
-        parallel.coloring.labels, sequential.coloring.labels
-    )
-    speedup = sequential_seconds / benchmark.stats.stats.median
-    benchmark.extra_info["backend"] = engine.backend.name
-    benchmark.extra_info["cores"] = cores
-    benchmark.extra_info["workers"] = engine.workers
-    benchmark.extra_info["sequential_seconds"] = round(
-        sequential_seconds, 3
-    )
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    if cores >= 4:
-        assert speedup >= 1.5, (
-            f"parallel batched rounds only {speedup:.2f}x faster than "
-            f"sequential on {cores} cores (expected >= 1.5x)"
-        )

@@ -14,8 +14,8 @@ medians in ``benchmarks/results/bench_solver_backends.json`` (via
 ``run_benchmarks.py --json``); the assertion tests pin the contract —
 results identical to the numpy/serial reference within 1e-9, a >= 3x
 numba speedup on both workloads (skipped cleanly on numpy-only boxes),
-and a >= 2x parallel source-batched Brandes speedup (asserted at >= 4
-cores, reported otherwise).
+and a >= 2x speedup of Brandes source batches fanned over threads
+(asserted at >= 4 cores, reported otherwise).
 """
 
 from __future__ import annotations
@@ -148,8 +148,9 @@ def test_solver_backend_speedup_and_equality():
 
 
 def test_brandes_parallel_speedup():
-    """Source-batched parallel Brandes: identical to serial within
-    1e-9 always; >= 2x over serial asserted at >= 4 cores."""
+    """Brandes source batches over ``min(cores, 8)`` threads: identical
+    to serial within 1e-9 always; >= 2x over serial asserted at >= 4
+    cores."""
     graph = load_graph("deezer", scale=scale_factor(PARALLEL_SCALE))
     cores = os.cpu_count() or 1
     workers = min(cores, 8)

@@ -68,8 +68,7 @@ SMOKE_FILTERS = {
     ),
     # Quarter-million-node coloring with the memory-ceiling assertion,
     # plus the colors[128] 5x peak-memory-reduction guard; the full
-    # million-node case and the batched/parallel comparisons stay out
-    # of smoke.
+    # million-node case stays out of smoke.
     "bench_rothko_largescale": (
         "test_largescale_coloring[250000] or colors128"
     ),

@@ -9,13 +9,13 @@ are bit-identical, so switching one in changes wall-clock and nothing
 else.
 
 This example colors a mid-size random digraph once per available
-backend — plus a parallel batched-round run (``workers=cores``) — and
-prints the timing table with speedups over the numpy reference.  The
-solver tier rides the same dispatch, so a second leg times Dinic
-max-flow and batched Brandes betweenness per backend (plus a
-source-batched parallel Brandes run), asserting along the way that
-every backend reproduces the numpy/serial reference.  On a machine
-without numba it degrades to the numpy rows alone.
+backend and prints the timing table with speedups over the numpy
+reference.  The solver tier rides the same dispatch, so a second leg
+times Dinic max-flow and batched Brandes betweenness per backend (plus
+a run with the Brandes source batches fanned over ``workers=cores``
+threads), asserting along the way that every backend reproduces the
+numpy/serial reference.  On a machine without numba it degrades to the
+numpy rows alone.
 
 Run:  python examples/backend_speedup.py
 """
@@ -62,7 +62,7 @@ def main() -> None:
     )
 
     reference, numpy_seconds = timed_run(adjacency, backend="numpy")
-    rows = [["numpy", "greedy", 1, f"{numpy_seconds:.2f}s", "1.00x"]]
+    rows = [["numpy", f"{numpy_seconds:.2f}s", "1.00x"]]
 
     for name in backends:
         if name == "numpy":
@@ -75,41 +75,18 @@ def main() -> None:
             result.coloring.labels, reference.coloring.labels
         ), f"{name} diverged from the numpy reference"
         rows.append([
-            name, "greedy", 1, f"{seconds:.2f}s",
-            f"{numpy_seconds / seconds:.2f}x",
+            name, f"{seconds:.2f}s", f"{numpy_seconds / seconds:.2f}x",
         ])
 
-    # Parallel batched rounds: the top-B disjoint splits of each round
-    # fan across workers; results are bit-for-bit sequential-identical.
-    sequential, seq_seconds = timed_run(
-        adjacency, strategy="batched", batch_size=16
-    )
-    parallel, par_seconds = timed_run(
-        adjacency, strategy="batched", batch_size=16, workers=cores
-    )
-    assert np.array_equal(
-        parallel.coloring.labels, sequential.coloring.labels
-    ), "parallel batched rounds diverged from sequential"
-    best = resolve_backend("auto")
-    rows.append([
-        best.name, "batched", 1, f"{seq_seconds:.2f}s",
-        f"{numpy_seconds / seq_seconds:.2f}x",
-    ])
-    rows.append([
-        best.name, "batched", cores, f"{par_seconds:.2f}s",
-        f"{numpy_seconds / par_seconds:.2f}x",
-    ])
-
     print(format_table(
-        ["backend", "strategy", "workers", "time", "vs numpy greedy"],
+        ["backend", "time", "vs numpy"],
         rows,
         title="One coloring, identical labels, different engines",
     ))
     print(
-        "\nEvery row produced the same coloring — backends and the "
-        "round fan-out change wall-clock only.  Install numba "
-        "(or run on a multi-core box) to see the accelerated rows pull "
-        "ahead.\n"
+        "\nEvery row produced the same coloring — backends change "
+        "wall-clock only.  Install numba to see the accelerated rows "
+        "pull ahead.\n"
     )
     solver_leg(cores, backends)
 
@@ -168,8 +145,8 @@ def solver_leg(cores: int, backends: list[str]) -> None:
             f"{brandes_seconds / seconds:.2f}x",
         ])
 
-    # Source-batched parallel Brandes on the best backend: batches are
-    # sized from the graph (never the worker count) and reduced in
+    # Brandes source batches over threads on the best backend: batches
+    # are sized from the graph (never the worker count) and added in
     # submission order, so the fan-out is bit-identical to serial.
     best = resolve_backend("auto")
     serial = betweenness_centrality(graph, backend=best, workers=1)

@@ -55,9 +55,14 @@ def pivot_betweenness(
 
     Returns ``(scores, representatives)``.  Each color contributes
     ``|P_i| / pivots`` times the dependency vector of each of its
-    ``pivots`` sampled sources.  ``backend``/``workers`` reach the
-    Brandes kernel dispatch and source-batched fan-out.
+    ``pivots`` sampled sources; ``pivots_per_color`` must be at least 1.
+    ``backend``/``workers`` reach the Brandes kernel dispatch and the
+    threaded fan-out of its source batches.
     """
+    if pivots_per_color < 1:
+        raise ValueError(
+            f"pivots_per_color must be >= 1, got {pivots_per_color}"
+        )
     rng = ensure_rng(seed)
     sources: list[int] = []
     weights: list[float] = []
@@ -94,8 +99,9 @@ def approx_betweenness(
 
     ``alpha = beta = 1`` per Sec. 5.2; the geometric-mean split is the
     paper's recommendation for scale-free social graphs (all weights are
-    non-negative here).  ``backend``/``workers`` reach both the coloring
-    engine and the restricted Brandes passes.
+    non-negative here).  ``backend`` reaches both the coloring engine and
+    the restricted Brandes passes; ``workers`` fans those passes' source
+    batches out over threads (the coloring itself is sequential).
     """
     if n_colors is None and q is None:
         raise ValueError("approx_betweenness needs n_colors and/or q")

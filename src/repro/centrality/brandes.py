@@ -31,7 +31,6 @@ def betweenness_centrality(
     weighted: bool = False,
     backend=None,
     workers: int | None = None,
-    parallel_mode: str | None = None,
 ) -> np.ndarray:
     """Betweenness centrality of every node (by internal index).
 
@@ -39,8 +38,8 @@ def betweenness_centrality(
     passes — the hook used by the pivot approximations.  With the default
     (all sources, unit weights) the result is exact.  ``weighted=True``
     treats edge weights as positive lengths (Dijkstra variant).
-    ``backend=`` selects the solver kernels and ``workers=``/
-    ``parallel_mode=`` fan the source batches out.
+    ``backend=`` selects the solver kernels and ``workers=`` fans the
+    source batches out over threads.
     """
     from repro.solvers import betweenness_centrality_csr
 
@@ -53,5 +52,4 @@ def betweenness_centrality(
         weighted=weighted,
         backend=backend,
         workers=workers,
-        parallel_mode=parallel_mode,
     )

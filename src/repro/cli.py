@@ -53,6 +53,20 @@ def _apply_backend(args: argparse.Namespace) -> str | None:
             raise SystemExit(f"--backend {spec}: {exc}") from exc
     return spec
 
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return value
+
+
 TABLE_CHOICES = (
     "fig2", "fig2-dynamic", "fig7-maxflow", "fig7-lp", "fig7-centrality",
     "table1-centrality", "table1-lp", "table4", "table5", "table6",
@@ -345,11 +359,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     # The lazy imports are a real chunk of the command's wall time
     # (scipy optimize, dataset generators), so they get their own span.
     with _trace.span("cli.imports"):
+        from repro.core.backends import resolve_workers
         from repro.datasets.registry import load_flow, load_graph, load_lp
         from repro.exceptions import DatasetError
         from repro.pipeline import progressive_sweep, run_task, task_for
 
     backend = _apply_backend(args)
+    try:
+        workers = resolve_workers(args.workers)
+    except ValueError as exc:  # a bad REPRO_WORKERS value
+        print(f"repro solve: {exc}", file=sys.stderr)
+        return 2
     scale = args.scale if args.scale is not None else _SOLVE_SCALES[args.task]
     task_options = {
         "maxflow": {"bound": args.bound, "algorithm": args.algorithm},
@@ -377,7 +397,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         except DatasetError as exc:
             raise SystemExit(str(exc)) from exc
     options["backend"] = backend
-    options["workers"] = args.workers
+    options["workers"] = workers
     task = task_for(args.task, problem, **options)
 
     if args.certify is not None:
@@ -729,9 +749,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="centrality: pivot sampling seed")
     solve.add_argument("--backend", default=None,
                        help="kernel backend: auto, numpy, or numba (default: REPRO_BACKEND or auto-detect)")
-    solve.add_argument("--workers", type=int, default=None,
-                       help="worker fan-out for parallel coloring rounds "
-                            "and source-batched Brandes "
+    solve.add_argument("--workers", type=_positive_int, default=None,
+                       help="threads that centrality's Brandes source "
+                            "batches fan out over "
                             "(default: REPRO_WORKERS or 1)")
     solve.add_argument("--trace-out", default=None,
                        help="dump the recorded trace/metrics as JSONL")

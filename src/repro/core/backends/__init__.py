@@ -27,10 +27,10 @@ Resolved instances are cached per name, so repeated resolution is an
 attribute lookup, and the resolved ``name`` is what the observability
 spans, the coloring-cache key, and the benchmark results JSON record.
 
-:func:`parallel_round_executor` (in
-:mod:`~repro.core.backends.executor`) pairs a resolved backend with the
-right fan-out mode for batched split rounds: threads where the kernels
-release the GIL, a shared-memory process pool for the numpy path.
+:func:`resolve_workers` is the one worker-count rule (``workers=``
+argument, else ``REPRO_WORKERS``, else 1).  Its only consumer is
+centrality's Brandes pass, which maps source batches over that many
+threads (:func:`repro.solvers.betweenness_centrality_csr`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import os
 
 from repro.core.backends.base import Backend, KERNEL_NAMES, SOLVER_KERNEL_NAMES
-from repro.core.backends.executor import RoundExecutor, resolve_workers
 from repro.core.backends.numpy_backend import NumpyBackend
 from repro.core.backends import numba_backend as _numba
 from repro.resilience.fallback import ResilientBackend
@@ -47,7 +46,6 @@ __all__ = [
     "Backend",
     "KERNEL_NAMES",
     "SOLVER_KERNEL_NAMES",
-    "RoundExecutor",
     "available_backends",
     "default_backend",
     "resolve_backend",
@@ -124,3 +122,29 @@ def set_default_backend(spec: "str | Backend | None") -> Backend:
     global _DEFAULT
     _DEFAULT = None if spec is None else resolve_backend(spec)
     return default_backend()
+
+
+def resolve_workers(workers: int | None = None) -> int:
+    """Worker count: explicit argument > ``REPRO_WORKERS`` env > 1.
+
+    Fan-out is opt-in: the default of 1 keeps a run single-threaded
+    unless the caller or the environment asks for more.  A bad
+    environment value raises a :class:`ValueError` naming the variable
+    and the value.
+    """
+    if workers is not None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        return workers
+    env = os.environ.get("REPRO_WORKERS", "").strip()
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(
+            f"REPRO_WORKERS must be a positive integer, got {env!r}"
+        )
+    return workers

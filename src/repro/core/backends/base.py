@@ -11,10 +11,6 @@ compute however it likes (vectorized numpy, compiled CPU loops) as
 long as what crosses the boundary is a numpy array with the same
 values; the parity test sweep (``tests/core/test_backends.py``) holds
 every registered backend to that.
-
-Backends carry one capability flag the engine's round executor reads:
-``parallel_kernels`` — the fused kernels release the GIL (compiled
-code), so fanning color-disjoint witness work across *threads* scales.
 """
 
 from __future__ import annotations
@@ -57,9 +53,6 @@ class Backend(Protocol):
 
     #: registry name ("numpy", "numba")
     name: str
-    #: True when the fused kernels release the GIL, making thread-fanned
-    #: batched rounds profitable
-    parallel_kernels: bool
 
     def scatter_add(
         self, indices: np.ndarray, weights: np.ndarray, size: int

@@ -8,9 +8,10 @@ threshold degrees: one entry per selected row; the ordered min/max: one
 feature row per iteration) run multi-threaded; scatter-shaped kernels
 whose cells mix contributions across rows stay single-threaded inside
 ``njit`` so the accumulation order — and therefore the floating-point
-result — is *bit-identical* to the numpy reference.  All compiled
-kernels release the GIL, which is what makes the round executor's
-thread-fanned batched splits scale on this backend.
+result — is *bit-identical* to the numpy reference.  The solver
+kernels release the GIL, so the Brandes source batches that
+:func:`~repro.solvers.betweenness_centrality_csr` maps over a thread
+pool run concurrently on this backend.
 
 Import failure degrades gracefully: the module always imports, but
 :func:`available` reports False and instantiating :class:`NumbaBackend`
@@ -152,7 +153,6 @@ class NumbaBackend(NumpyBackend):
     """Threaded compiled backend (see module docstring)."""
 
     name = "numba"
-    parallel_kernels = True
 
     def __init__(self) -> None:
         if not available():

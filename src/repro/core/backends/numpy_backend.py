@@ -189,13 +189,12 @@ class NumpyBackend:
     """Reference backend: the module-level kernels above, verbatim.
 
     Always available; the parity baseline every other backend is tested
-    against.  ``parallel_kernels`` is False — numpy's bincount paths
-    hold the GIL, so the round executor prefers the shared-memory
-    process path over threads for this backend.
+    against.  Its large-array kernels spend most of their time inside
+    numpy calls that release the GIL, so the Brandes source batches
+    scale over threads on this backend too.
     """
 
     name = "numpy"
-    parallel_kernels = False
 
     scatter_add = staticmethod(scatter_add)
     bincount = staticmethod(bincount)

@@ -20,9 +20,9 @@ compiled pass.  Determinism is load-bearing, not incidental:
   exact integers in float64; only the dependency sums re-associate,
   which the 1e-9 contract absorbs).
 
-All kernels carry ``nogil=True`` so the round executor's thread-fanned
-Brandes batches scale; ``cache=True`` persists the JIT artifacts across
-processes.  The module always imports — :func:`available` gates use,
+All kernels carry ``nogil=True`` so thread-fanned Brandes source
+batches run concurrently; ``cache=True`` persists the JIT artifacts
+across processes.  The module always imports — :func:`available` gates use,
 mirroring :mod:`repro.core.backends.numba_backend`.
 """
 

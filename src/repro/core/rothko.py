@@ -67,17 +67,11 @@ are direct sums in a fixed arc order (both forms give the same bits),
 so entries are exactly zero iff every term is — the
 geometric/relative thresholds need no residue special-casing.
 
-``strategy="batched"`` (default ``"greedy"``) turns the loop into
-rounds: the top-``B`` *non-conflicting* witnesses (pairwise-disjoint
-color pairs) are selected with one ``O(k^2)`` scan, all ``B`` splits
-are decided against the same pre-round state, and the ``2B`` dirtied
-colors go through the same refresh.  The fidelity contract (tested) is
-that batched reaches a max q-error within a constant factor of greedy
-at equal ``k``, not the identical split sequence.  The default stays
-the paper-exact greedy rule.  :meth:`Rothko.verify_state` checks the
+The loop is the paper's greedy rule: one split per iteration, at the
+single worst witness.  :meth:`Rothko.verify_state` checks the
 maintained state against a from-scratch recompute, and the row maxima
 and the witness against a full scan; the invariant test suite drives
-it after every split in both strategies.
+it after every split.
 
 The threshold kernel dispatches through a resolved
 :class:`~repro.core.backends.base.Backend` (``backend=`` argument, the
@@ -85,14 +79,7 @@ The threshold kernel dispatches through a resolved
 importable, else the numpy reference; see :mod:`repro.core.backends`);
 the refresh is plain numpy, so every backend runs it.  All backends are
 bit-identical (the parity sweep enforces it), so the choice affects
-wall-clock only.  ``workers=`` (or ``REPRO_WORKERS``) opts batched
-rounds into parallel execution: the round's color-disjoint witness
-masks fan across a
-:class:`~repro.core.backends.executor.RoundExecutor`, threads where
-the backend's kernels release the GIL (numba) and a
-shared-memory process pool for the numpy backend.  Results are
-collected in submission order, so a parallel round commits exactly the
-serial round's splits — bit-for-bit identical colorings (tested).
+wall-clock only.
 
 ``RothkoStep.coloring`` is materialized lazily: the engine records each
 split's parent color, so any intermediate snapshot can be reconstructed
@@ -103,15 +90,14 @@ Weights may be negative (the LP reduction colors constraint matrices);
 the geometric-mean split requires non-negative degrees and raises
 otherwise.
 
-The loop is instrumented for :mod:`repro.obs`: every split (greedy) or
-round (batched) opens a span carrying the chosen witness and the
-pre-split q-error, and the ``rothko.splits`` counter plus the
-``rothko.max_q_err`` gauge track progress.  The counters
-``rothko.witness_s``, ``rothko.threshold_s`` and ``rothko.refresh_s``
-split the loop's time into witness selection (just before the span
-opens), the split threshold, and committing the split plus the state
-refresh (together the whole span), one add each per split (or round),
-no extra spans.
+The loop is instrumented for :mod:`repro.obs`: every split opens a
+span carrying the chosen witness and the pre-split q-error, and the
+``rothko.splits`` counter plus the ``rothko.max_q_err`` gauge track
+progress.  The counters ``rothko.witness_s``, ``rothko.threshold_s``
+and ``rothko.refresh_s`` split the loop's time into witness selection
+(just before the span opens), the split threshold, and committing the
+split plus the state refresh (together the whole span), one add each
+per split, no extra spans.
 With no recorder installed (the default) these calls hit the null
 recorder and cost nothing measurable.
 """
@@ -127,7 +113,7 @@ import scipy.sparse as sp
 
 from repro.obs import recorder as _obs
 from repro.obs import trace as _trace
-from repro.core.backends import RoundExecutor, resolve_backend, resolve_workers
+from repro.core.backends import resolve_backend
 from repro.core.kernels import (
     color_degree_matrix_t,
     grouped_minmax_by_labels,
@@ -140,7 +126,6 @@ from repro.utils.stats import log_mean_threshold
 
 SPLIT_MEANS = ("arithmetic", "geometric")
 ERROR_MODES = ("absolute", "relative")
-STRATEGIES = ("greedy", "batched")
 
 #: edge budget per refresh chunk: caps the gathered position/weight
 #: arrays so a split of a huge color never holds O(nnz(color)) edge
@@ -394,37 +379,12 @@ class Rothko:
         (``inf`` when zero and nonzero degrees mix — zero is similar
         only to itself), weights must be non-negative, and the split
         threshold is always geometric.
-    strategy:
-        ``"greedy"`` (default) performs one split per iteration at the
-        single best witness — the paper-exact Algorithm 1.
-        ``"batched"`` splits at the top-``batch_size`` non-conflicting
-        witnesses per round and fuses their state refreshes, amortizing
-        per-split overhead at large color budgets.  Batched rounds obey
-        the same stopping rules; the resulting coloring is not
-        split-for-split identical to greedy but reaches a comparable
-        q-error at equal ``k`` (the fidelity contract the test suite
-        enforces).
-    batch_size:
-        Witnesses per batched round (default 8).  Ignored under the
-        greedy strategy.
     backend:
         Kernel backend: a name (``"numpy"``, ``"numba"``, ``"auto"``), a
         resolved :class:`~repro.core.backends.base.Backend` instance, or
         ``None`` — which consults the ``REPRO_BACKEND`` environment
         variable and falls back to auto-detection.  All backends produce
         bit-identical colorings; this knob trades wall-clock only.
-    workers:
-        Worker fan-out for batched rounds (``None`` consults
-        ``REPRO_WORKERS``, default 1 = serial).  With more than one
-        worker, each round's color-disjoint eject masks are mapped
-        across threads (backends whose kernels release the GIL) or a
-        shared-memory process pool (numpy).
-        Parallel rounds commit bit-for-bit the serial rounds' splits.
-        Ignored under the greedy strategy.
-    parallel_mode:
-        Override the executor mode (``"serial"``, ``"threads"``,
-        ``"processes"``); ``None`` auto-selects from the backend's
-        ``parallel_kernels`` flag.
     """
 
     def __init__(
@@ -436,11 +396,7 @@ class Rothko:
         split_mean: str = "arithmetic",
         frozen: Iterable[int] = (),
         error_mode: str = "absolute",
-        strategy: str = "greedy",
-        batch_size: int | None = None,
         backend=None,
-        workers: int | None = None,
-        parallel_mode: str | None = None,
     ) -> None:
         if split_mean not in SPLIT_MEANS:
             raise ValueError(
@@ -450,18 +406,7 @@ class Rothko:
             raise ValueError(
                 f"error_mode must be one of {ERROR_MODES}, got {error_mode!r}"
             )
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {STRATEGIES}, got {strategy!r}"
-            )
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.strategy = strategy
-        self.batch_size = int(batch_size) if batch_size is not None else 8
         self._backend = resolve_backend(backend)
-        self._workers = resolve_workers(workers)
-        self._parallel_mode = parallel_mode
-        self._executor: RoundExecutor | None = None
         self._csr, self._csc = coerce_adjacency_pair(graph)
         self.n = self._csr.shape[0]
         self.alpha = float(alpha)
@@ -507,11 +452,6 @@ class Rothko:
     def backend(self):
         """The resolved kernel :class:`~repro.core.backends.Backend`."""
         return self._backend
-
-    @property
-    def workers(self) -> int:
-        """Worker count for the batched-round fan-out (1 = sequential)."""
-        return self._workers
 
     # ------------------------------------------------------------------
     # incremental state: U/L (k x k) and the per-row witness maxima
@@ -635,10 +575,10 @@ class Rothko:
 
     def _refresh(self, dirty: Iterable[int]) -> None:
         """Recompute the dirty colors' U/L rows and columns, then patch
-        the row maxima — the one state update behind the initial build,
-        greedy splits and batched rounds.
+        the row maxima — the one state update behind the initial build
+        and every split.
 
-        Dirty colors are refreshed two at a time (a greedy split's pair
+        Dirty colors are refreshed two at a time (a split's pair
         ``(c, t)`` is one pass over the pre-split members): each pass
         gathers the colors' arcs once, in edge-budget chunks, and both
         pieces of state come out of that gather:
@@ -1077,164 +1017,6 @@ class Rothko:
             self._beta_pow[color] = np.power(size_f, self.beta)
 
     # ------------------------------------------------------------------
-    # batched split rounds
-    # ------------------------------------------------------------------
-    def _round_executor(self) -> RoundExecutor:
-        """The engine's round executor, created lazily on first use.
-
-        Mode auto-selection follows the backend's ``parallel_kernels``
-        flag (threads for GIL-releasing kernels, the shared-memory
-        process pool for numpy); ``workers == 1`` yields the serial
-        executor, which costs nothing.
-        """
-        if self._executor is None:
-            self._executor = RoundExecutor.resolve(
-                self._workers,
-                self._parallel_mode,
-                self._backend.parallel_kernels,
-            )
-        return self._executor
-
-    def release(self) -> None:
-        """Shut down the round executor's pools and shared memory.
-
-        Idempotent; called automatically when a batched ``steps()``
-        generator finishes.  Only needed explicitly by callers that
-        abandon an engine mid-run with ``workers > 1``.
-        """
-        if self._executor is not None:
-            self._executor.release()
-            self._executor = None
-
-    def _eject_job_mask(self, job: tuple) -> np.ndarray | None:
-        """In-process eject mask for one witness job (the serial and
-        thread-mode body of the round fan-out; the process mode runs
-        :func:`repro.core.backends.executor._eject_mask_task` against
-        the shared-memory mirror instead).  ``None`` drops the witness
-        for this round (constant degrees)."""
-        direction, members, target, split_mean, relative = job
-        indptr = (self._csr if direction == "out" else self._csc).indptr
-        counts = indptr[members + 1] - indptr[members]
-        degrees = self._threshold_degrees(members, counts, direction, target)
-        try:
-            return split_eject_mask(degrees, split_mean, relative=relative)
-        except ColoringError:
-            # Pure floating-point guard: a positive per-direction score
-            # implies non-constant degrees, so this can only trip on
-            # sub-ulp ties; dropping the witness for one round is safe.
-            return None
-
-    def _find_witness_batch(
-        self, limit: int, q_tolerance: float = 0.0
-    ) -> tuple[float, list[tuple[int, int, str]]]:
-        """Current max raw error and the top-``limit`` non-conflicting
-        witnesses, best first.
-
-        One ``O(k^2)`` scan serves both the round's stopping check (the
-        returned raw maximum) and the batch selection: the positive
-        weighted scores of both directions are partially sorted, then
-        greedily filtered so the chosen witnesses' color pairs are
-        pairwise disjoint — every chosen split is decided against the
-        same pre-round state *and* no chosen witness's degree vector or
-        membership is invalidated by another split in the round.  Pairs
-        already within ``q_tolerance`` are excluded: a round never
-        spends budget on splits the stopping rule no longer requires
-        (greedy re-checks the tolerance after every single split; rounds
-        re-check between rounds and filter members here).
-        """
-        k = self.k
-        if k == 0 or limit <= 0:
-            return 0.0, []
-        scores = self._scores()
-        # [out | in] halves, each row-major over (source, target)
-        raw = scores[2:].ravel()
-        raw_max = float(raw.max(initial=0.0))
-        scores = scores[:2].ravel()
-        # NaN scores (inf error x zero size weight) stop greedy; exclude
-        # them outright so argpartition cannot surface them first.
-        eligible = np.flatnonzero(
-            (np.nan_to_num(scores, nan=-np.inf) > 0) & (raw > q_tolerance)
-        )
-        if eligible.size == 0:
-            return raw_max, []
-        oversample = min(eligible.size, 4 * limit)
-        top = eligible[
-            np.argpartition(scores[eligible], -oversample)[-oversample:]
-        ]
-        top = top[np.argsort(scores[top], kind="stable")[::-1]]
-        used: set[int] = set()
-        picked: list[tuple[int, int, str]] = []
-        for flat in top.tolist():
-            direction = "out" if flat < k * k else "in"
-            i, j = divmod(flat % (k * k), k)
-            if i in used or j in used:
-                continue
-            used.update((i, j))
-            picked.append((i, j, direction))
-            if len(picked) == limit:
-                break
-        return raw_max, picked
-
-    def _apply_batch(
-        self, picked: list[tuple[int, int, str]]
-    ) -> list[tuple[tuple[int, int, str], int]]:
-        """Split at every chosen witness, then refresh state once.
-
-        All eject masks are decided against the pre-round state (the
-        witnesses are color-disjoint, so each degree vector is still
-        exact when its split commits), then the ``2B`` dirtied colors
-        go through the same :meth:`_refresh` a greedy split uses.
-
-        With ``workers > 1`` the masks fan across the round executor —
-        read-only work against the pre-round snapshot, collected in
-        witness order, so the parallel round commits exactly the serial
-        round's splits.  Threshold and refresh seconds reach the
-        ``rothko.threshold_s`` / ``rothko.refresh_s`` counters once per
-        round.
-        """
-        start = time.perf_counter()
-        relative = self.error_mode == "relative"
-        jobs: list[tuple] = []
-        for i, j, direction in picked:
-            split_color = i if direction == "out" else j
-            target = j if direction == "out" else i
-            jobs.append((
-                direction, self._members[split_color], target,
-                self.split_mean, relative,
-            ))
-        executor = self._round_executor()
-        if executor.mode == "processes":
-            executor.attach_graph(
-                (self._csr.indptr, self._csr.indices, self._csr.data),
-                (self._csc.indptr, self._csc.indices, self._csc.data),
-                self.labels,
-            )
-        masks = executor.eject_masks(jobs, self.labels, self._eject_job_mask)
-        pending: list[tuple[tuple[int, int, str], int, np.ndarray]] = []
-        for witness, eject_mask in zip(picked, masks):
-            if eject_mask is None:
-                continue
-            i, j, direction = witness
-            split_color = i if direction == "out" else j
-            pending.append((witness, split_color, eject_mask))
-        decided = time.perf_counter()
-        splits: list[tuple[tuple[int, int, str], int]] = []
-        dirty: list[int] = []
-        for witness, split_color, eject_mask in pending:
-            members = self._members[split_color]
-            self._apply_split(
-                split_color, members[~eject_mask], members[eject_mask]
-            )
-            dirty.extend((split_color, self.k - 1))
-            splits.append((witness, split_color))
-        if dirty:
-            self._refresh(dirty)
-        recorder = _obs._active
-        recorder.count("rothko.threshold_s", decided - start)
-        recorder.count("rothko.refresh_s", time.perf_counter() - decided)
-        return splits
-
-    # ------------------------------------------------------------------
     # the anytime loop
     # ------------------------------------------------------------------
     def coloring(self) -> Coloring:
@@ -1286,12 +1068,6 @@ class Rothko:
         Stops when ``max_colors`` is reached, the max q-error drops to
         ``q_tolerance``, no splittable witness remains, or
         ``max_iterations`` splits have been performed.
-
-        Under ``strategy="batched"`` the loop advances a whole round of
-        non-conflicting splits at a time; one step is still yielded per
-        split (snapshots replay exactly as in greedy mode), with
-        ``q_err_before`` reporting the error of the *pre-round* state
-        for every split of that round.
         """
         if max_colors is None and max_iterations is None and q_tolerance <= 0:
             # Without any bound the loop would refine to the discrete
@@ -1305,11 +1081,6 @@ class Rothko:
             if self._capacity_hint is None or hint > self._capacity_hint:
                 self._capacity_hint = hint
         start = time.perf_counter()
-        if self.strategy == "batched":
-            yield from self._steps_batched(
-                max_colors, q_tolerance, max_iterations, start
-            )
-            return
         iteration = 0
         while True:
             if max_colors is not None and self.k >= max_colors:
@@ -1348,69 +1119,6 @@ class Rothko:
                 engine=self,
             )
 
-    def _steps_batched(
-        self,
-        max_colors: int | None,
-        q_tolerance: float,
-        max_iterations: int | None,
-        start: float,
-    ) -> Iterator[RothkoStep]:
-        """Round-based variant of the anytime loop (``strategy="batched"``)."""
-        try:
-            yield from self._rounds_batched(
-                max_colors, q_tolerance, max_iterations, start
-            )
-        finally:
-            # Pools and shared memory are per-run transients; the engine
-            # itself stays usable (a follow-up run re-creates them).
-            self.release()
-
-    def _rounds_batched(
-        self,
-        max_colors: int | None,
-        q_tolerance: float,
-        max_iterations: int | None,
-        start: float,
-    ) -> Iterator[RothkoStep]:
-        iteration = 0
-        while True:
-            limit = self.batch_size
-            if max_colors is not None:
-                limit = min(limit, max_colors - self.k)
-            if max_iterations is not None:
-                limit = min(limit, max_iterations - iteration)
-            if limit <= 0:
-                return
-            scan_start = time.perf_counter()
-            raw_err, picked = self._find_witness_batch(limit, q_tolerance)
-            witness_s = time.perf_counter() - scan_start
-            if raw_err <= q_tolerance or not picked:
-                return
-            k_before = self.k
-            with _trace.span(
-                "rothko.round", witnesses=len(picked), q_err_before=raw_err
-            ) as round_span:
-                splits = self._apply_batch(picked)
-                round_span.set(splits=len(splits))
-            recorder = _obs._active
-            recorder.count("rothko.witness_s", witness_s)
-            recorder.count("rothko.rounds")
-            recorder.count("rothko.splits", len(splits))
-            recorder.gauge("rothko.max_q_err", raw_err)
-            if not splits:
-                return
-            for offset, (witness, parent_color) in enumerate(splits):
-                iteration += 1
-                yield RothkoStep(
-                    iteration=iteration,
-                    n_colors=k_before + offset + 1,
-                    q_err_before=raw_err,
-                    witness=witness,
-                    parent_color=parent_color,
-                    elapsed=time.perf_counter() - start,
-                    engine=self,
-                )
-
     def run(
         self,
         max_colors: int | None = None,
@@ -1423,9 +1131,7 @@ class Rothko:
         with _trace.span(
             "rothko.run",
             n=self.n,
-            strategy=self.strategy,
             backend=self._backend.name,
-            workers=self._workers,
             max_colors=max_colors,
             q_tolerance=q_tolerance,
         ) as run_span:
@@ -1550,17 +1256,12 @@ def q_color(
     initial: Coloring | None = None,
     frozen: Iterable[int] = (),
     max_iterations: int | None = None,
-    strategy: str = "greedy",
-    batch_size: int | None = None,
     backend=None,
-    workers: int | None = None,
 ) -> RothkoResult:
     """Compute a quasi-stable coloring with the Rothko heuristic.
 
     Exactly one stopping knob is required: a color budget ``n_colors``
-    and/or a target maximum q-error ``q``.  ``strategy="batched"``
-    enables the fused multi-witness split rounds, with ``batch_size``
-    witnesses per round (see :class:`Rothko`).
+    and/or a target maximum q-error ``q``.
 
     Examples
     --------
@@ -1582,10 +1283,7 @@ def q_color(
         beta=beta,
         split_mean=split_mean,
         frozen=frozen,
-        strategy=strategy,
-        batch_size=batch_size,
         backend=backend,
-        workers=workers,
     )
     return engine.run(
         max_colors=n_colors,
@@ -1603,10 +1301,7 @@ def eps_color(
     initial: Coloring | None = None,
     frozen: Iterable[int] = (),
     max_iterations: int | None = None,
-    strategy: str = "greedy",
-    batch_size: int | None = None,
     backend=None,
-    workers: int | None = None,
 ) -> RothkoResult:
     """Compute an eps-relative quasi-stable coloring (Sec. 3.1).
 
@@ -1629,10 +1324,7 @@ def eps_color(
         beta=beta,
         frozen=frozen,
         error_mode="relative",
-        strategy=strategy,
-        batch_size=batch_size,
         backend=backend,
-        workers=workers,
     )
     return engine.run(
         max_colors=n_colors,

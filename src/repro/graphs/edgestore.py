@@ -68,8 +68,6 @@ __all__ = [
     "ingest_arrays",
     "ingest_edgelist",
     "ingest_uniform_random",
-    "memmap_descriptor",
-    "open_descriptor",
     "verify_store",
 ]
 
@@ -161,65 +159,6 @@ def _crc32_file(path: Path, block: int = 1 << 20) -> str:
                 break
             crc = zlib.crc32(chunk, crc)
     return f"crc32:{crc & 0xFFFFFFFF:08x}"
-
-
-# ----------------------------------------------------------------------
-# memmap introspection (shared with the process-pool executor)
-# ----------------------------------------------------------------------
-def _memmap_base(array: Any) -> np.memmap | None:
-    # Walk to the ROOT memmap: a sliced memmap is itself an np.memmap
-    # but inherits the parent's ``offset`` unadjusted, so only the
-    # deepest memmap in the base chain pairs a data pointer with a
-    # trustworthy file offset.
-    found = None
-    base = array
-    while base is not None:
-        if isinstance(base, np.memmap):
-            found = base
-        base = getattr(base, "base", None)
-    return found
-
-
-def memmap_descriptor(
-    array: np.ndarray,
-) -> tuple[str, str, tuple, int] | None:
-    """``(path, dtype_str, shape, offset)`` when ``array`` is a
-    contiguous view over a file-backed memmap, else ``None``.
-
-    The descriptor is picklable and position-independent: any process
-    can reopen the identical view with :func:`open_descriptor`, which is
-    how the round executor shares graph snapshots with pool workers
-    without copying them into shared memory.
-    """
-    base = _memmap_base(array)
-    if base is None or getattr(base, "filename", None) is None:
-        return None
-    if not array.flags["C_CONTIGUOUS"]:
-        return None
-    delta = (
-        array.__array_interface__["data"][0]
-        - base.__array_interface__["data"][0]
-    )
-    if delta < 0:
-        return None
-    return (
-        str(base.filename),
-        array.dtype.str,
-        tuple(array.shape),
-        int(base.offset + delta),
-    )
-
-
-def open_descriptor(descriptor: tuple[str, str, tuple, int]) -> np.memmap:
-    """Reopen a :func:`memmap_descriptor` as a read-only memmap."""
-    path, dtype, shape, offset = descriptor
-    return np.memmap(
-        path,
-        dtype=np.dtype(dtype),
-        mode="r",
-        shape=tuple(shape),
-        offset=int(offset),
-    )
 
 
 # ----------------------------------------------------------------------

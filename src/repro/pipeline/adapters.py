@@ -44,7 +44,9 @@ class MaxFlowTask(CompressionTask):
     weights the progressive runner maintains); ``bound="lower"``
     uses the uniform-flow capacities ``c_hat_1``.  With
     ``lift_solution=True`` (lower bound only) the reduced flow is
-    lifted to a valid flow on the original network.
+    lifted to a valid flow on the original network.  ``workers`` is
+    accepted like on every task and unused: max-flow's stages run
+    sequentially.
     """
 
     name = "maxflow"
@@ -65,7 +67,6 @@ class MaxFlowTask(CompressionTask):
         self.split_mean = split_mean
         self.lift_solution = lift_solution
         self.backend = backend
-        self.workers = workers
         self._spec: ColoringSpec | None = None
 
     def coloring_spec(self) -> ColoringSpec:
@@ -79,7 +80,6 @@ class MaxFlowTask(CompressionTask):
                 initial=initial,
                 frozen=frozen,
                 backend=self.backend,
-                workers=self.workers,
             )
         return self._spec
 
@@ -132,7 +132,9 @@ class MaxFlowTask(CompressionTask):
 class LPTask(CompressionTask):
     """Reduced linear programs (Eq. 6): color the extended matrix's
     bipartite graph, scale the block sums by class sizes, solve the
-    reduced LP, and lift ``x = V^T x_hat`` (Eq. 10)."""
+    reduced LP, and lift ``x = V^T x_hat`` (Eq. 10).  ``workers`` is
+    accepted like on every task and unused: the LP stages run
+    sequentially."""
 
     name = "lp"
 
@@ -152,7 +154,6 @@ class LPTask(CompressionTask):
         self.alpha = alpha
         self.beta = beta
         self.backend = backend
-        self.workers = workers
         self._spec: ColoringSpec | None = None
 
     def coloring_spec(self) -> ColoringSpec:
@@ -168,7 +169,6 @@ class LPTask(CompressionTask):
                 initial=initial,
                 frozen=frozen,
                 backend=self.backend,
-                workers=self.workers,
             )
         return self._spec
 
@@ -225,7 +225,8 @@ class CentralityTask(CompressionTask):
     and the scores already live in node space, so lifting selects them.
     Each solve draws representatives from a fresh ``seed``-keyed
     generator, so results at a given checkpoint are reproducible and
-    independent of sweep order.
+    independent of sweep order.  ``workers`` fans the Brandes source
+    batches out over threads.
     """
 
     name = "centrality"
@@ -256,7 +257,6 @@ class CentralityTask(CompressionTask):
                 beta=1.0,
                 split_mean=self.split_mean,
                 backend=self.backend,
-                workers=self.workers,
             )
         return self._spec
 

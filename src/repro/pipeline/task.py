@@ -70,12 +70,6 @@ class ColoringSpec:
     #: key still carries the *resolved* name so colorings computed by
     #: different backends never alias.
     backend: str | None = None
-    #: worker fan-out for the engine's batched rounds (None = the
-    #: ``REPRO_WORKERS`` environment default).  Deliberately *not* part
-    #: of the cache key: parallel rounds are bit-identical to serial
-    #: (submission-order commit), so any worker count may serve any
-    #: request for the same spec.
-    workers: int | None = None
 
     def build_engine(self) -> Rothko:
         return Rothko(
@@ -87,7 +81,6 @@ class ColoringSpec:
             frozen=self.frozen,
             error_mode=self.error_mode,
             backend=self.backend,
-            workers=self.workers,
         )
 
     def cache_key(self) -> tuple:

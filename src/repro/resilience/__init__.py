@@ -11,13 +11,12 @@ invites:
     kernel to the numpy reference instead of crashing the run;
 the hardened hosts
     crash-safe resumable ingest lives in ``graphs/edgestore.py``
-    (journal + staged atomic commit + ``verify_store``), self-healing
-    process pools in ``core/backends/executor.py``, and the
+    (journal + staged atomic commit + ``verify_store``), and the
     certified-ε loop in ``pipeline/certified.py``.
 
-Counters under ``resilience.*`` (``faults.fired``, ``fallback.kernel``,
-``fallback.task``, ``fallback.degrade``) record every recovery so a
-silently limping run is still visible in metrics.
+Counters under ``resilience.*`` (``faults.fired``, ``fallback.kernel``)
+record every recovery so a silently limping run is still visible in
+metrics.
 """
 
 from repro.resilience.fallback import ResilienceWarning, ResilientBackend

@@ -56,11 +56,10 @@ class ResilientBackend:
     """Proxy a backend's kernel surface with per-kernel numpy fallback.
 
     Mirrors the :class:`~repro.core.backends.base.Backend` protocol:
-    ``name``/``parallel_kernels`` come from the wrapped backend, every
-    kernel method dispatches through the guard above.  Demotions are per
-    instance — and backend instances are cached per name in
-    ``backends/__init__``, so one demotion covers the process, as
-    intended.
+    ``name`` comes from the wrapped backend, every kernel method
+    dispatches through the guard above.  Demotions are per instance —
+    and backend instances are cached per name in ``backends/__init__``,
+    so one demotion covers the process, as intended.
     """
 
     def __init__(self, inner, reference=None) -> None:
@@ -77,10 +76,6 @@ class ResilientBackend:
     @property
     def name(self) -> str:
         return self._inner.name
-
-    @property
-    def parallel_kernels(self) -> bool:
-        return self._inner.parallel_kernels
 
     @property
     def demoted_kernels(self) -> dict:

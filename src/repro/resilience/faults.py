@@ -2,8 +2,8 @@
 
 Failure handling that is never exercised is failure handling that does
 not work.  This module compiles *named injection points* into the
-stack's long-running machinery — edge-store ingest chunks, the round
-executor's worker tasks, the staged store commit — the same way
+stack's long-running machinery — edge-store ingest spills and merge
+chunks, the CSC build, the staged store commit — the same way
 :mod:`repro.obs` compiles spans into the hot paths: the call is always
 there, but with no plan installed it is one module-global load and a
 ``None`` check, so production runs pay nothing measurable.
@@ -25,8 +25,8 @@ generator, so a failing schedule replays bit-identically.  Actions:
     ``SIGKILL`` the calling process — the crash-safety tests' hammer
     (no ``atexit``, no ``finally``, exactly like the OOM killer);
 ``"sleep"``
-    block for ``seconds`` — simulates a hung worker for the executor's
-    timeout path;
+    block for ``seconds`` — simulates a stalled step (a slow disk, a
+    hung dependency);
 any callable
     invoked with the site's context dict (escape hatch for bespoke
     corruption).
@@ -124,7 +124,7 @@ class FaultPlan:
 
     Occurrence counters and the probability stream are plan-local and
     advance only on matching visits, so two plans built the same way
-    fire identically — and a plan forked into a worker process carries
+    fire identically — and a plan forked into a child process carries
     its own counters (each process replays the schedule from its own
     visit stream).
     """
@@ -242,10 +242,9 @@ class FaultPlan:
 def inject(site: str, **context: Any) -> None:
     """The injection point: a no-op unless a plan is installed.
 
-    Compiled into ingest chunks, the staged commit, and executor worker
-    tasks; with no plan the cost is one global load and a ``None``
-    check (guarded below 1% of any instrumented workload by
-    ``tests/resilience/test_overhead.py``).
+    Compiled into ingest chunks and the staged commit; with no plan the
+    cost is one global load and a ``None`` check (guarded below 1% of
+    any instrumented workload by ``tests/resilience/test_overhead.py``).
     """
     plan = _PLAN
     if plan is not None:

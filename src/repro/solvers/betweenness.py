@@ -24,13 +24,13 @@ social networks).
 
 Batches are also the parallel unit: sources are independent and the
 weighted dependency vectors sum associatively, so
-:func:`betweenness_centrality_csr` fans batches across a
-:class:`~repro.core.backends.RoundExecutor` (``workers=`` /
-``REPRO_WORKERS``; threads when the backend's kernels release the GIL,
-a shared-memory process pool otherwise) and reduces the results in
-fixed submission order.  Batch boundaries never depend on the worker
-count, so serial and parallel runs add the same partial vectors in the
-same order — bit-identical on any single backend.
+:func:`betweenness_centrality_csr` maps batches over a thread pool
+(``workers=`` / ``REPRO_WORKERS``) and adds the results in fixed
+submission order.  Both backends release the GIL for most of a batch
+(numpy inside its large-array calls, numba in its ``nogil`` kernels),
+so threads scale on either.  Batch boundaries never depend on the
+worker count, so serial and parallel runs add the same partial vectors
+in the same order — bit-identical on any single backend.
 
 For weighted graphs (positive lengths), :func:`weighted_dependencies`
 runs an array-heap Dijkstra over the CSR slices — a binary heap of
@@ -48,14 +48,15 @@ cross-check oracle.
 from __future__ import annotations
 
 import heapq
+import math
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.obs import recorder as _obs
-from repro.core.backends import Backend, RoundExecutor
-from repro.core.backends.executor import _WORKER_STATE
+from repro.core.backends import Backend, resolve_workers
 from repro.core.kernels import scatter_add, take_ranges
 from repro.solvers.arcstore import resolve_solver_backend, unique_int
 
@@ -141,25 +142,6 @@ def _batch_size(n: int, m: int, n_sources: int) -> int:
     return max(1, min(lanes, 256))
 
 
-def _worker_brandes_batch(job: tuple) -> np.ndarray:
-    """Process-pool body: one source batch against the attached CSR.
-
-    The adjacency arrays come from the executor's shared-memory mirror
-    (``_WORKER_STATE``); only the batch's sources/weights and the
-    backend spec cross the pickle boundary.
-    """
-    from repro.core.backends import resolve_backend
-
-    sources, weights, backend_spec, n = job
-    return resolve_backend(backend_spec).solve_brandes_batch(
-        _WORKER_STATE["brandes_indptr"],
-        _WORKER_STATE["brandes_indices"],
-        sources,
-        weights,
-        n,
-    )
-
-
 def weighted_dependencies(
     indptr: List[int],
     indices: List[int],
@@ -218,23 +200,24 @@ def betweenness_centrality_csr(
     weighted: bool = False,
     backend: "str | Backend | None" = None,
     workers: int | None = None,
-    parallel_mode: str | None = None,
 ) -> np.ndarray:
     """Betweenness of every node from a CSR adjacency.
 
     Unnormalized scores follow networkx (undirected graphs report each
-    unordered pair once); ``sources``/``source_weights`` restrict and weight the per-source
-    passes; ``weighted=True`` treats arc weights as positive lengths.
+    unordered pair once); ``sources``/``source_weights`` restrict and
+    weight the per-source passes; ``weighted=True`` treats arc weights
+    as positive lengths.  Every source must be a node index in
+    ``[0, n)`` and every source weight finite, else :class:`ValueError`
+    names the first bad value.  Negative weights are legal: a signed
+    combination of dependency vectors is well defined.
 
     The unweighted path batches sources through the backend's
     ``solve_brandes_batch`` kernel and, with ``workers > 1`` (or
-    ``REPRO_WORKERS``), fans the batches across a
-    :class:`~repro.core.backends.RoundExecutor` — sources are
-    independent, and the partial vectors are reduced in submission
-    order, so batch boundaries (and therefore results on a given
-    backend) do not depend on the worker count.  ``parallel_mode``
-    picks ``"serial"``/``"threads"``/``"processes"`` explicitly;
-    ``None`` auto-selects from the backend's ``parallel_kernels`` flag.
+    ``REPRO_WORKERS``), maps the batches over a
+    :class:`~concurrent.futures.ThreadPoolExecutor`.  Sources are
+    independent, batch boundaries do not depend on the worker count,
+    and the partial vectors are added in submission order, so results
+    on a given backend are bit-identical to a serial run.
     """
     n = matrix.shape[0]
     indptr = matrix.indptr.astype(np.int64)
@@ -245,6 +228,9 @@ def betweenness_centrality_csr(
         source_list = list(range(n))
     else:
         source_list = [int(s) for s in sources]
+        bad = next((s for s in source_list if not 0 <= s < n), None)
+        if bad is not None:
+            raise ValueError(f"source {bad} is not a node index in [0, {n})")
     if source_weights is None:
         weight_list = [1.0] * len(source_list)
     else:
@@ -253,6 +239,9 @@ def betweenness_centrality_csr(
             raise ValueError(
                 f"{len(source_list)} sources but {len(weight_list)} weights"
             )
+        bad = next((w for w in weight_list if not math.isfinite(w)), None)
+        if bad is not None:
+            raise ValueError(f"source weight {bad} is not finite")
 
     centrality = np.zeros(n)
     n_batches = 0
@@ -281,31 +270,18 @@ def betweenness_centrality_csr(
                 indptr, indices, batch[0], batch[1], n
             )
 
-        executor = RoundExecutor.resolve(
-            workers, parallel_mode, active.parallel_kernels
-        )
-        if executor.mode == "serial" or n_batches == 1:
+        workers = min(resolve_workers(workers), n_batches)
+        if workers == 1:
             for batch in batches:
                 centrality += compute_batch(batch)
         else:
-            try:
-                if executor.mode == "processes":
-                    executor.attach_arrays(
-                        {"brandes_indptr": indptr,
-                         "brandes_indices": indices}
-                    )
-                spec = active.name
-                jobs = [
-                    (batch[0], batch[1], spec, n) for batch in batches
-                ]
-                # Submission-order reduce: same partial vectors, same
-                # addition order as the serial loop above.
-                for partial in executor.run_jobs(
-                    _worker_brandes_batch, jobs, compute_batch
-                ):
+            with ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="repro-brandes"
+            ) as pool:
+                # map() yields in submission order: the serial loop's
+                # partial vectors, added in the serial loop's order.
+                for partial in pool.map(compute_batch, batches):
                     centrality += partial
-            finally:
-                executor.release()
 
     recorder = _obs._active
     recorder.count("solvers.brandes.sources", len(source_list))

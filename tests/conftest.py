@@ -55,3 +55,14 @@ def random_adjacency(
         else np.ones((n, n))
     )
     return sp.csr_matrix(np.where(mask, weights, 0.0))
+
+
+def is_file_backed(array: np.ndarray) -> bool:
+    """True when ``array`` is a view onto a file-backed ``np.memmap``:
+    walks the ``.base`` chain to a memmap that names its file."""
+    base = array
+    while base is not None:
+        if isinstance(base, np.memmap) and base.filename is not None:
+            return True
+        base = getattr(base, "base", None)
+    return False

@@ -1,11 +1,11 @@
-"""Backend dispatch, parity, and parallel-round determinism tests.
+"""Backend dispatch and parity tests.
 
 The parity sweep is the contract that makes ``--backend`` safe to flip:
 every registered backend must produce **bit-identical** results to the
 numpy reference, kernel by kernel and coloring by coloring.  The
 optional numba backend skips cleanly where the package is absent — the
-dependency-free CI matrix runs only the numpy/resolution/determinism
-parts, the py3.12+numba job runs the full sweep.
+dependency-free CI matrix runs only the numpy/resolution parts, the
+py3.12+numba job runs the full sweep.
 """
 
 import os
@@ -17,7 +17,6 @@ import scipy.sparse as sp
 from repro.core.backends import (
     KERNEL_NAMES,
     Backend,
-    RoundExecutor,
     available_backends,
     default_backend,
     resolve_backend,
@@ -114,6 +113,10 @@ class TestResolution:
         assert resolve_workers(None) == 3
         with pytest.raises(ValueError):
             resolve_workers(0)
+        for value in ("two", "0"):
+            monkeypatch.setenv("REPRO_WORKERS", value)
+            with pytest.raises(ValueError, match=f"REPRO_WORKERS.*'{value}'"):
+                resolve_workers(None)
 
 
 # ----------------------------------------------------------------------
@@ -259,8 +262,7 @@ class TestColoringParity:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("strategy", ["greedy", "batched"])
-    def test_trajectory_bit_identical(self, name, case, strategy):
+    def test_trajectory_bit_identical(self, name, case):
         backend = optional_backend(name)
         options = dict(self.CASES[case])
         matrix = _random_csr(150, 0.08, 11)
@@ -270,10 +272,7 @@ class TestColoringParity:
                 generator.integers(0, 2, size=150)
             )
         engines = [
-            Rothko(
-                matrix, strategy=strategy, batch_size=4,
-                backend=spec, **options,
-            )
+            Rothko(matrix, backend=spec, **options)
             for spec in ("numpy", backend)
         ]
         runs = [
@@ -299,84 +298,6 @@ class TestColoringParity:
             accelerated.coloring.labels, reference.coloring.labels
         )
         assert accelerated.max_q_err == reference.max_q_err
-
-
-# ----------------------------------------------------------------------
-# parallel batched rounds: bit-for-bit equal to sequential
-# ----------------------------------------------------------------------
-class TestParallelDeterminism:
-    @pytest.mark.parametrize("mode", ["threads", "processes"])
-    def test_parallel_round_matches_serial(self, mode):
-        matrix = _random_csr(400, 0.03, 17)
-        serial = Rothko(matrix, strategy="batched", batch_size=6)
-        parallel = Rothko(
-            matrix, strategy="batched", batch_size=6,
-            workers=2, parallel_mode=mode,
-        )
-        serial_result = serial.run(max_colors=32)
-        parallel_result = parallel.run(max_colors=32)
-        np.testing.assert_array_equal(
-            serial_result.coloring.labels, parallel_result.coloring.labels
-        )
-        assert serial_result.max_q_err == parallel_result.max_q_err
-        assert serial_result.n_iterations == parallel_result.n_iterations
-
-    def test_parallel_round_relative_mode(self):
-        matrix = _random_csr(300, 0.04, 23)
-        serial = Rothko(matrix, strategy="batched", error_mode="relative")
-        parallel = Rothko(
-            matrix, strategy="batched", error_mode="relative",
-            workers=2, parallel_mode="processes",
-        )
-        np.testing.assert_array_equal(
-            serial.run(max_colors=24).coloring.labels,
-            parallel.run(max_colors=24).coloring.labels,
-        )
-
-    def test_invariants_hold_after_parallel_rounds(self):
-        matrix = _random_csr(200, 0.05, 29)
-        engine = Rothko(
-            matrix, strategy="batched", batch_size=4,
-            workers=2, parallel_mode="threads",
-        )
-        for _ in engine.steps(max_colors=20):
-            pass
-        engine.verify_state()
-
-    def test_executor_released_after_run(self):
-        matrix = _random_csr(120, 0.05, 31)
-        engine = Rothko(
-            matrix, strategy="batched", workers=2,
-            parallel_mode="processes",
-        )
-        engine.run(max_colors=10)
-        assert engine._executor is None  # release() ran in the finally
-        # a follow-up run recreates the pool transparently
-        engine.run(max_colors=14)
-        assert engine.k == 14
-
-    def test_workers_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        matrix = _random_csr(150, 0.05, 37)
-        engine = Rothko(matrix, strategy="batched")
-        assert engine._workers == 2
-        reference = Rothko(matrix, strategy="batched", workers=1)
-        np.testing.assert_array_equal(
-            engine.run(max_colors=12).coloring.labels,
-            reference.run(max_colors=12).coloring.labels,
-        )
-
-    def test_round_executor_modes(self):
-        serial = RoundExecutor("threads", 1)
-        assert serial.mode == "serial"  # one worker degrades to serial
-        with pytest.raises(ValueError):
-            RoundExecutor("fibers", 2)
-        executor = RoundExecutor.resolve(2, None, parallel_kernels=True)
-        assert executor.mode == "threads"
-        executor.release()
-        executor = RoundExecutor.resolve(2, None, parallel_kernels=False)
-        assert executor.mode == "processes"
-        executor.release()
 
 
 # ----------------------------------------------------------------------

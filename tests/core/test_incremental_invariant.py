@@ -301,13 +301,17 @@ class TestChunkedRefreshPaths:
         assert reached["multi_chunk"]
 
     @pytest.mark.parametrize("seed", range(2))
-    def test_batched_chunked(self, monkeypatch, seed):
-        """Batched rounds refresh all their dirty colors through the same
-        chunked refresh."""
+    def test_initial_many_colors_chunked(self, monkeypatch, seed):
+        """The initial build is the one refresh of more than two colors:
+        every color of a many-color ``initial`` partition goes through
+        the chunked refresh, two per pass (an odd count leaves a
+        one-color pass)."""
         reached = self._shrink(monkeypatch)
         adjacency = _random_weighted(50, 0.25, seed + 13)
-        engine = Rothko(adjacency, strategy="batched", batch_size=4)
-        for _ in engine.steps(max_colors=14):
-            engine.verify_state()
-            _assert_matches_scratch(engine, adjacency)
+        labels = np.random.default_rng(seed).integers(0, 9, size=50)
+        engine = Rothko(adjacency, initial=Coloring(labels))
+        assert engine.k == 9
         assert reached["multi_chunk"]
+        engine.verify_state()
+        _assert_matches_scratch(engine, adjacency)
+        _drive_and_check(engine, adjacency, max_colors=20)

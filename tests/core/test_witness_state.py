@@ -8,10 +8,9 @@ maxima in ``O(k)``.  Two guards pin that down:
   and negative weights, duplicate arcs, isolated nodes), where after
   every split ``_find_witness()`` must equal the ``O(k^2)`` full scan
   ``_scan_witness()`` and ``verify_state`` must hold — under absolute
-  and relative error, witness exponents, frozen colors, and both the
-  greedy and the batched strategy.  The edge budget is shrunk to one
-  arc, so splits gather their arcs in several chunks and rescan rows
-  in small blocks.  CI reruns it
+  and relative error, witness exponents and frozen colors.  The edge
+  budget is shrunk to one arc, so splits gather their arcs in several
+  chunks and rescan rows in small blocks.  CI reruns it
   with the longer ``ci`` hypothesis profile
   (``--hypothesis-profile=ci``);
 * a recorded split sequence: the witness tuples of the first 300
@@ -97,25 +96,22 @@ class TestWitnessMatchesFullScan:
         initial = Coloring(np.array(initial_labels[:n]))
         for mode in ("absolute", "relative"):
             graph = adjacency if mode == "absolute" else abs(adjacency)
-            for strategy in ("greedy", "batched"):
-                engine = Rothko(
-                    graph,
-                    initial=initial,
-                    frozen=(0,) if frozen else (),
-                    alpha=alpha,
-                    beta=beta,
-                    error_mode=mode,
-                    strategy=strategy,
-                    batch_size=3,
-                )
+            engine = Rothko(
+                graph,
+                initial=initial,
+                frozen=(0,) if frozen else (),
+                alpha=alpha,
+                beta=beta,
+                error_mode=mode,
+            )
+            assert _same_witness(
+                engine._find_witness(), engine._scan_witness()
+            )
+            for _ in engine.steps(max_colors=n):
                 assert _same_witness(
                     engine._find_witness(), engine._scan_witness()
                 )
-                for _ in engine.steps(max_colors=n):
-                    assert _same_witness(
-                        engine._find_witness(), engine._scan_witness()
-                    )
-                    engine.verify_state()
+                engine.verify_state()
 
 
 def _coloring_spec(dataset: str, task: str, scale: float):

@@ -15,9 +15,8 @@ from repro.graphs.edgestore import (
     ingest_arrays,
     ingest_edgelist,
     ingest_uniform_random,
-    memmap_descriptor,
-    open_descriptor,
 )
+from tests.conftest import is_file_backed
 
 
 def _random_arcs(n, m, seed=0, integer_weights=True):
@@ -54,21 +53,6 @@ class TestNpyAppender:
         mapped = np.load(path, mmap_mode="r")
         assert isinstance(mapped, np.memmap)
         assert np.array_equal(mapped, np.arange(1000))
-
-
-class TestMemmapDescriptor:
-    def test_round_trip_including_slices(self, tmp_path):
-        path = tmp_path / "values.npy"
-        np.save(path, np.arange(100, dtype=np.int64))
-        mapped = np.load(path, mmap_mode="r")
-        for view in (mapped, mapped[10:50]):
-            spec = memmap_descriptor(view)
-            assert spec is not None
-            reopened = open_descriptor(spec)
-            assert np.array_equal(reopened, view)
-
-    def test_resident_array_has_no_descriptor(self):
-        assert memmap_descriptor(np.arange(10)) is None
 
 
 class TestWriterDedup:
@@ -210,7 +194,7 @@ class TestEdgeStoreOpen:
         csc = store.csc_matrix(mmap=True)
         for array in (csr.indptr, csr.indices, csr.data,
                       csc.indptr, csc.indices, csc.data):
-            assert memmap_descriptor(array) is not None
+            assert is_file_backed(array)
         assert isinstance(csr, sp.csr_matrix)
         assert isinstance(csc, sp.csc_matrix)
 
@@ -309,8 +293,8 @@ class TestFromEdgestore:
         src, dst, weight = _random_arcs(20, 100, seed=6)
         ingest_arrays(tmp_path / "store", src, dst, weight, n_nodes=20)
         graph = WeightedDiGraph.from_edgestore(tmp_path / "store")
-        assert memmap_descriptor(graph.to_csr().data) is not None
-        assert memmap_descriptor(graph.to_csc().data) is not None
+        assert is_file_backed(graph.to_csr().data)
+        assert is_file_backed(graph.to_csc().data)
 
     def test_graph_operations_work(self, tmp_path):
         src = np.array([0, 0, 1])

@@ -71,17 +71,6 @@ class TestRothkoInstrumentation:
         assert counters["rothko.witness_s"] > 0
         assert spans >= inside >= 0.95 * spans
 
-    def test_batched_strategy_counts_rounds(self):
-        with recording() as rec:
-            q_color(
-                karate_club(), n_colors=10, strategy="batched", batch_size=4
-            )
-        counters = rec.snapshot()["counters"]
-        assert counters["rothko.rounds"] >= 1
-        assert counters["rothko.splits"] == 9
-        rounds = [r for r in rec.spans if r.name == "rothko.round"]
-        assert sum(r.attrs["splits"] for r in rounds) == 9
-
 
 class TestSolverInstrumentation:
     def test_arcstore_engines_report_work(self):

@@ -33,7 +33,7 @@ class TestFaultRule:
     def test_site_patterns_use_fnmatch(self):
         rule = FaultRule("edgestore.*")
         assert rule.matches("edgestore.merge.chunk", {})
-        assert not rule.matches("executor.task", {})
+        assert not rule.matches("cli.main", {})
 
     def test_context_match_filters(self):
         rule = FaultRule("site", match={"run": 2})
@@ -121,7 +121,7 @@ class TestFaultPlan:
 class TestFromSpec:
     def test_single_and_compound_specs(self):
         plan = FaultPlan.from_spec(
-            "edgestore.merge.chunk@2=kill; executor.task"
+            "edgestore.merge.chunk@2=kill; edgestore.commit"
         )
         assert len(plan.rules) == 2
         kill, default = plan.rules

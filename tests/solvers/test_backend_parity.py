@@ -4,11 +4,13 @@ The contract that makes ``--backend``/``--workers`` safe to flip on the
 exact tier: every solver kernel backend must reproduce the numpy/serial
 reference within 1e-9 — flow values for all three max-flow algorithms,
 the (unique, Dinic-determined) min-cut source side and crossing arcs,
-and betweenness vectors across every worker fan-out mode.  Optional
-backends skip cleanly where the package is absent, so the
-dependency-free CI matrix runs the numpy × serial/threads/processes
-cells and the py3.12+numba job runs the full sweep.
+and betweenness vectors serial and over threads.  Optional backends
+skip cleanly where the package is absent, so the dependency-free CI
+matrix runs the numpy × serial/threads cells and the py3.12+numba job
+runs the full sweep.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -19,10 +21,13 @@ from repro.core.backends import numba_backend
 from repro.flow.mincut import min_cut
 from repro.flow.network import FlowNetwork, max_flow, validate_flow
 from repro.graphs.digraph import WeightedDiGraph
+from repro.graphs.edgestore import ingest_arrays
+from repro.obs import recording
+from tests.conftest import is_file_backed
 
 ALGORITHMS = ("edmonds_karp", "dinic", "push_relabel")
 BACKENDS = ("numpy", "numba")
-MODES = ("serial", "threads", "processes")
+MODES = ("serial", "threads")
 
 
 def solver_backend(name):
@@ -107,7 +112,6 @@ class TestBetweennessParity:
             graph,
             backend=solver_backend(backend),
             workers=1 if mode == "serial" else 3,
-            parallel_mode=None if mode == "serial" else mode,
         )
         assert np.allclose(scores, reference, atol=1e-9)
 
@@ -121,9 +125,38 @@ class TestBetweennessParity:
             graph,
             backend="numpy",
             workers=1 if mode == "serial" else 4,
-            parallel_mode=None if mode == "serial" else mode,
         )
         assert np.array_equal(serial, parallel)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_memmapped_store_threads_bit_identical(self, backend, tmp_path):
+        """A graph memmapped from an edge store, its source batches
+        fanned over three threads that switch every microsecond:
+        bit-identical to one worker."""
+        spec = solver_backend(backend)
+        rng = np.random.default_rng(13)
+        n, m = 60, 360
+        store = ingest_arrays(
+            tmp_path / "store",
+            rng.integers(0, n, size=m),
+            rng.integers(0, n, size=m),
+            rng.integers(1, 5, size=m).astype(np.float64),
+            n_nodes=n,
+        )
+        graph = WeightedDiGraph.from_edgestore(store, mmap=True)
+        assert is_file_backed(graph.to_csr().indices)
+        serial = betweenness_centrality(graph, backend=spec, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with recording() as rec:
+                threaded = betweenness_centrality(
+                    graph, backend=spec, workers=3
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert rec.snapshot()["counters"]["solvers.brandes.batches"] > 3
+        assert np.array_equal(serial, threaded)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_restricted_sources_match_reference(self, backend):

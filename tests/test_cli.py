@@ -449,6 +449,36 @@ class TestCleanCliErrors:
         assert line.startswith(f"repro color: {edges}:2: weight")
         assert reason in line
 
+    def test_zero_workers_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "--task", "centrality", "--dataset", "karate",
+                  "--colors", "4", "--workers", "0"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [row for row in err.splitlines() if "error:" in row]
+        assert "argument --workers: must be a positive integer, got '0'" \
+            in line
+
+    @pytest.mark.parametrize(
+        "task, dataset, value",
+        [("centrality", "karate", "two"), ("maxflow", "tsukuba0", "0")],
+    )
+    def test_bad_repro_workers_is_one_line(
+        self, capsys, monkeypatch, task, dataset, value
+    ):
+        monkeypatch.setenv("REPRO_WORKERS", value)
+        assert main(
+            ["solve", "--task", task, "--dataset", dataset,
+             "--scale", "0.002", "--colors", "4"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"repro solve: REPRO_WORKERS must be a positive integer, "
+            f"got '{value}'"
+        ]
+
     def test_ingest_resume_without_journal(self, tmp_path):
         with pytest.raises(SystemExit, match="nothing to resume"):
             main(
