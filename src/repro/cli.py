@@ -234,9 +234,27 @@ def _chunk(items, size):
         yield items[start : start + size]
 
 
+def _dynamic_coloring(args: argparse.Namespace, graph):
+    """The update/stream engine, or ``None`` once a bad tolerance or
+    drift budget has been reported as one line."""
+    from repro.dynamic import DynamicColoring
+
+    try:
+        return DynamicColoring(
+            graph,
+            q_tolerance=args.q,
+            drift_budget=args.drift_budget,
+            split_mean=args.split_mean,
+            backend=_apply_backend(args),
+        )
+    except ValueError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_update(args: argparse.Namespace) -> int:
     from repro.datasets.churn import churn_scenario
-    from repro.dynamic import DynamicColoring, read_updates
+    from repro.dynamic import read_updates
 
     from repro.exceptions import GraphError
 
@@ -250,13 +268,9 @@ def _cmd_update(args: argparse.Namespace) -> int:
         updates = churn_scenario(
             args.scenario, graph, args.n_updates, seed=args.seed
         )
-    dynamic = DynamicColoring(
-        graph,
-        q_tolerance=args.q,
-        drift_budget=args.drift_budget,
-        split_mean=args.split_mean,
-        backend=_apply_backend(args),
-    )
+    dynamic = _dynamic_coloring(args, graph)
+    if dynamic is None:
+        return 2
     rows = [
         _apply_batch_row(dynamic, index, batch)
         for index, batch in enumerate(_chunk(updates, args.batch))
@@ -274,17 +288,13 @@ def _cmd_update(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    from repro.dynamic import DynamicColoring, parse_update
+    from repro.dynamic import parse_update
     from repro.exceptions import GraphError
 
     graph = _load_update_graph(args)
-    dynamic = DynamicColoring(
-        graph,
-        q_tolerance=args.q,
-        drift_budget=args.drift_budget,
-        split_mean=args.split_mean,
-        backend=_apply_backend(args),
-    )
+    dynamic = _dynamic_coloring(args, graph)
+    if dynamic is None:
+        return 2
 
     def flush_batch(batch_index: int, batch: list) -> None:
         row = _apply_batch_row(dynamic, batch_index, batch)
@@ -684,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="arithmetic")
         cmd.add_argument("--drift-budget", type=float, default=0.25,
                          help="fallback-to-rebuild budget (fraction)")
-        cmd.add_argument("--batch", type=int, default=10,
+        cmd.add_argument("--batch", type=_positive_int, default=10,
                          help="updates per repair batch")
         cmd.add_argument("--trace", default=None,
                          help="update trace file ('+/-/~ u v [w]' lines)")

@@ -21,7 +21,13 @@ scratch:
 4. **Coarsen** — deletions can make colors mergeable again; repair ends
    with a bounded pass that merges color pairs whose join keeps every
    affected block within tolerance (the lattice direction Rothko never
-   takes).
+   takes).  The pass reduces both degree matrices once, in member
+   order, to ``k x k`` upper/lower block bounds.  Toward every color
+   ``c`` other than ``a`` and ``b`` the joined class's spread is exactly
+   ``max(U[a, c], U[b, c]) - min(L[a, c], L[b, c])``, so one array
+   operation screens all of a candidate's partners in ``O(k)`` each;
+   only survivors pay an ``O(n)`` pass over the merged column.  The
+   bounds are rebuilt only after a merge.
 5. **Rebuild** — when accumulated churn or color drift exceeds a
    configurable budget, fall back to a full Rothko recoloring and adopt
    its state wholesale; local repair resumes from there.
@@ -34,16 +40,18 @@ until the next :meth:`repair`, :meth:`apply`, or :meth:`snapshot`.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.kernels import (
     color_degree_matrices,
-    grouped_minmax_by_labels,
+    grouped_minmax_ordered,
+    members_order,
     relative_spread,
     scatter_add,
 )
@@ -75,6 +83,9 @@ class DynamicStats:
     splits: int = 0
     merges: int = 0
     merge_tests: int = 0
+    #: merge tests that passed the O(k) block-bound screen and ran the
+    #: O(n) merged-column check
+    merge_gathers: int = 0
     rebuilds: int = 0
     columns_refreshed: int = 0
     repair_seconds: float = 0.0
@@ -88,6 +99,8 @@ class DynamicStats:
             "merges": self.merges,
             "rebuilds": self.rebuilds,
             "pairs_checked": self.pairs_checked,
+            "merge_tests": self.merge_tests,
+            "merge_gathers": self.merge_gathers,
             "repair_s": self.repair_seconds,
             "rebuild_s": self.rebuild_seconds,
         }
@@ -100,6 +113,21 @@ class _PinState:
     labels: np.ndarray  # per-node pin group id, -1 = unpinned
     n_groups: int = 0
     anchors: list = field(default_factory=list)  # one member per group
+
+
+class _BlockBounds(NamedTuple):
+    """Member order plus the ``k x k`` block bounds in both directions.
+
+    ``upper[0, a, c]`` / ``lower[0, a, c]`` are the max / min of
+    ``w(x, P_c)`` over ``x`` in ``P_a``; index 1 holds the in-direction
+    ``w(P_c, x)``.  ``order``/``starts`` come from
+    :func:`repro.core.kernels.members_order`.
+    """
+
+    order: np.ndarray
+    starts: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
 
 
 class DynamicColoring:
@@ -131,7 +159,9 @@ class DynamicColoring:
         n_arcs``, or when repair has grown the color count more than
         ``drift_budget`` (relative) above the last rebuild's count.
     merge_attempts:
-        Cap on coarsening tests per repair pass (each is ``O(n + |P| k)``).
+        Cap on coarsening tests per repair pass.  Each test costs ``O(k)``
+        against block bounds built once per pass (``O(n k)``, rebuilt
+        after a merge); a test that passes that screen adds ``O(n)``.
     attach:
         Subscribe to the graph's mutation hooks so direct ``add_edge`` /
         ``remove_edge`` calls are tracked too.  Use :meth:`detach` (or a
@@ -157,10 +187,16 @@ class DynamicColoring:
         attach: bool = True,
         backend: str | None = None,
     ) -> None:
-        if q_tolerance < 0:
+        if not q_tolerance >= 0:  # NaN fails every comparison
             raise ValueError(f"q_tolerance must be non-negative, got {q_tolerance}")
-        if drift_budget <= 0:
-            raise ValueError(f"drift_budget must be positive, got {drift_budget}")
+        if not (drift_budget > 0 and math.isfinite(drift_budget)):
+            raise ValueError(
+                f"drift_budget must be positive and finite, got {drift_budget}"
+            )
+        if merge_attempts < 0:
+            raise ValueError(
+                f"merge_attempts must be non-negative, got {merge_attempts}"
+            )
         if not isinstance(graph, WeightedDiGraph):
             graph = WeightedDiGraph.from_scipy(
                 sp.csr_matrix(graph, dtype=np.float64), directed=True
@@ -379,11 +415,8 @@ class DynamicColoring:
         degree matrices — ``O(n k)``, no graph traversal."""
         if self.k == 0 or self.n == 0:
             return 0.0
-        upper_out, lower_out = self._grouped_minmax(self._d_out[: self.n, : self.k])
-        upper_in, lower_in = self._grouped_minmax(self._d_in[: self.n, : self.k])
-        out_err = self._spread(upper_out, lower_out)
-        in_err = self._spread(upper_in, lower_in)
-        return float(max(out_err.max(initial=0.0), in_err.max(initial=0.0)))
+        bounds = self._block_bounds()
+        return float(self._spread(bounds.upper, bounds.lower).max())
 
     def repair(self) -> DynamicStats:
         """Restore the tolerance invariant after pending mutations."""
@@ -420,11 +453,6 @@ class DynamicColoring:
         return float(
             self._spread(np.array([upper]), np.array([lower]))[0]
         )
-
-    def _grouped_minmax(
-        self, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return grouped_minmax_by_labels(values, self.labels, self.k)
 
     def _local_repair(self) -> bool:
         """Drain the dirty-pair worklist; returns True when the color cap
@@ -554,7 +582,14 @@ class DynamicColoring:
     # coarsening: bounded merge pass over the lattice
     # ------------------------------------------------------------------
     def _coarsen(self) -> None:
-        attempts = 0
+        """Merge candidate colors with the first unpinned partner whose
+        join stays within tolerance, up to ``merge_attempts`` tests.
+
+        The block bounds are built only once a candidate has partners to
+        test, and again only after a merge changes the partition.
+        """
+        attempts = gathers = 0
+        bounds = None
         merged_any = True
         while merged_any and attempts < self.merge_attempts:
             merged_any = False
@@ -562,59 +597,109 @@ class DynamicColoring:
                 if a >= self.k or self._color_pin[a] >= 0:
                     self._merge_candidates.discard(a)
                     continue
-                for b in range(self.k):
-                    if b == a or self._color_pin[b] >= 0:
-                        continue
-                    attempts += 1
-                    self.stats.merge_tests += 1
-                    lo, hi = (a, b) if a < b else (b, a)
-                    if self._merge_error(lo, hi) <= self.q_tolerance + _EPS:
-                        self._merge(lo, hi)
+                partners = np.array(
+                    [
+                        b for b in range(self.k)
+                        if b != a and self._color_pin[b] < 0
+                    ][: self.merge_attempts - attempts],
+                    dtype=np.int64,
+                )
+                if partners.size:
+                    if bounds is None:
+                        bounds = self._block_bounds()
+                    index, gathered = self._first_partner(bounds, a, partners)
+                    gathers += gathered
+                    if index is None:
+                        attempts += partners.size
+                    else:
+                        attempts += index + 1
+                        b = int(partners[index])
+                        self._merge(min(a, b), max(a, b))
                         self.stats.merges += 1
                         _obs._active.count("dynamic.updates.merge")
+                        bounds = None
                         merged_any = True
-                        break
-                    if attempts >= self.merge_attempts:
-                        break
                 if merged_any or attempts >= self.merge_attempts:
                     break
         self._merge_candidates.clear()
+        self.stats.merge_tests += attempts
+        self.stats.merge_gathers += gathers
+        if attempts:
+            _obs._active.count("dynamic.merge_tests", attempts)
+            _obs._active.count("dynamic.merge_gathers", gathers)
 
-    def _merge_error(self, a: int, b: int) -> float:
-        """Max error among the pairs a merge of ``a`` and ``b`` affects.
-
-        All other pairs keep their exact block degrees, so the merged
-        coloring is within tolerance iff this value is.
-        """
+    def _block_bounds(self) -> _BlockBounds:
+        """Reduce both degree matrices per color in member order —
+        ``O(n k)``, no argsort."""
         n, k = self.n, self.k
-        rows = np.concatenate([self._members[a], self._members[b]])
-        merged_out = self._d_out[:n, a] + self._d_out[:n, b]
-        merged_in = self._d_in[:n, a] + self._d_in[:n, b]
-
-        # Row blocks: the merged class against every color (merged column
-        # substituted in place of a, column b dropped).
-        out_block = self._d_out[rows][:, :k]
-        in_block = self._d_in[rows][:, :k]
-        out_block[:, a] = merged_out[rows]
-        in_block[:, a] = merged_in[rows]
-        keep = np.arange(k) != b
-        out_block = out_block[:, keep]
-        in_block = in_block[:, keep]
-        row_err = max(
-            float(self._spread(out_block.max(axis=0), out_block.min(axis=0)).max()),
-            float(self._spread(in_block.max(axis=0), in_block.min(axis=0)).max()),
+        order, starts = members_order(self._members)
+        upper_out, lower_out = grouped_minmax_ordered(
+            self._d_out[:n, :k].T, order, starts
+        )
+        upper_in, lower_in = grouped_minmax_ordered(
+            self._d_in[:n, :k].T, order, starts
+        )
+        return _BlockBounds(
+            order,
+            starts,
+            np.stack([upper_out.T, upper_in.T]),
+            np.stack([lower_out.T, lower_in.T]),
         )
 
-        # Column direction: every class's spread over the merged column.
-        # (Classes a and b appear as subsets of the merged class here;
-        # their spread is dominated by the row-block check above.)
-        upper_out, lower_out = self._grouped_minmax(merged_out)
-        upper_in, lower_in = self._grouped_minmax(merged_in)
-        col_err = max(
-            float(self._spread(upper_out, lower_out).max()),
-            float(self._spread(upper_in, lower_in).max()),
+    def _first_partner(
+        self, bounds: _BlockBounds, a: int, partners: np.ndarray
+    ) -> tuple[int | None, int]:
+        """Index of the first partner whose join with ``a`` stays within
+        tolerance (``None`` when none does), and how many partners passed
+        the block-bound screen into the ``O(n)`` check."""
+        tolerance = self.q_tolerance + _EPS
+        screened = self._merge_screen(bounds, a, partners) <= tolerance
+        gathers = 0
+        for index in np.flatnonzero(screened).tolist():
+            gathers += 1
+            if self._merge_error(bounds, a, int(partners[index])) <= tolerance:
+                return index, gathers
+        return None, gathers
+
+    def _merge_screen(
+        self, bounds: _BlockBounds, a: int, partners: np.ndarray
+    ) -> np.ndarray:
+        """Each partner ``b``'s exact merged spread toward every color
+        other than ``a`` and ``b``, in both directions — ``O(k)`` each.
+
+        A merge leaves those colors' columns alone, so the joined class's
+        block toward ``c`` spans ``[min(L[a, c], L[b, c]), max(U[a, c],
+        U[b, c])]``.  Spreads are never negative, so zeroing the ``a``
+        and ``b`` columns drops them from the max.
+        """
+        upper = np.maximum(bounds.upper[:, partners], bounds.upper[:, a, None])
+        lower = np.minimum(bounds.lower[:, partners], bounds.lower[:, a, None])
+        spread = self._spread(upper, lower)
+        spread[:, :, a] = 0.0
+        spread[:, np.arange(partners.size), partners] = 0.0
+        return spread.max(axis=(0, 2))
+
+    def _merge_error(self, bounds: _BlockBounds, a: int, b: int) -> float:
+        """Max error in the merged column's direction, both ways: every
+        class's spread of ``w(x, P_a + P_b)`` (and of ``w(P_a + P_b, x)``)
+        plus the joined class's own — ``O(n)`` over the cached order.
+
+        Classes ``a`` and ``b`` alone are subsets of the joined class, so
+        their spreads never exceed its own.  With :meth:`_merge_screen`
+        this covers every pair a merge affects; all other pairs keep
+        their exact block degrees, so the merged coloring is within
+        tolerance iff both values are.
+        """
+        n = self.n
+        merged = np.empty((2, n), dtype=np.float64)
+        np.add(self._d_out[:n, a], self._d_out[:n, b], out=merged[0])
+        np.add(self._d_in[:n, a], self._d_in[:n, b], out=merged[1])
+        upper, lower = grouped_minmax_ordered(merged, bounds.order, bounds.starts)
+        joined = self._spread(
+            np.maximum(upper[:, a], upper[:, b]),
+            np.minimum(lower[:, a], lower[:, b]),
         )
-        return max(row_err, col_err)
+        return float(max(self._spread(upper, lower).max(), joined.max()))
 
     def _merge(self, a: int, b: int) -> None:
         """Merge color ``b`` into ``a`` (the lattice join of the pairing)."""

@@ -98,6 +98,8 @@ class WeightedDiGraph:
         #: query materializes the dicts from the CSR/CSC snapshots.
         self._succ: list[dict[int, float]] | None = []
         self._pred: list[dict[int, float]] | None = []
+        #: stored arcs in ``_succ``, kept by every dict mutation
+        self._arc_count = 0
         self._csr: sp.csr_matrix | None = None
         self._csc: sp.csc_matrix | None = None
         self._listeners: list[Any] = []
@@ -127,6 +129,7 @@ class WeightedDiGraph:
             ))
             for a, b in zip(csc.indptr[:-1], csc.indptr[1:])
         ]
+        self._arc_count = sum(len(adj) for adj in self._succ)
 
     # ------------------------------------------------------------------
     # mutation hooks
@@ -173,8 +176,9 @@ class WeightedDiGraph:
         self._ensure_adjacency()
         if label is None:
             label = self._n
-        if label in self._index:
-            return self._index[label]
+        index = self._index.get(label)
+        if index is not None:
+            return index
         index = self._n
         self._labels.append(label)
         self._index[label] = index
@@ -202,17 +206,21 @@ class WeightedDiGraph:
             return
         ui = self.add_node(u)
         vi = self.add_node(v)
-        old = self._succ[ui].get(vi, 0.0)
-        self._succ[ui][vi] = float(weight)
-        self._pred[vi][ui] = float(weight)
+        weight = float(weight)
+        succ = self._succ[ui]
+        old = succ.get(vi, 0.0)
+        if old == 0.0:  # stored weights are never zero: a new arc
+            self._arc_count += 1 if self.directed or ui == vi else 2
+        succ[vi] = weight
+        self._pred[vi][ui] = weight
         if not self.directed and ui != vi:
-            self._succ[vi][ui] = float(weight)
-            self._pred[ui][vi] = float(weight)
+            self._succ[vi][ui] = weight
+            self._pred[ui][vi] = weight
         self._invalidate()
         if self._listeners:
-            self._notify_arc(ui, vi, old, float(weight))
+            self._notify_arc(ui, vi, old, weight)
             if not self.directed and ui != vi:
-                self._notify_arc(vi, ui, old, float(weight))
+                self._notify_arc(vi, ui, old, weight)
 
     def add_weighted_edges(self, edges: Iterable[EdgeTriple]) -> None:
         for u, v, w in edges:
@@ -239,6 +247,7 @@ class WeightedDiGraph:
         old = self._succ[ui][vi]
         del self._succ[ui][vi]
         del self._pred[vi][ui]
+        self._arc_count -= 1 if self.directed or ui == vi else 2
         if not self.directed and ui != vi:
             del self._succ[vi][ui]
             del self._pred[ui][vi]
@@ -264,7 +273,7 @@ class WeightedDiGraph:
                 return int(csr.nnz)
             loops = int(np.count_nonzero(csr.diagonal()))
             return (int(csr.nnz) - loops) // 2 + loops
-        arcs = sum(len(adj) for adj in self._succ)
+        arcs = self._arc_count
         if self.directed:
             return arcs
         loops = sum(1 for i, adj in enumerate(self._succ) if i in adj)
@@ -272,10 +281,11 @@ class WeightedDiGraph:
 
     @property
     def n_arcs(self) -> int:
-        """Number of stored directed arcs, regardless of directedness."""
+        """Number of stored directed arcs, regardless of directedness:
+        ``O(1)``, a count every mutation keeps."""
         if self._succ is None:
             return int(self.to_csr().nnz)
-        return sum(len(adj) for adj in self._succ)
+        return self._arc_count
 
     def labels(self) -> list[Hashable]:
         """Return node labels ordered by internal index."""
@@ -658,6 +668,7 @@ class WeightedDiGraph:
             clone.add_node(label)
         clone._succ = [dict(adj) for adj in self._succ]
         clone._pred = [dict(adj) for adj in self._pred]
+        clone._arc_count = self._arc_count
         return clone
 
     def reverse(self) -> "WeightedDiGraph":

@@ -70,6 +70,15 @@ class TestSeeding:
             DynamicColoring(karate, q_tolerance=1.0, drift_budget=0.0)
         with pytest.raises(ColoringError):
             DynamicColoring(karate, q_tolerance=1.0, frozen=(0,))
+        # NaN fails every tolerance comparison, so it would silently turn
+        # repair off; an infinite budget would never trigger a rebuild.
+        with pytest.raises(ValueError, match="q_tolerance .* got nan"):
+            DynamicColoring(karate, q_tolerance=float("nan"))
+        for budget in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"drift_budget .* got {budget}"):
+                DynamicColoring(karate, q_tolerance=1.0, drift_budget=budget)
+        with pytest.raises(ValueError, match="merge_attempts .* got -1"):
+            DynamicColoring(karate, q_tolerance=1.0, merge_attempts=-1)
 
 
 class TestInvariantUnderChurn:

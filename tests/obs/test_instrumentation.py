@@ -169,6 +169,27 @@ class TestDynamicInstrumentation:
         # The batch must have done *something* for this test to bite.
         assert stats.splits + stats.merges + stats.rebuilds > 0
 
+    def test_merge_counters_follow_the_cost_model(self, karate):
+        """Every merge test costs O(k); only those passing the block-bound
+        screen add the O(n) gather, and the counters say how many."""
+        dynamic = DynamicColoring(karate, q_tolerance=2.0)
+        generator = np.random.default_rng(4)
+        edges = sorted((u, v) for u, v, _ in karate.edges())
+        picks = generator.choice(len(edges), size=30, replace=False)
+        with recording() as rec:
+            for pick in picks:
+                dynamic.apply(EdgeUpdate.delete(*edges[int(pick)]))
+        dynamic.detach()
+        counters = rec.snapshot()["counters"]
+        stats = dynamic.stats
+        assert counters.get("dynamic.merge_tests", 0) == stats.merge_tests
+        assert counters.get("dynamic.merge_gathers", 0) == stats.merge_gathers
+        assert 0 < stats.merge_gathers <= stats.merge_tests
+        row = stats.as_row()
+        assert (row["merge_tests"], row["merge_gathers"]) == (
+            stats.merge_tests, stats.merge_gathers
+        )
+
 
 class TestTracingChangesNothing:
     """NullRecorder vs Recorder: bit-identical outputs either way."""

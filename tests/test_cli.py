@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import io
+
 import pytest
 
 from repro.cli import main
@@ -478,6 +480,37 @@ class TestCleanCliErrors:
             f"repro solve: REPRO_WORKERS must be a positive integer, "
             f"got '{value}'"
         ]
+
+    @pytest.mark.parametrize("command", ["update", "stream"])
+    @pytest.mark.parametrize("batch", ["0", "-1"])
+    def test_nonpositive_batch_is_a_usage_error(self, capsys, command, batch):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--dataset", "karate", "--q", "2",
+                  "--batch", batch])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [row for row in err.splitlines() if "error:" in row]
+        assert f"argument --batch: must be a positive integer, got '{batch}'" \
+            in line
+
+    @pytest.mark.parametrize("command", ["update", "stream"])
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--q", "-1"], "q_tolerance"), (["--q", "nan"], "q_tolerance"),
+         (["--q", "2", "--drift-budget", "0"], "drift_budget"),
+         (["--q", "2", "--drift-budget", "nan"], "drift_budget")],
+    )
+    def test_bad_engine_params_are_one_line(
+        self, capsys, monkeypatch, command, flags, named
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO("+ 1 2 1\n"))
+        assert main([command, "--dataset", "karate", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith(f"repro {command}: {named} must be")
+        assert f"got {float(flags[-1])}" in line
 
     def test_ingest_resume_without_journal(self, tmp_path):
         with pytest.raises(SystemExit, match="nothing to resume"):
