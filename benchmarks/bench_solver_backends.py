@@ -7,7 +7,8 @@ engine under every available backend:
 * exact Dinic max-flow on the ``tsukuba0`` stereo instance — deep BFS
   levels, so the per-frontier work the numba kernels fuse dominates;
 * exact Brandes betweenness on the ``deezer`` social graph — the
-  per-source sequential numba pass vs the numpy flat-lane batches.
+  per-source sequential numba pass vs the numpy lane batches (node-major
+  lock-step BFS, each level a row-block x lanes product or pair by pair).
 
 ``test_dinic_backend`` / ``test_brandes_backend`` record per-backend
 medians in ``benchmarks/results/bench_solver_backends.json`` (via

@@ -7,11 +7,12 @@ per source: BFS for unweighted graphs (``O(nm)`` total) and Dijkstra for
 positively-weighted graphs (``weighted=True``).
 
 :func:`betweenness_centrality` is a thin view over the CSR-native core
-(:mod:`repro.solvers.betweenness`): frontier-batched BFS lanes with
-per-level ``sigma``/dependency scatters, and an array-heap Dijkstra for
-weighted graphs.  Conventions match networkx (the cross-check oracle):
-with ``normalized=False``, undirected graphs report half the
-ordered-pair sum (each unordered pair counted once).
+(:mod:`repro.solvers.betweenness`): batches of BFS lanes in lock-step,
+each level one sparse row-block x lanes product where the lanes share
+its frontier nodes and pair-by-pair scatters where they do not, and an
+array-heap Dijkstra for weighted graphs.  Conventions match networkx
+(the cross-check oracle): with ``normalized=False``, undirected graphs
+report half the ordered-pair sum (each unordered pair counted once).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def betweenness_centrality(
     ``sources``/``source_weights`` restrict and weight the per-source
     passes — the hook used by the pivot approximations.  With the default
     (all sources, unit weights) the result is exact.  ``weighted=True``
-    treats edge weights as positive lengths (Dijkstra variant).
+    treats edge weights as finite positive lengths (Dijkstra variant).
     ``backend=`` selects the solver kernels and ``workers=`` fans the
     source batches out over threads.
     """

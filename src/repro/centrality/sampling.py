@@ -48,7 +48,7 @@ def vertex_diameter_estimate(
     best = 1
     for _ in range(min(samples, n)):
         source = int(rng.integers(0, n))
-        dist, _, _ = bfs_dag(indptr, indices, source, n)
+        dist, _ = bfs_dag(indptr, indices, source, n)
         reached = dist[dist >= 0]
         if reached.size:
             best = max(best, int(reached.max()) + 1)
@@ -99,7 +99,7 @@ def riondato_kornaropoulos_betweenness(
         if s == t:
             continue
         performed += 1
-        dist, sigma, _ = bfs_dag(indptr, indices, s, n)
+        dist, sigma = bfs_dag(indptr, indices, s, n)
         if dist[t] < 0:
             continue  # unreachable pair contributes no path
         # Walk one uniform shortest path backwards from t; a node's

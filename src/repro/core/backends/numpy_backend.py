@@ -48,24 +48,17 @@ def bincount(
 def take_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenated ``arange(start, start + count)`` for each pair.
 
-    The standard cumsum trick: build a vector of ones, overwrite each
-    range's first slot with the jump from the previous range's end, and
-    integrate.  Empty ranges are dropped first so jump targets never
-    collide.
+    One ``arange`` over the total, plus each range's offset (its start
+    minus where it begins in the output) repeated over the range.
+    Empty ranges repeat zero times, so they need no filtering.
     """
     counts = np.asarray(counts, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
-    nonempty = counts > 0
-    starts = starts[nonempty]
-    counts = counts[nonempty]
-    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    result = np.ones(total, dtype=np.int64)
-    ends = np.cumsum(counts)
-    result[0] = starts[0]
-    result[ends[:-1]] = starts[1:] - starts[:-1] - counts[:-1] + 1
-    return np.cumsum(result)
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
 
 
 def scatter_select_sums(

@@ -9,12 +9,13 @@ dependency pass.  They define the semantics every backend must
 reproduce to 1e-9 (the BFS/flow kernels are bit-identical; the Brandes
 batch tolerates re-association of the dependency sums).
 
-The module is deliberately **self-contained** — plain numpy only, no
+The module is deliberately **self-contained** — numpy, plus
+``scipy.sparse`` for the Brandes batch's row-block products, and no
 imports from :mod:`repro.solvers` or :mod:`repro.core.kernels` — so the
 backends package never forms an import cycle through the solver tier
-(``core/kernels.py`` imports this package at module level).  The gather
-helpers below mirror the reference kernels in ``numpy_backend``
-verbatim.
+(``core/kernels.py`` imports this package at module level; scipy
+imports nothing from here).  The gather helpers below mirror the
+reference kernels in ``numpy_backend`` verbatim.
 
 All kernels are **pure** of observability: work counters (phases,
 relabels, pushes, augmentations) are *returned* so the dispatch layer
@@ -26,8 +27,13 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 _EPS = 1e-12
+
+#: a Brandes BFS level runs in dense form when its distinct rows x lanes
+#: x their arcs is at most this many times its (key, arc) pair count
+_DENSE_WASTE = 8
 
 __all__ = [
     "solve_bfs_levels",
@@ -40,19 +46,13 @@ __all__ = [
 
 
 def _take_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(start, start + count)`` (cumsum trick);
-    mirrors ``numpy_backend.take_ranges``."""
-    nonempty = counts > 0
-    starts = starts[nonempty]
-    counts = counts[nonempty]
-    total = int(counts.sum())
+    """Concatenated ``arange(start, start + count)`` (each range's offset
+    repeated onto one ``arange``); mirrors ``numpy_backend.take_ranges``."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    result = np.ones(total, dtype=np.int64)
-    ends = np.cumsum(counts)
-    result[0] = starts[0]
-    result[ends[:-1]] = starts[1:] - starts[:-1] - counts[:-1] + 1
-    return np.cumsum(result)
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
 
 
 def _unique_int(values: np.ndarray) -> np.ndarray:
@@ -397,6 +397,36 @@ def solve_edmonds_karp(
 # ----------------------------------------------------------------------
 # batched Brandes dependencies
 # ----------------------------------------------------------------------
+def _row_block(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    rows: np.ndarray,
+    seen: np.ndarray,
+    slot: np.ndarray,
+) -> Tuple[sp.csr_matrix, np.ndarray]:
+    """The arcs of ``rows`` as a 0/1 ``rows x targets`` CSR block.
+
+    ``targets`` are the distinct heads, ascending; a repeated arc stays
+    a repeated entry, so products count it twice, as the flat form
+    does.  ``seen`` (all False on entry and on exit) and ``slot`` are
+    n-sized work arrays.
+    """
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    row_ptr = np.zeros(rows.size + 1, dtype=slot.dtype)
+    np.cumsum(counts, out=row_ptr[1:])
+    heads = indices[_take_ranges(starts, counts)]
+    seen[heads] = True
+    targets = np.flatnonzero(seen)
+    seen[targets] = False
+    slot[targets] = np.arange(targets.size, dtype=slot.dtype)
+    block = sp.csr_matrix(
+        (np.ones(heads.size), slot[heads], row_ptr),
+        shape=(rows.size, targets.size),
+    )
+    return block, targets
+
+
 def solve_brandes_batch(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -406,45 +436,118 @@ def solve_brandes_batch(
 ) -> np.ndarray:
     """Weighted sum of dependency vectors over a block of BFS sources.
 
-    All lanes run in lock-step: node ``v`` of lane ``b`` is the flat key
-    ``b * n + v``, so one gather/scatter per global depth serves every
-    source in the block.  Compiled backends may instead run the sources
-    sequentially (sigma counts are exact integers in float64, so only
-    the dependency sums re-associate — within 1e-9 of this reference).
+    All lanes run in lock-step over node-major state: node ``v`` of
+    lane ``b`` is the key ``v * lanes + b``, so the lanes of one node
+    are one contiguous row of the ``n x lanes`` dist/sigma/delta
+    arrays.  Each BFS level, and its mirror in the dependency sweep,
+    runs in one of two forms, picked from sizes the level already has:
+
+    * **dense**, when the level's distinct rows x lanes x their arcs is
+      at most ``_DENSE_WASTE`` times its (key, arc) pair count: one
+      gather of the rows' arcs, compacted to the heads they reach, and
+      one sparse x dense product over the ``rows x lanes`` block —
+      ``block.T @ front`` forward, ``block @ coef`` backward (the
+      multi-source BFS of Then et al., VLDB 2015).  The level keeps its
+      frontier keys, their cells in the block and the block itself;
+    * **flat**, otherwise: pair by pair, as one gather/scatter over the
+      level's (key, arc) pairs, keeping its DAG arcs.
+
+    No step of a level scans all ``n x lanes`` cells, and the search
+    stops once every cell is reached.  Compiled backends may instead
+    run the sources sequentially (sigma counts are exact integers in
+    float64, so only the dependency sums re-associate — within 1e-9 of
+    this reference).
     """
     lanes = len(sources)
-    size = lanes * n
+    size = n * lanes
     dist = np.full(size, -1, dtype=np.int32)
     sigma = np.zeros(size)
-    keys = np.arange(lanes, dtype=np.int64) * n + sources
+    dist_rows = dist.reshape(n, lanes)
+    sigma_rows = sigma.reshape(n, lanes)
+    keys = np.asarray(sources, dtype=np.int64) * lanes + np.arange(lanes)
     dist[keys] = 0
     sigma[keys] = 1.0
-    frontier = keys
-    levels: List[Tuple[np.ndarray, np.ndarray]] = []
+    seen = np.zeros(n, dtype=bool)
+    slot = np.empty(
+        n, dtype=np.int32 if max(n, indices.size) < 2**31 else np.int64
+    )
+    frontier = np.sort(keys)
+    reached = lanes
+    levels: List[tuple] = []
     depth = 0
-    while frontier.size:
-        nodes = frontier % n
+    while frontier.size and reached < size:
+        nodes = frontier // lanes
+        lane = frontier - nodes * lanes
         starts = indptr[nodes]
         counts = indptr[nodes + 1] - starts
-        positions = _take_ranges(starts, counts)
-        heads = (
-            np.repeat(frontier - nodes, counts) + indices[positions]
-        )
-        tails = np.repeat(frontier, counts)
-        # Crossing arcs == arcs whose head was undiscovered at gather
-        # time; one gather serves discovery and the sigma scatter alike.
-        crossing = dist[heads] < 0
-        tails, heads = tails[crossing], heads[crossing]
-        if tails.size == 0:
+        pair_arcs = int(counts.sum())
+        if pair_arcs == 0:
             break
-        dist[heads] = depth + 1
-        sigma += np.bincount(heads, weights=sigma[tails], minlength=size)
-        levels.append((tails, heads))
-        frontier = _unique_int(heads)
+        # Keys are sorted node-major, so a node's lanes sit together.
+        new_row = np.empty(nodes.size, dtype=bool)
+        new_row[0] = True
+        np.not_equal(nodes[1:], nodes[:-1], out=new_row[1:])
+        row_arcs = int(np.compress(new_row, counts).sum())
+        if lanes * row_arcs <= _DENSE_WASTE * pair_arcs:
+            rows = np.compress(new_row, nodes)
+            cells = (np.cumsum(new_row) - 1) * lanes + lane
+            front = np.zeros(rows.size * lanes)
+            front[cells] = sigma[frontier]
+            block, targets = _row_block(indptr, indices, rows, seen, slot)
+            paths = block.T @ front.reshape(rows.size, lanes)
+            # Every frontier sigma is positive, so a reached cell has a
+            # positive path sum; it is new if still undiscovered.
+            fresh = paths > 0
+            fresh &= dist_rows[targets] < 0
+            hits = np.flatnonzero(fresh)
+            if hits.size == 0:
+                break
+            hit_rows = hits // lanes
+            new = targets[hit_rows] * lanes + (hits - hit_rows * lanes)
+            dist[new] = depth + 1
+            sigma[new] = paths.ravel()[hits]
+            levels.append((frontier, cells, block, targets))
+            frontier = new
+        else:
+            positions = _take_ranges(starts, counts)
+            heads = indices[positions] * lanes + np.repeat(lane, counts)
+            tails = np.repeat(frontier, counts)
+            # Crossing arcs == arcs whose head was undiscovered at
+            # gather time; one gather serves discovery and the sigma
+            # scatter alike.
+            crossing = dist[heads] < 0
+            tails = np.compress(crossing, tails)
+            heads = np.compress(crossing, heads)
+            if heads.size == 0:
+                break
+            dist[heads] = depth + 1
+            # Pair-sized scatter-add: no n x lanes bincount per level.
+            np.add.at(sigma, heads, sigma[tails])
+            levels.append((tails, heads, None, None))
+            frontier = _unique_int(heads)
+        reached += frontier.size
         depth += 1
     delta = np.zeros(size)
-    for tails, heads in reversed(levels):
-        contributions = sigma[tails] / sigma[heads] * (1.0 + delta[heads])
-        delta += np.bincount(tails, weights=contributions, minlength=size)
+    delta_rows = delta.reshape(n, lanes)
+    for depth in range(len(levels) - 1, -1, -1):
+        first, second, block, targets = levels[depth]
+        if block is None:
+            tails, heads = first, second
+            contributions = sigma[tails] / sigma[heads] * (1.0 + delta[heads])
+            np.add.at(delta, tails, contributions)
+        else:
+            frontier, cells = first, second
+            # (1 + delta) / sigma on the block's cells one level deeper
+            # (the DAG children), zero elsewhere; only those cells are
+            # divided, since undiscovered ones have sigma 0.
+            child = dist_rows[targets] == depth + 1
+            coef = np.zeros(child.shape)
+            np.divide(
+                1.0 + delta_rows[targets],
+                sigma_rows[targets],
+                out=coef,
+                where=child,
+            )
+            delta[frontier] = sigma[frontier] * (block @ coef).ravel()[cells]
     delta[keys] = 0.0
-    return weights @ delta.reshape(lanes, n)
+    return delta_rows @ weights

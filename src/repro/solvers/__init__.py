@@ -19,10 +19,7 @@ from repro.solvers.arcstore import (
     bfs_parents,
     resolve_solver_backend,
 )
-from repro.solvers.betweenness import (
-    betweenness_centrality_csr,
-    single_source_dependencies_csr,
-)
+from repro.solvers.betweenness import betweenness_centrality_csr
 from repro.solvers.maxflow import dinic, edmonds_karp, min_cut, push_relabel
 
 __all__ = [
@@ -32,7 +29,6 @@ __all__ = [
     "bfs_parents",
     "resolve_solver_backend",
     "betweenness_centrality_csr",
-    "single_source_dependencies_csr",
     "dinic",
     "edmonds_karp",
     "min_cut",

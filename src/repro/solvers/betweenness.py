@@ -3,34 +3,35 @@
 The per-source pass of Brandes (2001) is two sweeps over the shortest-
 path DAG.  On the arc-store representation both sweeps vectorize:
 
-* **forward** — a frontier-batched BFS (all of level ``d`` expanded in
-  one gather via :func:`~repro.core.kernels.take_ranges`); the DAG arcs
-  discovered at each level are kept, and the path counts ``sigma``
-  accumulate with one ``bincount`` scatter per level;
-* **backward** — the dependency accumulation replays the saved levels
-  deepest-first, again one ``bincount`` per level:
-  ``delta[v] += sigma[v] / sigma[w] * (1 + delta[w])`` summed over the
-  level's DAG arcs ``v -> w``.
+* **forward** — a frontier-batched BFS (all of level ``d`` expanded at
+  once); the path counts ``sigma`` of level ``d + 1`` are sums over
+  the arcs that cross into it;
+* **backward** — the dependency accumulation replays the levels
+  deepest-first: ``delta[v] += sigma[v] / sigma[w] * (1 + delta[w])``
+  summed over the level's DAG arcs ``v -> w``.
 
 Sources are processed in *batches* through the backend layer's
 ``solve_brandes_batch`` kernel (reference:
 :mod:`repro.core.backends.solver_numpy`; numba fuses the whole batch
 into one compiled pass).  In the numpy reference all lanes of a batch
-run in lock-step flat BFS (node ``v`` of lane ``b`` is key
-``b * n + v``), so every per-level gather/scatter serves a whole block
-of sources at once and the numpy call overhead amortizes across the
-batch, which pays off most on small-diameter graphs (the paper's
-social networks).
+run in lock-step over node-major state (node ``v`` of lane ``b`` is
+key ``v * lanes + b``).  A level where many lanes share the same
+frontier nodes — the common case on the paper's small-world social
+networks — runs as one product of the frontier rows' arcs with a
+``rows x lanes`` block (multi-source BFS); a thin level runs pair by
+pair.  Either way one set of array calls serves a whole block of
+sources, so the numpy call overhead amortizes across the batch.
 
 Batches are also the parallel unit: sources are independent and the
 weighted dependency vectors sum associatively, so
 :func:`betweenness_centrality_csr` maps batches over a thread pool
 (``workers=`` / ``REPRO_WORKERS``) and adds the results in fixed
 submission order.  Both backends release the GIL for most of a batch
-(numpy inside its large-array calls, numba in its ``nogil`` kernels),
-so threads scale on either.  Batch boundaries never depend on the
-worker count, so serial and parallel runs add the same partial vectors
-in the same order — bit-identical on any single backend.
+(numpy and scipy inside their large-array calls, numba in its
+``nogil`` kernels), so threads scale on either.  Batch boundaries
+never depend on the worker count, so serial and parallel runs add the
+same partial vectors in the same order — bit-identical on any single
+backend.
 
 For weighted graphs (positive lengths), :func:`weighted_dependencies`
 runs an array-heap Dijkstra over the CSR slices — a binary heap of
@@ -62,7 +63,6 @@ from repro.solvers.arcstore import resolve_solver_backend, unique_int
 
 __all__ = [
     "bfs_dag",
-    "single_source_dependencies_csr",
     "weighted_dependencies",
     "betweenness_centrality_csr",
 ]
@@ -70,18 +70,17 @@ __all__ = [
 
 def bfs_dag(
     indptr: np.ndarray, indices: np.ndarray, source: int, n: int
-) -> Tuple[np.ndarray, np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
-    """Frontier-batched BFS: ``(dist, sigma, levels)``.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Frontier-batched BFS from one source: ``(dist, sigma)``.
 
-    ``levels[d]`` holds the DAG arcs ``(tails, heads)`` crossing from
-    depth ``d`` to ``d + 1`` — everything the backward sweep needs.
+    ``dist`` is the hop count (``-1`` if unreached) and ``sigma`` the
+    number of shortest paths from ``source`` to each node.
     """
     dist = np.full(n, -1, dtype=np.int64)
     sigma = np.zeros(n)
     dist[source] = 0
     sigma[source] = 1.0
     frontier = np.array([source], dtype=np.int64)
-    levels: List[Tuple[np.ndarray, np.ndarray]] = []
     depth = 0
     while frontier.size:
         starts = indptr[frontier]
@@ -99,37 +98,15 @@ def bfs_dag(
             break
         dist[heads] = depth + 1
         sigma += scatter_add(heads, sigma[tails], n)
-        levels.append((tails, heads))
         frontier = unique_int(heads)
         depth += 1
-    return dist, sigma, levels
+    return dist, sigma
 
 
-def _accumulate(
-    sigma: np.ndarray,
-    levels: List[Tuple[np.ndarray, np.ndarray]],
-    source: int,
-    n: int,
-) -> np.ndarray:
-    """Backward sweep: dependency vector from saved per-level DAG arcs."""
-    delta = np.zeros(n)
-    for tails, heads in reversed(levels):
-        contributions = sigma[tails] / sigma[heads] * (1.0 + delta[heads])
-        delta += scatter_add(tails, contributions, n)
-    delta[source] = 0.0
-    return delta
-
-
-def single_source_dependencies_csr(
-    indptr: np.ndarray, indices: np.ndarray, source: int, n: int
-) -> np.ndarray:
-    """Brandes' dependency vector ``delta_s(v)`` for one BFS source."""
-    _, sigma, levels = bfs_dag(indptr, indices, source, n)
-    return _accumulate(sigma, levels, source, n)
-
-
-#: soft bound on flat lane-state entries (lanes x nodes / lanes x arcs);
-#: keeps the batched pass within a few tens of MB on the large graphs
+#: soft bound on a batch's lane state: lanes x nodes bounds the
+#: dist/sigma/delta arrays, and lanes x arcs bounds what the levels keep
+#: for the backward sweep (flat levels' DAG arcs, dense levels' row
+#: blocks); keeps a batch within a few tens of MB on the large graphs
 _BATCH_CELLS = 4_000_000
 
 
@@ -191,6 +168,18 @@ def weighted_dependencies(
     return delta
 
 
+def _node_index(source, n: int) -> int:
+    """``source`` as an integral node index in ``[0, n)``, else a
+    :class:`ValueError` naming it."""
+    try:
+        index = int(source)
+    except (TypeError, ValueError, OverflowError):
+        index = -1
+    if index != source or not 0 <= index < n:
+        raise ValueError(f"source {source} is not a node index in [0, {n})")
+    return index
+
+
 def betweenness_centrality_csr(
     matrix: sp.csr_matrix,
     directed: bool,
@@ -206,10 +195,12 @@ def betweenness_centrality_csr(
     Unnormalized scores follow networkx (undirected graphs report each
     unordered pair once); ``sources``/``source_weights`` restrict and
     weight the per-source passes; ``weighted=True`` treats arc weights
-    as positive lengths.  Every source must be a node index in
-    ``[0, n)`` and every source weight finite, else :class:`ValueError`
-    names the first bad value.  Negative weights are legal: a signed
-    combination of dependency vectors is well defined.
+    as positive lengths.  The matrix must be square, every source an
+    integral node index in ``[0, n)``, every source weight finite and,
+    with ``weighted=True``, every stored length finite and positive;
+    else :class:`ValueError` names the first bad value (a bad length
+    by its arc ``tail -> head``).  Negative source weights are legal: a
+    signed combination of dependency vectors is well defined.
 
     The unweighted path batches sources through the backend's
     ``solve_brandes_batch`` kernel and, with ``workers > 1`` (or
@@ -219,18 +210,26 @@ def betweenness_centrality_csr(
     and the partial vectors are added in submission order, so results
     on a given backend are bit-identical to a serial run.
     """
-    n = matrix.shape[0]
+    n, n_cols = matrix.shape
+    if n != n_cols:
+        raise ValueError(f"adjacency must be square, got shape {n}x{n_cols}")
     indptr = matrix.indptr.astype(np.int64)
     indices = matrix.indices.astype(np.int64)
-    if weighted and matrix.nnz and matrix.data.min() <= 0:
-        raise ValueError("weighted betweenness requires positive weights")
+    if weighted:
+        lengths = matrix.data
+        bad = np.flatnonzero(~((lengths > 0) & (lengths < np.inf)))
+        if bad.size:
+            position = int(bad[0])
+            tail = int(np.searchsorted(indptr, position, side="right")) - 1
+            raise ValueError(
+                "weighted betweenness needs finite positive arc lengths: "
+                f"arc {tail} -> {indices[position]} has weight "
+                f"{lengths[position]}"
+            )
     if sources is None:
         source_list = list(range(n))
     else:
-        source_list = [int(s) for s in sources]
-        bad = next((s for s in source_list if not 0 <= s < n), None)
-        if bad is not None:
-            raise ValueError(f"source {bad} is not a node index in [0, {n})")
+        source_list = [_node_index(source, n) for source in sources]
     if source_weights is None:
         weight_list = [1.0] * len(source_list)
     else:

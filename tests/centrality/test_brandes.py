@@ -13,7 +13,6 @@ from repro.graphs.generators import (
     path_graph,
     star_graph,
 )
-from repro.solvers import single_source_dependencies_csr
 
 
 def nx_scores(graph: WeightedDiGraph, normalized=False) -> np.ndarray:
@@ -100,16 +99,13 @@ class TestSourceRestriction:
 
 class TestDependencies:
     def test_sum_over_sources_is_centrality(self):
+        """One-source runs add up to the all-source run, whatever the
+        batch boundaries."""
         graph = barabasi_albert(30, 2, seed=3)
-        matrix = graph.to_csr()
-        indptr = matrix.indptr.astype(np.int64)
-        indices = matrix.indices.astype(np.int64)
         total = np.zeros(30)
         for source in range(30):
-            total += single_source_dependencies_csr(
-                indptr, indices, source, 30
-            )
-        assert np.allclose(total / 2.0, betweenness_centrality(graph))
+            total += betweenness_centrality(graph, sources=[source])
+        assert np.allclose(total, betweenness_centrality(graph))
 
 
 class TestWeightedBetweenness:
