@@ -5,11 +5,11 @@ Both strategies evaluate the max-flow approximation at a Fig. 8-style
 color schedule (16 checkpoints).  The per-k loop — what the tradeoff
 experiments used to run — re-colors from scratch and rebuilds the block
 weights at every budget; the progressive sweep performs one Rothko run,
-pausing at every checkpoint with ``W = S^T A S`` patched per split.
-Rothko's determinism makes the outputs identical, so the entire
-difference is wall-clock: the sweep drops the re-coloring and
-triple-product work (>= 3x here; the gap widens with instance size and
-schedule density).
+pausing at every checkpoint to build ``W = S^T A S`` with one sparse
+product and reduce, solve and lift.  Rothko's determinism makes the
+outputs identical, so the entire difference is wall-clock: the sweep
+drops the re-coloring work (>= 3x here; the gap widens with instance
+size and schedule density).
 
 ``test_sweep`` records both strategies' medians in
 ``benchmarks/results/bench_pipeline_progressive.json`` (via

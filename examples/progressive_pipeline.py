@@ -7,9 +7,8 @@ runs all three tasks through a single :class:`ColoringCache` over a
 shared schedule of color budgets:
 
 * each task's Rothko engine colors **once**, progressively — every
-  budget in the schedule is a checkpoint of the same run, with the
-  block-weight matrix ``W = S^T A S`` patched incrementally per split
-  instead of rebuilt per budget;
+  budget in the schedule is a checkpoint of the same run instead of a
+  fresh coloring;
 * variants of the same task (max-flow upper *and* lower bounds, LP
   ``sqrt`` *and* ``grohe`` weight modes) hit the cache and share the
   coloring outright.

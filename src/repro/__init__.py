@@ -22,8 +22,8 @@ Pipeline:
     :mod:`repro.pipeline` — the unified compress–solve–lift layer the
     three applications run on: :class:`~repro.pipeline.CompressionTask`
     adapters, :func:`~repro.pipeline.run_task`, the progressive multi-k
-    runner :func:`~repro.pipeline.progressive_sweep` (one Rothko run,
-    block weights maintained incrementally per split), and the keyed
+    runner :func:`~repro.pipeline.progressive_sweep` (one Rothko run
+    serving every color budget), and the keyed
     :class:`~repro.pipeline.ColoringCache` sharing colorings across
     tasks, weight modes, and checkpoints.
 

@@ -67,6 +67,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _bad_stopping_rule(command: str, *rules) -> bool:
+    """Report the first bad ``(n_colors, tolerance, name)`` stopping
+    rule as one ``repro <command>: ...`` line on stderr; ``True`` if
+    there was one."""
+    from repro.core.rothko import check_stopping_rule
+
+    try:
+        for n_colors, tolerance, name in rules:
+            check_stopping_rule(n_colors, tolerance, name)
+    except ValueError as exc:
+        print(f"repro {command}: {exc}", file=sys.stderr)
+        return True
+    return False
+
+
 TABLE_CHOICES = (
     "fig2", "fig2-dynamic", "fig7-maxflow", "fig7-lp", "fig7-centrality",
     "table1-centrality", "table1-lp", "table4", "table5", "table6",
@@ -155,6 +170,10 @@ def _cmd_color(args: argparse.Namespace) -> int:
     from repro.core.rothko import eps_color, q_color
     from repro.graphs.io import read_edgelist
 
+    if _bad_stopping_rule(
+        "color", (args.colors, args.q, "q"), (None, args.eps, "eps")
+    ):
+        return 2
     backend = _apply_backend(args)
     if args.mmap:
         from repro.graphs.digraph import WeightedDiGraph
@@ -198,7 +217,8 @@ def _load_update_graph(args: argparse.Namespace):
     if args.dataset is not None:
         from repro.datasets.registry import load_graph
 
-        return load_graph(args.dataset, scale=args.scale or 1.0)
+        scale = args.scale if args.scale is not None else 1.0
+        return load_graph(args.dataset, scale=scale)
     if args.path is None:
         raise SystemExit("update needs a graph PATH or --dataset NAME")
     from repro.graphs.io import read_edgelist
@@ -365,6 +385,22 @@ def _load_solve_store(args: argparse.Namespace):
     return graph
 
 
+def _parse_budgets(text: str | None) -> list[int] | None:
+    """``--colors`` of ``repro solve``: one budget or a comma-separated
+    schedule (``None`` when the flag is absent)."""
+    if text is None:
+        return None
+    try:
+        budgets = [int(part) for part in text.split(",") if part]
+    except ValueError as exc:
+        raise SystemExit(
+            f"--colors must be a comma-separated list of ints, got {text!r}"
+        ) from exc
+    if not budgets:
+        raise SystemExit("--colors must name at least one budget")
+    return budgets
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     # The lazy imports are a real chunk of the command's wall time
     # (scipy optimize, dataset generators), so they get their own span.
@@ -379,6 +415,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         workers = resolve_workers(args.workers)
     except ValueError as exc:  # a bad REPRO_WORKERS value
         print(f"repro solve: {exc}", file=sys.stderr)
+        return 2
+    budgets = _parse_budgets(args.colors)
+    if _bad_stopping_rule(
+        "solve",
+        *[(budget, args.q, "q") for budget in budgets or [None]],
+        (None, args.certify, "eps"),
+    ):
         return 2
     scale = args.scale if args.scale is not None else _SOLVE_SCALES[args.task]
     task_options = {
@@ -448,16 +491,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
         return 0 if certified.certified else 1
 
-    if args.colors is not None:
-        try:
-            budgets = [int(part) for part in args.colors.split(",") if part]
-        except ValueError as exc:
-            raise SystemExit(
-                f"--colors must be a comma-separated list of ints, "
-                f"got {args.colors!r}"
-            ) from exc
-        if not budgets:
-            raise SystemExit("--colors must name at least one budget")
+    if budgets is not None:
         # --q composes with --colors exactly as in run_task: each
         # checkpoint also stops early once the q target is met.
         results = progressive_sweep(task, budgets, q=args.q)
@@ -744,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "the measured relative error vs an exact "
                             "solve is <= EPS (exit 1 if unreachable); "
                             "replaces --colors/--q")
-    solve.add_argument("--max-colors", type=int, default=None,
+    solve.add_argument("--max-colors", type=_positive_int, default=None,
                        help="certified mode: color-budget cap "
                             "(default: the problem size)")
     solve.add_argument("--bound", choices=("upper", "lower"),

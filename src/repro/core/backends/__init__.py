@@ -1,7 +1,7 @@
 """Multi-backend kernel dispatch for the flat-array engines.
 
-The coloring engine, the q-error metrics, the block-weight tracker, and
-the arc-store solvers all reduce to the small kernel surface defined by
+The coloring engine, the q-error metrics, and the arc-store solvers
+all reduce to the small kernel surface defined by
 :class:`~repro.core.backends.base.Backend`.  This package resolves
 which implementation runs them:
 

@@ -1,6 +1,6 @@
 """The :class:`Backend` protocol: the kernel surface a backend implements.
 
-Every kernel the engines and the pipeline dispatch through a backend is
+Every kernel the engines and the solvers dispatch through a backend is
 listed here — nothing else is (the Rothko split refresh is plain numpy
 on top of ``take_ranges`` and ``grouped_minmax_ordered``, so every
 backend runs it).  The contract mirrors the numpy
@@ -27,7 +27,6 @@ KERNEL_NAMES = (
     "bincount",
     "take_ranges",
     "scatter_select_sums",
-    "scatter_select_color_sums",
     "select_degrees_toward",
     "grouped_minmax_by_labels",
     "grouped_minmax_ordered",
@@ -79,17 +78,6 @@ class Backend(Protocol):
         size: int,
     ) -> np.ndarray:
         """Sum of the selected CSR rows/CSC columns, scattered by index."""
-
-    def scatter_select_color_sums(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        data: np.ndarray,
-        select: np.ndarray,
-        labels: np.ndarray,
-        n_colors: int,
-    ) -> np.ndarray:
-        """Total weight of the selected rows per *color* (one W row)."""
 
     def select_degrees_toward(
         self,

@@ -77,15 +77,6 @@ if available():  # pragma: no cover - exercised only where numba is installed
                 out[indices[p]] += data[p]
         return out
 
-    @njit(cache=True)
-    def _scatter_select_color_sums(indptr, indices, data, select, labels, k):
-        out = np.zeros(k, dtype=np.float64)
-        for s in range(select.shape[0]):
-            node = select[s]
-            for p in range(indptr[node], indptr[node + 1]):
-                out[labels[indices[p]]] += data[p]
-        return out
-
     @njit(cache=True, parallel=True)
     def _select_degrees_toward_scalar(
         indptr, indices, data, rows, labels, target
@@ -193,18 +184,6 @@ class NumbaBackend(NumpyBackend):
             _contig(data),
             _contig(select),
             size,
-        )
-
-    def scatter_select_color_sums(
-        self, indptr, indices, data, select, labels, n_colors
-    ):
-        return _scatter_select_color_sums(
-            _contig(indptr),
-            _contig(indices),
-            _contig(data),
-            _contig(select),
-            _contig(labels),
-            n_colors,
         )
 
     # -- row-owned kernels: prange over independent output cells --

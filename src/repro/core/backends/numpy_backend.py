@@ -82,27 +82,6 @@ def scatter_select_sums(
     return scatter_add(indices[positions], data[positions], size)
 
 
-def scatter_select_color_sums(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    select: np.ndarray,
-    labels: np.ndarray,
-    n_colors: int,
-) -> np.ndarray:
-    """Total weight of the selected CSR rows (CSC columns), per *color*.
-
-    On the CSR arrays with ``select = members(P_i)`` this is one row of
-    the block-weight matrix: ``W[i, j] = w(P_i, P_j)`` for every ``j``;
-    on the CSC arrays it yields the column ``W[:, i] = w(P_j, P_i)``.
-    """
-    select = np.asarray(select, dtype=np.int64)
-    starts = indptr[select]
-    counts = indptr[select + 1] - starts
-    positions = take_ranges(starts, counts)
-    return scatter_add(labels[indices[positions]], data[positions], n_colors)
-
-
 def select_degrees_toward(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -193,7 +172,6 @@ class NumpyBackend:
     bincount = staticmethod(bincount)
     take_ranges = staticmethod(take_ranges)
     scatter_select_sums = staticmethod(scatter_select_sums)
-    scatter_select_color_sums = staticmethod(scatter_select_color_sums)
     select_degrees_toward = staticmethod(select_degrees_toward)
     grouped_minmax_by_labels = staticmethod(grouped_minmax_by_labels)
     grouped_minmax_ordered = staticmethod(grouped_minmax_ordered)

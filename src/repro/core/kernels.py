@@ -1,9 +1,9 @@
 """Shared vectorized kernels for degree-matrix maintenance.
 
 The coloring engines (static :class:`~repro.core.rothko.Rothko`, streaming
-:class:`~repro.dynamic.DynamicColoring`), the q-error metrics, the
-block-weight tracker, and the arc-store solvers all reduce to the same
-handful of primitives over CSR/CSC index arrays:
+:class:`~repro.dynamic.DynamicColoring`), the q-error metrics, and the
+arc-store solvers all reduce to the same handful of primitives over
+CSR/CSC index arrays:
 
 * :func:`scatter_add` — accumulate weighted contributions into a dense
   vector (one ``np.bincount``, no Python-level loop);
@@ -12,9 +12,6 @@ handful of primitives over CSR/CSC index arrays:
   columns directly out of ``indptr``/``indices``/``data``;
 * :func:`scatter_select_sums` — per-node total weight toward a *member
   subset* (one degree-matrix column) in ``O(nnz(members))``;
-* :func:`scatter_select_color_sums` — per-*color* total weight of a
-  member subset (one row or column of the block-weight matrix
-  ``W = S^T A S``) in ``O(nnz(members))``;
 * :func:`select_degrees_toward` — per-selected-row total weight toward
   one target color (the split-threshold degree vector
   ``D[j, members(i)]``) in ``O(nnz(rows))``;
@@ -65,7 +62,6 @@ __all__ = [
     "scatter_add",
     "take_ranges",
     "scatter_select_sums",
-    "scatter_select_color_sums",
     "select_degrees_toward",
     "color_degree_matrix",
     "color_degree_matrix_t",
@@ -115,26 +111,6 @@ def scatter_select_sums(
     _obs._active.count("kernels.bincount_cells", size)
     return default_backend().scatter_select_sums(
         indptr, indices, data, select, size
-    )
-
-
-def scatter_select_color_sums(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    select: np.ndarray,
-    labels: np.ndarray,
-    n_colors: int,
-) -> np.ndarray:
-    """Total weight of the selected CSR rows (CSC columns), per *color*.
-
-    On the CSR arrays with ``select = members(P_i)`` this is one row of
-    the block-weight matrix: ``W[i, j] = w(P_i, P_j)`` for every ``j``;
-    the incremental block-weight tracker patches dirtied rows/columns
-    with it in ``O(nnz(select))``.
-    """
-    return default_backend().scatter_select_color_sums(
-        indptr, indices, data, select, labels, n_colors
     )
 
 

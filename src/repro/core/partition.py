@@ -32,10 +32,9 @@ def first_occurrence_values(labels: np.ndarray) -> np.ndarray:
 
     The inverse view of :func:`canonicalize_labels`:
     ``first_occurrence_values(labels)[c]`` is the value that canonical
-    color ``c`` had in ``labels``.  Consumers that maintain state keyed
-    by raw label values (the pipeline's block-weight tracker, the LP
-    reduction's bipartite slicing) use it to realign with the canonical
-    :class:`Coloring` ids.
+    color ``c`` had in ``labels``.  Consumers that keep state keyed by
+    raw label values (the LP reduction's bipartite slicing) use it to
+    realign with the canonical :class:`Coloring` ids.
     """
     labels = np.asarray(labels)
     values, first_index = np.unique(labels, return_index=True)

@@ -1028,9 +1028,8 @@ class Rothko:
 
         Engine color ids are *not* canonical :class:`Coloring` ids: new
         colors are appended in split order, while ``coloring()``
-        renumbers by first occurrence.  Callers tracking engine state
-        (e.g. the pipeline's block-weight tracker) work in engine-id
-        space and translate at the boundary.
+        renumbers by first occurrence; :meth:`coloring` and
+        :meth:`coloring_at` translate at the boundary.
         """
         if not 0 <= color < self.k:
             raise ColoringError(f"color {color} out of range [0, {self.k})")
@@ -1246,6 +1245,20 @@ class Rothko:
             )
 
 
+def check_stopping_rule(
+    n_colors: int | None, tolerance: float | None, name: str = "q"
+) -> None:
+    """Reject a color budget below 1 and a NaN or negative tolerance.
+
+    ``tolerance = inf`` is legal: it stops at the initial partition.
+    ``name`` is the tolerance's name in the error (``q`` or ``eps``).
+    """
+    if n_colors is not None and not n_colors >= 1:  # NaN fails too
+        raise ValueError(f"n_colors must be positive, got {n_colors}")
+    if tolerance is not None and not tolerance >= 0:
+        raise ValueError(f"{name} must be non-negative, got {tolerance}")
+
+
 def q_color(
     graph,
     n_colors: int | None = None,
@@ -1272,10 +1285,7 @@ def q_color(
     """
     if n_colors is None and q is None:
         raise ValueError("q_color needs n_colors and/or q")
-    if n_colors is not None and n_colors < 1:
-        raise ValueError(f"n_colors must be positive, got {n_colors}")
-    if q is not None and q < 0:
-        raise ValueError(f"q must be non-negative, got {q}")
+    check_stopping_rule(n_colors, q)
     engine = Rothko(
         graph,
         initial=initial,
@@ -1313,10 +1323,7 @@ def eps_color(
     """
     if n_colors is None and eps is None:
         raise ValueError("eps_color needs n_colors and/or eps")
-    if n_colors is not None and n_colors < 1:
-        raise ValueError(f"n_colors must be positive, got {n_colors}")
-    if eps is not None and eps < 0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
+    check_stopping_rule(n_colors, eps, name="eps")
     engine = Rothko(
         graph,
         initial=initial,

@@ -7,6 +7,7 @@ our stand-in at a requested ``scale`` (1.0 = paper size).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -97,6 +98,8 @@ def _load_kind(name: str, kind: str, scale: float, **kwargs: Any) -> Any:
     dataset = get_dataset(name)
     if dataset.kind != kind:
         raise DatasetError(f"{name} is a {dataset.kind} dataset, not {kind}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise DatasetError(f"scale must be finite and > 0, got {scale}")
     return dataset.load(scale=scale, **kwargs)
 
 

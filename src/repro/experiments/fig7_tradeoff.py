@@ -8,8 +8,8 @@ or Spearman's rho (centrality, 1.0 ideal).
 
 The sweep runs through :func:`repro.pipeline.progressive_sweep`: one
 Rothko run per dataset is refined toward the largest budget, pausing at
-every checkpoint, with the block-weight matrix maintained incrementally
-instead of recomputed per budget.  Checkpoint accuracies are identical
+every checkpoint to reduce, solve and lift instead of re-coloring per
+budget.  Checkpoint accuracies are identical
 to re-coloring from scratch at each budget (Rothko is deterministic and
 only ever refines).  Two timing columns tell the sweep's story:
 ``time_s`` is the *incremental* cost a checkpoint added on top of the

@@ -9,7 +9,7 @@ huge errors that collapse as colors are added.
 All budgets of one LP come off a single progressive coloring run
 (:func:`repro.pipeline.progressive_sweep`): the engine refines once to
 the largest budget and the reduced LP at each checkpoint is built from
-the incrementally maintained block weights.
+that checkpoint's block weights.
 """
 
 from __future__ import annotations

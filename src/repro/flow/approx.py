@@ -89,9 +89,9 @@ def reduced_network(
 
     Color ids become node labels; the colors of ``s`` and ``t`` become the
     reduced source/sink (they must be singletons).  ``block_weights``
-    accepts a precomputed ``W = S^T A S`` (canonical color-id order) —
-    the progressive pipeline runner maintains it incrementally across
-    splits, skipping the sparse triple product per budget.
+    accepts a precomputed ``W = S^T A S`` (canonical color-id order),
+    as the pipeline runner passes it from
+    :meth:`~repro.pipeline.cache.ProgressiveRun.weights`.
     """
     if bound not in ("upper", "lower"):
         raise ValueError(f"bound must be 'upper' or 'lower', got {bound!r}")

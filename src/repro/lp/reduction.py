@@ -204,10 +204,10 @@ def reduce_lp(
 
     ``block_weights`` (bipartite form only) supplies the extended
     matrix's block sums ``W = S^T A S`` in the bipartite coloring's
-    canonical id order; the progressive pipeline runner maintains it
-    incrementally so multi-budget sweeps skip the indicator triple
-    product.  ``max_q_err`` likewise short-circuits the from-scratch
-    q-error evaluation when the caller already knows it.
+    canonical id order, as the pipeline runner passes it from
+    :meth:`~repro.pipeline.cache.ProgressiveRun.weights`.
+    ``max_q_err`` short-circuits the from-scratch q-error evaluation
+    when the caller already knows it.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")

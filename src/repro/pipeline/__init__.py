@@ -19,9 +19,7 @@ modules:
   shared across tasks, weight modes, and checkpoints, and
   :class:`ReducedSolveCache` — reduce/solve/lift outputs keyed per
   checkpoint so unchanged reduced problems are never re-solved
-  (:mod:`repro.pipeline.cache`);
-* :class:`BlockWeightTracker` — ``W = S^T A S`` maintained
-  incrementally per split (:mod:`repro.pipeline.weights`).
+  (:mod:`repro.pipeline.cache`).
 """
 
 from repro.pipeline.adapters import (
@@ -42,7 +40,6 @@ from repro.pipeline.certified import (
 )
 from repro.pipeline.runner import progressive_sweep, run_task
 from repro.pipeline.task import ColoringSpec, CompressionTask, TaskResult
-from repro.pipeline.weights import BlockWeightTracker
 
 __all__ = [
     "CentralityTask",
@@ -60,5 +57,4 @@ __all__ = [
     "ColoringSpec",
     "CompressionTask",
     "TaskResult",
-    "BlockWeightTracker",
 ]

@@ -40,8 +40,8 @@ class MaxFlowTask(CompressionTask):
     reduce to block capacities, solve on the reduced network.
 
     ``bound="upper"`` uses the block capacity sums ``c_hat_2`` (the
-    deployed over-approximation — its reduce stage is exactly the block
-    weights the progressive runner maintains); ``bound="lower"``
+    deployed over-approximation — its capacities are exactly the block
+    weights the runner passes to ``reduce``); ``bound="lower"``
     uses the uniform-flow capacities ``c_hat_1``.  With
     ``lift_solution=True`` (lower bound only) the reduced flow is
     lifted to a valid flow on the original network.  ``workers`` is

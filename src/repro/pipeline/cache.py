@@ -28,7 +28,6 @@ from repro.core.reduced import block_weights
 from repro.obs import recorder as _obs
 from repro.obs import trace as _trace
 from repro.pipeline.task import ColoringSpec
-from repro.pipeline.weights import BlockWeightTracker
 
 __all__ = ["ColoringCache", "ProgressiveRun", "ReducedSolveCache"]
 
@@ -37,20 +36,15 @@ class ProgressiveRun:
     """One Rothko engine advanced monotonically across consumers.
 
     The engine only moves forward; earlier checkpoints stay serveable
-    through the recorded ``(n_colors, q_err)`` history, parent-pointer
-    coloring replay, and (for block weights) a memoized scratch
-    product.  While the engine sits *at* a checkpoint, block weights
-    come from the incrementally maintained
-    :class:`~repro.pipeline.weights.BlockWeightTracker` — the ascending
-    sweep path never recomputes the triple product.
+    through the recorded ``(n_colors, q_err)`` history and
+    parent-pointer coloring replay.  Block weights are one sparse
+    product ``S^T A S`` per checkpoint, whichever order a sweep visits
+    the checkpoints in.
     """
 
     def __init__(self, spec: ColoringSpec) -> None:
         self.spec = spec
         self.engine = spec.build_engine()
-        self._tracker: BlockWeightTracker | None = None
-        #: engine colors whose W row/column is stale (tracker attached)
-        self._dirty: set[int] = set()
         #: color counts reached, in refinement order
         self._reached: list[int] = [self.engine.k]
         #: q-error of each reached state
@@ -58,7 +52,6 @@ class ProgressiveRun:
             self.engine.k: self.engine.max_q_err()
         }
         self._colorings: dict[int, Coloring] = {}
-        self._scratch_weights: dict[int, np.ndarray] = {}
 
     @property
     def n_colors(self) -> int:
@@ -68,7 +61,7 @@ class ProgressiveRun:
         self, max_colors: int | None = None, q_tolerance: float = 0.0
     ) -> None:
         """Refine until the given stopping rule holds (or no witness
-        remains), keeping the dirty set and q-error history in lockstep.
+        remains), recording the q-error of every state passed.
 
         Each split's ``q_err_before`` is the error of the *previous*
         state, so the history costs nothing extra per split; only the
@@ -86,9 +79,6 @@ class ProgressiveRun:
                 max_colors=max_colors, q_tolerance=q_tolerance
             ):
                 advanced = True
-                if self._tracker is not None:
-                    self._dirty.add(step.parent_color)
-                    self._dirty.add(step.new_color)
                 self._q_err[step.n_colors - 1] = step.q_err_before
                 self._reached.append(step.n_colors)
             if advanced:
@@ -125,37 +115,10 @@ class ProgressiveRun:
 
     def weights(self, n_colors: int) -> np.ndarray:
         """Dense block weights ``W = S^T A S`` at a reached checkpoint,
-        in canonical color-id order (aligned with :meth:`coloring`).
-
-        At the engine's current state the matrix is served from the
-        incrementally maintained tracker, with every split since the
-        previous checkpoint folded in as one batched refresh of the
-        dirtied rows/columns.
-        """
-        engine = self.engine
-        if n_colors == engine.k:
-            if self._tracker is None:
-                self._tracker = BlockWeightTracker(
-                    self.spec.adjacency, engine.labels, engine.k
-                )
-                self._dirty.clear()
-            elif self._dirty:
-                dirty = sorted(self._dirty)
-                self._tracker.refresh(
-                    dirty,
-                    [engine.members(color) for color in dirty],
-                    engine.labels,
-                    engine.k,
-                )
-                self._dirty.clear()
-            return self._tracker.weights(engine.labels)
-        # The engine has refined past this checkpoint (descending or
-        # repeated sweeps): fall back to one memoized scratch product.
-        if n_colors not in self._scratch_weights:
-            self._scratch_weights[n_colors] = block_weights(
-                self.spec.adjacency, self.coloring(n_colors)
-            ).toarray()
-        return self._scratch_weights[n_colors].copy()
+        in canonical color-id order (aligned with :meth:`coloring`)."""
+        return block_weights(
+            self.spec.adjacency, self.coloring(n_colors)
+        ).toarray()
 
 
 class ColoringCache:
@@ -163,26 +126,19 @@ class ColoringCache:
 
     A cached run pins its Rothko engine — the memory-flat ``O(m + k^2)``
     state: CSR/CSC adjacency snapshots, member lists, and the ``k x k``
-    boundary/error/witness matrices — plus the block-weight tracker and
-    memoized checkpoint colorings for the cache's lifetime, so scope a
-    cache to one sweep or experiment call (every driver here creates its
-    own by default) and :meth:`clear` it when reuse is over.  A
-    ``max_runs`` bound turns the registry into an LRU: admitting a new
-    run past the bound drops the least-recently-served one.
+    boundary/error/witness matrices — plus its memoized checkpoint
+    colorings for the cache's lifetime, so scope a cache to one sweep or
+    experiment call (every driver here creates its own by default) and
+    :meth:`clear` it when reuse is over.
 
-    Every lookup is mirrored to the active observability recorder as
-    ``pipeline.cache.hit`` / ``pipeline.cache.miss`` /
-    ``pipeline.cache.evict`` counters.
+    Every lookup is mirrored to the active observability recorder as a
+    ``pipeline.cache.hit`` / ``pipeline.cache.miss`` counter.
     """
 
-    def __init__(self, max_runs: int | None = None) -> None:
-        if max_runs is not None and max_runs < 1:
-            raise ValueError(f"max_runs must be >= 1, got {max_runs}")
+    def __init__(self) -> None:
         self._runs: dict[tuple, ProgressiveRun] = {}
-        self.max_runs = max_runs
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def run_for(self, spec: ColoringSpec) -> ProgressiveRun:
         key = spec.cache_key()
@@ -190,24 +146,10 @@ class ColoringCache:
         if run is None:
             self.misses += 1
             _obs._active.count("pipeline.cache.miss")
-            run = ProgressiveRun(spec)
-            if (
-                self.max_runs is not None
-                and len(self._runs) >= self.max_runs
-            ):
-                # Dict order is recency order (hits re-append below),
-                # so the first key is the least recently served.
-                oldest = next(iter(self._runs))
-                del self._runs[oldest]
-                self.evictions += 1
-                _obs._active.count("pipeline.cache.evict")
-            self._runs[key] = run
+            run = self._runs[key] = ProgressiveRun(spec)
         else:
             self.hits += 1
             _obs._active.count("pipeline.cache.hit")
-            # Refresh recency: move the served run to the dict's end.
-            del self._runs[key]
-            self._runs[key] = run
         return run
 
     def clear(self) -> None:
@@ -219,7 +161,7 @@ class ColoringCache:
 
 
 class ReducedSolveCache:
-    """LRU cache of reduce–solve–lift outputs, keyed per checkpoint.
+    """Cache of reduce–solve–lift outputs, keyed per checkpoint.
 
     Keys are ``(spec.cache_key(), task.solve_key(), checkpoint)`` —
     everything that determines the reduced problem and its solution:
@@ -233,23 +175,15 @@ class ReducedSolveCache:
 
     Entries are ``(reduced, solution, lifted, value)`` tuples stored by
     reference — the same objects a cache-off run would have built, so
-    served results are identical field for field.  ``max_entries``
-    bounds the cache as an LRU exactly like
-    :class:`ColoringCache.max_runs`; lookups mirror to the active
-    observability recorder as ``pipeline.solve_cache.hit`` / ``.miss``
-    / ``.evict`` counters.
+    served results are identical field for field.  Lookups mirror to
+    the active observability recorder as ``pipeline.solve_cache.hit`` /
+    ``.miss`` counters.
     """
 
-    def __init__(self, max_entries: int | None = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(
-                f"max_entries must be >= 1, got {max_entries}"
-            )
+    def __init__(self) -> None:
         self._entries: dict[tuple, tuple] = {}
-        self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def get(self, key: tuple) -> tuple | None:
         """The cached ``(reduced, solution, lifted, value)`` for ``key``,
@@ -261,24 +195,9 @@ class ReducedSolveCache:
             return None
         self.hits += 1
         _obs._active.count("pipeline.solve_cache.hit")
-        # Refresh recency: move the served entry to the dict's end.
-        del self._entries[key]
-        self._entries[key] = entry
         return entry
 
     def put(self, key: tuple, entry: tuple) -> None:
-        if key in self._entries:
-            del self._entries[key]
-        elif (
-            self.max_entries is not None
-            and len(self._entries) >= self.max_entries
-        ):
-            # Dict order is recency order (get re-appends on hit), so
-            # the first key is the least recently served.
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-            self.evictions += 1
-            _obs._active.count("pipeline.solve_cache.evict")
         self._entries[key] = entry
 
     def clear(self) -> None:

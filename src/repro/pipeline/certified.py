@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.rothko import check_stopping_rule
 from repro.obs import recorder as _obs
 from repro.obs import trace as _trace
 from repro.pipeline.cache import ColoringCache, ReducedSolveCache
@@ -93,10 +94,11 @@ def run_certified(
     result then reports ``certified=False`` with the best achieved
     error when the dial is unreachable within the cap.
     """
-    if eps < 0.0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    check_stopping_rule(None, eps, name="eps")
     if start_colors < 1:
         raise ValueError(f"start_colors must be >= 1, got {start_colors}")
+    if max_colors is not None and max_colors < 1:
+        raise ValueError(f"max_colors must be >= 1, got {max_colors}")
     if growth <= 1.0:
         raise ValueError(f"growth must be > 1, got {growth}")
     n = int(task.coloring_spec().adjacency.shape[0])

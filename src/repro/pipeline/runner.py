@@ -10,7 +10,7 @@ The progressive sweep is the Fig. 7/8 access pattern: instead of
 re-coloring from scratch for every budget ``k`` (the naive loop the
 experiments used to run), the cached engine refines once toward the
 largest budget, pausing at every checkpoint to reduce–solve–lift with
-the block weights the runner maintains incrementally per split.
+that checkpoint's block weights (one sparse product ``S^T A S``).
 Rothko's determinism makes the two strategies *equivalent*: every
 checkpoint reproduces exactly the coloring, q-error, and solution of a
 fresh per-k run (``tests/pipeline/test_progressive.py`` asserts this;
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.core.rothko import check_stopping_rule
 from repro.obs import recorder as _obs
 from repro.obs import trace as _trace
 from repro.pipeline.cache import ColoringCache, ReducedSolveCache
@@ -40,7 +41,8 @@ def run_task(
     """One color → reduce → solve → lift pass for ``task``.
 
     Exactly one stopping knob is required: a color budget ``n_colors``
-    and/or a target maximum q-error ``q``.  With a shared ``cache`` the
+    (at least 1) and/or a target maximum q-error ``q`` (non-negative;
+    ``inf`` stops at the initial partition).  With a shared ``cache`` the
     coloring work is incremental across calls; the reported
     ``timings.coloring`` covers only the refinement this call caused.
     A shared ``solve_cache`` additionally skips the reduce/solve/lift
@@ -51,6 +53,7 @@ def run_task(
     """
     if n_colors is None and q is None:
         raise ValueError(f"{task.name} pipeline needs n_colors and/or q")
+    check_stopping_rule(n_colors, q)
     if cache is None:
         cache = ColoringCache()
     with _trace.span(
@@ -123,10 +126,9 @@ def progressive_sweep(
     """Solve ``task`` at every color budget in ``checkpoints``.
 
     Budgets are visited in the given order; an ascending schedule (the
-    normal case) performs one Rothko run total, with block weights
-    patched per split rather than recomputed per budget.  Descending or
-    repeated budgets still work — they are served from the run's
-    recorded history.  An optional ``q`` caps every checkpoint exactly
+    normal case) performs one Rothko run total.  Descending or repeated
+    budgets still work — they are served from the run's recorded
+    history.  An optional ``q`` caps every checkpoint exactly
     as it would a standalone run: refinement stops early once the
     q-error target is met, so later budgets all resolve to that state —
     and, through the sweep-local :class:`ReducedSolveCache` (pass

@@ -17,8 +17,8 @@ A task contributes two things:
   two tasks with equal specs share one coloring run;
 * the three stages ``reduce(problem, coloring)`` → ``solve(reduced)``
   → ``lift(coloring, reduced, solution)``.  ``reduce`` may accept the
-  precomputed block-weight matrix ``W = S^T A S`` that the progressive
-  runner maintains incrementally across splits.
+  block-weight matrix ``W = S^T A S`` that the runner builds once per
+  checkpoint.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ class CompressionTask(ABC):
     #: short task identifier used in result rows and the CLI
     name: str = "task"
     #: whether ``reduce`` consumes the block-weight matrix ``W = S^T A S``
-    #: (the runner skips W maintenance for tasks that never use it)
+    #: (the runner builds W only for tasks that use it)
     uses_block_weights: bool = True
 
     #: the problem instance handed to ``reduce``
@@ -149,9 +149,8 @@ class CompressionTask(ABC):
         """Build the reduced problem for one coloring.
 
         ``block_weights`` (dense ``k x k``, canonical color ids) and
-        ``max_q_err`` are served by the runner from maintained engine
-        state when available; implementations must recompute them when
-        ``None``.
+        ``max_q_err`` are passed by the runner, which already has them;
+        implementations must recompute them when ``None``.
         """
 
     @abstractmethod

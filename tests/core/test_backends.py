@@ -180,21 +180,6 @@ class TestKernelParity:
             )
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_scatter_select_color_sums(self, name, seed):
-        backend = optional_backend(name)
-        matrix, _, labels, k = self._fixture(seed)
-        select = np.flatnonzero(labels == (seed + 1) % k)
-        expected = REFERENCE.scatter_select_color_sums(
-            matrix.indptr, matrix.indices, matrix.data, select, labels, k
-        )
-        np.testing.assert_array_equal(
-            backend.scatter_select_color_sums(
-                matrix.indptr, matrix.indices, matrix.data, select, labels, k
-            ),
-            expected,
-        )
-
-    @pytest.mark.parametrize("seed", range(3))
     def test_select_degrees_toward(self, name, seed):
         backend = optional_backend(name)
         matrix, _, labels, k = self._fixture(seed)

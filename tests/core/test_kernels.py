@@ -128,45 +128,6 @@ class TestGroupedMinmax:
         np.testing.assert_allclose(lower_m, lower_l.T)
 
 
-class TestScatterSelectColorSums:
-    """The block-weight row/column kernel behind the pipeline's
-    incremental ``W = S^T A S`` tracker."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_block_weights_row(self, seed):
-        from repro.core.reduced import block_weights
-        from tests.conftest import random_adjacency
-
-        matrix = random_adjacency(25, 0.3, seed)
-        generator = np.random.default_rng(seed)
-        k = 5
-        labels = generator.integers(0, k, size=25)
-        labels[:k] = np.arange(k)
-        coloring = Coloring(labels)
-        expected = block_weights(matrix, coloring).toarray()
-        csc = matrix.tocsc()
-        for color in range(coloring.n_colors):
-            members = coloring.members(color)
-            row = kernels.scatter_select_color_sums(
-                matrix.indptr, matrix.indices, matrix.data,
-                members, coloring.labels, coloring.n_colors,
-            )
-            np.testing.assert_allclose(row, expected[color], rtol=1e-12)
-            col = kernels.scatter_select_color_sums(
-                csc.indptr, csc.indices, csc.data,
-                members, coloring.labels, coloring.n_colors,
-            )
-            np.testing.assert_allclose(col, expected[:, color], rtol=1e-12)
-
-    def test_empty_selection(self):
-        matrix = sp.csr_matrix(np.eye(3))
-        out = kernels.scatter_select_color_sums(
-            matrix.indptr, matrix.indices, matrix.data,
-            np.empty(0, dtype=np.int64), np.zeros(3, dtype=np.int64), 1,
-        )
-        np.testing.assert_array_equal(out, [0.0])
-
-
 class TestScatterAdd:
     def test_accumulates(self):
         out = kernels.scatter_add(

@@ -118,10 +118,22 @@ class TestStoppingConditions:
     def test_bad_params(self):
         with pytest.raises(ValueError):
             q_color(np.zeros((3, 3)), n_colors=0)
+        with pytest.raises(ValueError, match="got -3"):
+            q_color(np.zeros((3, 3)), n_colors=-3)
         with pytest.raises(ValueError):
             q_color(np.zeros((3, 3)), q=-1.0)
+        with pytest.raises(ValueError, match="q must be non-negative, got nan"):
+            q_color(np.zeros((3, 3)), q=float("nan"))
+        with pytest.raises(ValueError, match="eps must be non-negative, got nan"):
+            eps_color(np.zeros((3, 3)), eps=float("nan"))
         with pytest.raises(ValueError):
             Rothko(np.zeros((3, 3)), split_mean="median")
+
+    def test_infinite_q_stops_at_the_initial_partition(self):
+        adjacency = random_adjacency(20, 0.4, 4)
+        result = q_color(adjacency, q=float("inf"))
+        assert result.n_colors == 1
+        assert result.n_iterations == 0
 
     def test_max_iterations(self):
         adjacency = random_adjacency(20, 0.4, 4)

@@ -38,6 +38,15 @@ class TestRegistry:
         with pytest.raises(DatasetError):
             load_graph("qap15")
 
+    @pytest.mark.parametrize(
+        "loader, name", [(load_graph, "karate"), (load_flow, "tsukuba0"),
+                         (load_lp, "qap15")],
+    )
+    @pytest.mark.parametrize("scale", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_bad_scale_named(self, loader, name, scale):
+        with pytest.raises(DatasetError, match=f"scale .* got {scale}"):
+            loader(name, scale=scale)
+
 
 class TestLoaders:
     @pytest.mark.parametrize(

@@ -100,28 +100,6 @@ class TestPipelineInstrumentation:
         assert cache.misses == 1
         assert cache.hits >= 2
 
-    def test_lru_eviction_counts_and_recolors(self):
-        network = flow_network()
-        cache = ColoringCache(max_runs=1)
-        # Different split means -> different coloring specs -> distinct
-        # cache keys (both maxflow bounds share one spec, so they would
-        # never contend for the slot).
-        arith = MaxFlowTask(network, split_mean="arithmetic")
-        geo = MaxFlowTask(network, split_mean="geometric")
-        with recording() as rec:
-            run_task(arith, n_colors=6, cache=cache)
-            run_task(geo, n_colors=6, cache=cache)  # evicts arith's run
-            run_task(arith, n_colors=6, cache=cache)  # recolors: a miss
-        counters = rec.snapshot()["counters"]
-        assert counters["pipeline.cache.evict"] == 2
-        assert counters["pipeline.cache.miss"] == 3
-        assert cache.evictions == 2
-        assert len(cache) == 1
-
-    def test_max_runs_validation(self):
-        with pytest.raises(ValueError):
-            ColoringCache(max_runs=0)
-
     def test_task_spans_cover_stages(self):
         network = flow_network()
         with recording() as rec:

@@ -5,8 +5,9 @@ The acceptance contract of the pipeline subsystem:
 * a progressive sweep over a schedule of color budgets produces results
   *identical* to re-coloring from scratch at every budget, while
   constructing exactly one Rothko engine;
-* the incrementally maintained block-weight matrix ``W = S^T A S``
-  equals a from-scratch ``block_weights`` after every checkpoint;
+* the runner's block-weight matrix ``W = S^T A S`` equals a
+  from-scratch ``block_weights`` after every checkpoint (checked
+  against Eq. 1 itself in ``test_block_weights.py``);
 * one coloring run is shared across tasks, weight modes, and
   checkpoints through the keyed cache.
 """
@@ -23,13 +24,13 @@ from repro.graphs.digraph import WeightedDiGraph
 from repro.lp.generators import planted_block_lp
 from repro.lp.reduction import approx_lp_opt
 from repro.pipeline import (
-    BlockWeightTracker,
     CentralityTask,
     ColoringCache,
     ColoringSpec,
     LPTask,
     MaxFlowTask,
     progressive_sweep,
+    run_certified,
     run_task,
 )
 from tests.conftest import random_adjacency
@@ -112,7 +113,7 @@ class TestProgressiveEqualsPerColor:
 
 
 class TestBlockWeightInvariant:
-    """Maintained W == block_weights from scratch after every checkpoint."""
+    """The runner's W == block_weights from scratch after every checkpoint."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_flow_sweep_weights(self, seed):
@@ -157,39 +158,6 @@ class TestBlockWeightInvariant:
             np.testing.assert_allclose(
                 maintained, scratch, rtol=1e-9, atol=1e-12
             )
-
-    def test_tracker_direct_splits(self):
-        """Drive a bare tracker alongside an engine split by split."""
-        adjacency = random_adjacency(30, 0.25, 17)
-        spec = ColoringSpec(adjacency, alpha=1.0, beta=1.0)
-        engine = spec.build_engine()
-        tracker = BlockWeightTracker(adjacency, engine.labels, engine.k)
-        for step in engine.steps(max_colors=12):
-            tracker.apply_split(
-                step.parent_color,
-                step.new_color,
-                engine.members(step.parent_color),
-                engine.members(step.new_color),
-                engine.labels,
-            )
-            scratch = block_weights(
-                adjacency, Coloring(engine.labels)
-            ).toarray()
-            np.testing.assert_allclose(
-                tracker.weights(engine.labels), scratch,
-                rtol=1e-9, atol=1e-12,
-            )
-
-    def test_tracker_rejects_out_of_order_split(self):
-        adjacency = random_adjacency(10, 0.4, 1)
-        spec = ColoringSpec(adjacency)
-        engine = spec.build_engine()
-        tracker = BlockWeightTracker(adjacency, engine.labels, engine.k)
-        with pytest.raises(ValueError, match="out of order"):
-            tracker.apply_split(
-                0, 5, np.array([0]), np.array([1]), engine.labels
-            )
-
 
 class TestColoringCache:
     def test_shared_across_weight_modes(self):
@@ -247,3 +215,38 @@ class TestTimings:
         second = run_task(MaxFlowTask(network), n_colors=8, cache=cache)
         assert second.timings.coloring <= first.timings.coloring
         assert second.coloring == first.coloring
+
+
+class TestStoppingRules:
+    """A color budget below 1 or a NaN or negative q target fails with
+    the value named, on every pipeline front; ``q = inf`` is legal."""
+
+    @pytest.mark.parametrize(
+        "knobs, named",
+        [({"n_colors": -3}, "got -3"), ({"n_colors": 0}, "got 0"),
+         ({"q": float("nan")}, "got nan"), ({"q": -1.0}, "got -1.0"),
+         ({"n_colors": 4, "q": float("nan")}, "got nan")],
+    )
+    def test_run_task_rejects(self, knobs, named):
+        with pytest.raises(ValueError, match=named):
+            run_task(MaxFlowTask(flow_network(n=12)), **knobs)
+
+    def test_sweep_rejects_a_bad_budget(self):
+        with pytest.raises(ValueError, match="n_colors must be positive"):
+            progressive_sweep(MaxFlowTask(flow_network(n=12)), (4, 0))
+
+    @pytest.mark.parametrize(
+        "knobs, named",
+        [({"eps": float("nan")}, "eps must be non-negative, got nan"),
+         ({"eps": -1.0}, "eps must be non-negative, got -1.0"),
+         ({"eps": 0.1, "max_colors": 0}, "max_colors must be >= 1, got 0")],
+    )
+    def test_certified_rejects(self, knobs, named):
+        with pytest.raises(ValueError, match=named):
+            run_certified(MaxFlowTask(flow_network(n=12)), **knobs)
+
+    def test_infinite_q_stops_at_the_initial_partition(self):
+        network = flow_network(n=12)
+        result = run_task(MaxFlowTask(network), q=float("inf"))
+        # s and t are pinned singletons; everything else is one color.
+        assert result.n_colors == 3

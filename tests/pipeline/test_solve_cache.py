@@ -143,20 +143,6 @@ class TestCacheOnOffEquality:
 
 
 class TestReducedSolveCacheLRU:
-    def test_eviction_order_and_counters(self):
-        cache = ReducedSolveCache(max_entries=2)
-        cache.put(("a",), (1, 1, 1, 1.0))
-        cache.put(("b",), (2, 2, 2, 2.0))
-        assert cache.get(("a",)) is not None  # refresh "a"'s recency
-        cache.put(("c",), (3, 3, 3, 3.0))  # evicts "b", not "a"
-        assert cache.get(("b",)) is None
-        assert cache.get(("a",)) is not None
-        assert cache.get(("c",)) is not None
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        assert cache.hits == 3
-        assert cache.misses == 1
-
     def test_counters_mirrored_to_obs(self):
         cache = ReducedSolveCache()
         with recording() as rec:
@@ -166,7 +152,3 @@ class TestReducedSolveCacheLRU:
         counters = rec.snapshot()["counters"]
         assert counters["pipeline.solve_cache.miss"] == 1
         assert counters["pipeline.solve_cache.hit"] == 1
-
-    def test_max_entries_validated(self):
-        with pytest.raises(ValueError, match="max_entries"):
-            ReducedSolveCache(max_entries=0)

@@ -451,6 +451,67 @@ class TestCleanCliErrors:
         assert line.startswith(f"repro color: {edges}:2: weight")
         assert reason in line
 
+    @pytest.mark.parametrize(
+        "flags, line",
+        [(["--colors", "0"], "n_colors must be positive, got 0"),
+         (["--colors", "-3"], "n_colors must be positive, got -3"),
+         (["--q", "nan"], "q must be non-negative, got nan"),
+         (["--q", "-1"], "q must be non-negative, got -1.0"),
+         (["--eps", "nan"], "eps must be non-negative, got nan")],
+    )
+    def test_color_bad_stopping_rule_is_one_line(
+        self, tmp_path, capsys, flags, line
+    ):
+        edges = tmp_path / "g.edges"
+        edges.write_text("1 2 1.0\n2 3 2.0\n")
+        assert main(["color", str(edges), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [f"repro color: {line}"]
+
+    @pytest.mark.parametrize(
+        "flags, line",
+        [(["--colors", "-3"], "n_colors must be positive, got -3"),
+         (["--colors", "4,0"], "n_colors must be positive, got 0"),
+         (["--q", "nan"], "q must be non-negative, got nan"),
+         (["--colors", "4", "--q", "-1"], "q must be non-negative, got -1.0"),
+         (["--certify", "-1"], "eps must be non-negative, got -1.0"),
+         (["--certify", "nan"], "eps must be non-negative, got nan")],
+    )
+    def test_solve_bad_stopping_rule_is_one_line(self, capsys, flags, line):
+        assert main(
+            ["solve", "--task", "maxflow", "--dataset", "tsukuba0",
+             "--scale", "0.002", *flags]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [f"repro solve: {line}"]
+
+    @pytest.mark.parametrize("scale", ["nan", "-1", "0", "inf"])
+    def test_solve_bad_scale_exits_like_an_unknown_dataset(
+        self, capsys, scale
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "--task", "maxflow", "--dataset", "tsukuba0",
+                  "--scale", scale, "--colors", "4"])
+        assert exit_info.value.code == (
+            f"scale must be finite and > 0, got {float(scale)}"
+        )
+        with pytest.raises(SystemExit) as unknown:
+            main(["solve", "--task", "maxflow", "--dataset", "imaginary",
+                  "--colors", "4"])
+        assert str(unknown.value.code).startswith("unknown dataset")
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_zero_max_colors_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "--task", "maxflow", "--dataset", "tsukuba0",
+                  "--certify", "0.1", "--max-colors", "0"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "argument --max-colors: must be a positive integer" in err
+
     def test_zero_workers_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["solve", "--task", "centrality", "--dataset", "karate",
