@@ -96,6 +96,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
     if (args.edgelist is None) == (args.synthetic is None):
         raise SystemExit("ingest needs exactly one of --edgelist/--synthetic")
+    if args.synthetic is not None and (args.n_nodes is not None
+                                       or args.undirected):
+        raise SystemExit(
+            "--n-nodes and --undirected apply to --edgelist only "
+            "(--synthetic N,OUT_DEGREE is a directed graph on N nodes)"
+        )
     start = time.perf_counter()
     try:
         if args.edgelist is not None:
@@ -665,7 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="store both directions of every edge "
                              "(with --edgelist)")
     ingest.add_argument("--n-nodes", type=int, default=None,
-                        help="declared node count (default: max id + 1)")
+                        help="declared node count (with --edgelist; "
+                             "default: max id + 1)")
     ingest.add_argument("--chunk-arcs", type=int, default=8_000_000,
                         help="arcs buffered per sorted run before it "
                              "spills to disk")
@@ -838,11 +845,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _validate(parser, args)
     try:
-        # Arm the fault-injection plan named by REPRO_FAULTS (no-op
-        # without it) — how CI kills a real CLI subprocess mid-ingest.
-        from repro.resilience.faults import install_from_env
-
-        install_from_env()
         if getattr(args, "trace_out", None) and args.command != "profile":
             from repro.obs.export import write_jsonl
 

@@ -18,14 +18,10 @@ Resolution happens **once per run**: explicit argument
 ``REPRO_BACKEND`` environment variable beats auto-detection
 (numba if importable, else numpy).  An optional backend that fails to
 import degrades silently under ``auto`` and raises a clear
-:class:`ImportError` when named explicitly.  One that imports but fails
-at *runtime* degrades too: numba instances are wrapped in
-:class:`~repro.resilience.fallback.ResilientBackend`, so a kernel that
-raises mid-run is demoted to the numpy reference (once, with a warning
-and a ``resilience.fallback.*`` counter) instead of crashing the run.
-Resolved instances are cached per name, so repeated resolution is an
-attribute lookup, and the resolved ``name`` is what the observability
-spans, the coloring-cache key, and the benchmark results JSON record.
+:class:`ImportError` when named explicitly.  Resolved instances are
+cached per name, so repeated resolution is an attribute lookup, and the
+resolved ``name`` is what the observability spans, the coloring-cache
+key, and the benchmark results JSON record.
 
 :func:`resolve_workers` is the one worker-count rule (``workers=``
 argument, else ``REPRO_WORKERS``, else 1).  Its only consumer is
@@ -40,7 +36,6 @@ import os
 from repro.core.backends.base import Backend, KERNEL_NAMES, SOLVER_KERNEL_NAMES
 from repro.core.backends.numpy_backend import NumpyBackend
 from repro.core.backends import numba_backend as _numba
-from repro.resilience.fallback import ResilientBackend
 
 __all__ = [
     "Backend",
@@ -77,7 +72,7 @@ def _instantiate(name: str) -> Backend:
         if name == "numpy":
             backend = NumpyBackend()
         elif name == "numba":
-            backend = ResilientBackend(_numba.NumbaBackend())
+            backend = _numba.NumbaBackend()
         else:
             raise ValueError(
                 f"unknown backend {name!r}; expected one of "

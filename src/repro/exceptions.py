@@ -17,20 +17,13 @@ class GraphError(ReproError):
 
 
 class StoreError(GraphError):
-    """An on-disk edge store is missing, corrupt, or fails verification.
+    """An on-disk edge store or ingest journal is missing, corrupt, or
+    fails verification, or a resume does not match its journal (other
+    parameters, or re-fed input that differs from the journaled ingest).
 
     Subclasses :class:`GraphError` so existing edge-store handlers keep
     working; the narrower type lets callers distinguish "bad store on
     disk" (retry after re-ingest / resume) from in-memory graph misuse.
-    """
-
-
-class FaultInjected(ReproError):
-    """Raised by an armed :class:`repro.resilience.FaultPlan` rule.
-
-    Tests and CI use it to simulate component failures at named
-    injection points; production code never raises it (the default
-    fault plan is a no-op).
     """
 
 

@@ -40,7 +40,11 @@ intact before a long coloring run trusts it.  A ``SIGKILL`` at any
 point leaves either the previous store or a resumable work directory —
 never a half-written store — and re-running the same ingest with
 ``resume=True`` skips already-journaled input chunks and produces a
-store bit-identical to an uninterrupted run.
+store bit-identical to an uninterrupted run.  The journal also holds a
+fingerprint of the input (``input_crc32``, a crc32 chained over every
+appended chunk's ``src``, ``dst`` and ``weight``); a resume recomputes
+it over the re-fed chunks and refuses to continue when the two differ
+at the journaled frontier, so changed input never yields a mixed store.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ import scipy.sparse as sp
 from repro.exceptions import GraphError, StoreError
 from repro.graphs.digraph import coerce_index_array
 from repro.graphs.io import parse_weight
-from repro.resilience.faults import inject
 
 __all__ = [
     "EdgeStore",
@@ -142,6 +145,13 @@ class NpyAppender:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
+
+
+def _is_count(value: Any) -> bool:
+    """A non-negative JSON integer (``bool`` is an ``int`` subclass)."""
+    return (
+        isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    )
 
 
 def _crc32_file(path: Path, block: int = 1 << 20) -> str:
@@ -308,6 +318,9 @@ class EdgeStoreWriter:
         self._closed = False
         #: appended arcs still to be skipped during a resume replay
         self._replay_remaining = 0
+        #: crc32 chained over every appended chunk, and its journaled value
+        self._input_crc = 0
+        self._journaled_crc = None
         if resume:
             self._load_journal()
         else:
@@ -326,6 +339,7 @@ class EdgeStoreWriter:
             "appended": self._appended,
             "stored": self._stored,
             "max_node": self._max_node,
+            "input_crc32": self._input_crc,
             "runs": [paths[0].name[:-len(".k1.npy")]
                      for paths in self._runs],
         }
@@ -380,6 +394,7 @@ class EdgeStoreWriter:
         self._appended = int(journal["appended"])
         self._stored = int(journal["stored"])
         self._max_node = int(journal["max_node"])
+        self._journaled_crc = journal.get("input_crc32")
         self._replay_remaining = self._appended
 
     # -- input ----------------------------------------------------------
@@ -409,12 +424,17 @@ class EdgeStoreWriter:
                 )
         if not src.size:
             return
+        for array in (src, dst, weight):
+            self._input_crc = zlib.crc32(
+                np.ascontiguousarray(array), self._input_crc
+            )
         if self._replay_remaining:
             # Resume replay: this chunk is already inside a journaled
             # run.  Skipping relies on the caller re-feeding the exact
             # same chunk sequence — a chunk straddling the journaled
-            # frontier means the input changed, which would silently
-            # corrupt the store, so refuse instead.
+            # frontier, or a fingerprint that differs at it, means the
+            # input changed, which would silently corrupt the store, so
+            # refuse instead.
             if src.size > self._replay_remaining:
                 raise StoreError(
                     f"resume replay mismatch at {self.path}: chunk of "
@@ -423,6 +443,15 @@ class EdgeStoreWriter:
                     f"identical input chunks or start over"
                 )
             self._replay_remaining -= src.size
+            if (
+                not self._replay_remaining
+                and self._input_crc != self._journaled_crc
+            ):
+                raise StoreError(
+                    f"cannot resume {self.path}: the re-fed input differs "
+                    f"from the journaled ingest (its input_crc32 does not "
+                    f"match); re-feed the identical input or start over"
+                )
             return
         self._validate(src, dst)
         self._appended += src.size
@@ -461,7 +490,6 @@ class EdgeStoreWriter:
     def _flush_run(self) -> None:
         if not self._buffered:
             return
-        inject("edgestore.run.spill", run=len(self._runs))
         src = np.concatenate([part[0] for part in self._buffer])
         dst = np.concatenate([part[1] for part in self._buffer])
         weight = np.concatenate([part[2] for part in self._buffer])
@@ -477,7 +505,6 @@ class EdgeStoreWriter:
         np.save(paths[1], dst[order])
         np.save(paths[2], weight[order])
         self._runs.append(paths)
-        inject("edgestore.run.journal", run=len(self._runs) - 1)
         self._write_journal()
 
     # -- output ---------------------------------------------------------
@@ -527,7 +554,6 @@ class EdgeStoreWriter:
         weight_out = NpyAppender(self._stage / "weight.npy", np.float64)
 
         def emit_dedup(keys: np.ndarray, weights: np.ndarray) -> None:
-            inject("edgestore.merge.chunk", arcs=int(keys.size))
             starts = np.flatnonzero(
                 np.concatenate(([True], keys[1:] != keys[:-1]))
             )
@@ -591,7 +617,6 @@ class EdgeStoreWriter:
         runs still exist (resume rebuilds the stage), and a leftover
         ``.old`` directory is swept by the next commit.
         """
-        inject("edgestore.commit")
         old = self.path.with_name(self.path.name + ".old")
         if old.exists():
             shutil.rmtree(old)
@@ -647,7 +672,6 @@ class EdgeStoreWriter:
         data_out = NpyAppender(self._stage / "csc_data.npy", np.float64)
 
         def emit_csc(keys: np.ndarray, weights: np.ndarray) -> None:
-            inject("edgestore.csc.chunk", arcs=int(keys.size))
             indices_out.append(keys % n)  # key = dst * n + src
             data_out.append(weights)
 
@@ -689,19 +713,36 @@ class EdgeStore:
             raise GraphError(
                 f"corrupt edge store metadata at {meta_path}: {exc}"
             ) from exc
+        if not isinstance(meta, dict):
+            raise GraphError(
+                f"corrupt edge store metadata at {meta_path}: expected a "
+                f"JSON object, got {type(meta).__name__}"
+            )
         if meta.get("format") != FORMAT_NAME:
             raise GraphError(
                 f"{meta_path} is not a {FORMAT_NAME} store"
             )
-        if int(meta.get("version", -1)) != FORMAT_VERSION:
+        if meta.get("version") != FORMAT_VERSION:
             raise GraphError(
                 f"unsupported edge store version {meta.get('version')!r} "
                 f"(expected {FORMAT_VERSION})"
             )
+        for key, valid, expected in (
+            ("n_nodes", _is_count, "a non-negative integer"),
+            ("n_arcs", _is_count, "a non-negative integer"),
+            ("directed", lambda value: isinstance(value, bool), "a bool"),
+            ("index_dtype", lambda value: value in ("<i4", "<i8"),
+             '"<i4" or "<i8"'),
+        ):
+            if not valid(meta.get(key)):
+                raise GraphError(
+                    f"corrupt edge store metadata at {meta_path}: {key} "
+                    f"must be {expected}, got {meta.get(key)!r}"
+                )
         self.meta = meta
-        self.n_nodes = int(meta["n_nodes"])
-        self.n_arcs = int(meta["n_arcs"])
-        self.directed = bool(meta["directed"])
+        self.n_nodes = meta["n_nodes"]
+        self.n_arcs = meta["n_arcs"]
+        self.directed = meta["directed"]
         self.index_dtype = np.dtype(meta["index_dtype"])
 
     def _load(self, stem: str, mmap: bool) -> np.ndarray:
@@ -923,14 +964,6 @@ def ingest_edgelist(
     journal instead of re-sorting everything (parsing is redone — the
     journal records sorted runs, not text offsets).
     """
-    writer = EdgeStoreWriter(
-        path,
-        directed=directed,
-        n_nodes=n_nodes,
-        chunk_arcs=chunk_arcs,
-        overwrite=overwrite,
-        resume=resume,
-    )
     src: list[int] = []
     dst: list[int] = []
     weight: list[float] = []
@@ -946,7 +979,17 @@ def ingest_edgelist(
             dst.clear()
             weight.clear()
 
+    # Open the input before the writer creates its work directory, so a
+    # missing file leaves nothing behind.
     with open(edgelist, "r", encoding="utf-8") as handle:
+        writer = EdgeStoreWriter(
+            path,
+            directed=directed,
+            n_nodes=n_nodes,
+            chunk_arcs=chunk_arcs,
+            overwrite=overwrite,
+            resume=resume,
+        )
         for line_no, line in enumerate(handle, 1):
             text = line.strip()
             if not text or text.startswith(comments):
@@ -992,6 +1035,8 @@ def ingest_uniform_random(
     unit weights (duplicate draws sum) — but generated chunk by chunk,
     so a 100M-arc graph is ingested without ever holding its edge list.
     """
+    if out_degree < 0:
+        raise GraphError(f"out_degree must be >= 0, got {out_degree}")
     rng = np.random.default_rng(seed)
     writer = EdgeStoreWriter(
         path,

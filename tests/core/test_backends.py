@@ -90,6 +90,11 @@ class TestResolution:
         resolved = resolve_backend("auto")
         assert resolved.name in ("numpy", "numba")
 
+    def test_numba_resolves_to_the_numba_backend_itself(self):
+        # No proxy in between: a raising numba kernel fails the run (and
+        # the parity sweep) instead of being replayed on numpy.
+        assert type(optional_backend("numba")) is numba_backend.NumbaBackend
+
     def test_missing_optional_backend_errors_clearly(self):
         if not numba_backend.available():
             with pytest.raises(ImportError, match="numba"):

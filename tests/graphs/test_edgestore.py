@@ -242,6 +242,11 @@ class TestIngestEdgelist:
         with pytest.raises(GraphError, match=rf"arcs\.txt:2: .*{reason}"):
             ingest_edgelist(tmp_path / "store", text)
 
+    def test_missing_file_leaves_no_work_directory(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            ingest_edgelist(tmp_path / "store", tmp_path / "missing.txt")
+        assert not any(tmp_path.iterdir())
+
     def test_chunked_streaming_parity(self, tmp_path):
         lines = [f"{i % 17} {(i * 7) % 17} {1 + i % 3}" for i in range(500)]
         text = tmp_path / "arcs.txt"
@@ -263,6 +268,11 @@ class TestIngestUniformRandom:
         assert 0.98 * 4000 <= a.n_arcs <= 4000
         for part in zip(a.csr_arrays(), b.csr_arrays()):
             assert np.array_equal(*part)
+
+    def test_negative_out_degree_rejected(self, tmp_path):
+        with pytest.raises(GraphError, match="out_degree must be >= 0"):
+            ingest_uniform_random(tmp_path / "store", 100, -1)
+        assert not any(tmp_path.iterdir())
 
     def test_no_self_loops(self, tmp_path):
         store = ingest_uniform_random(tmp_path / "s", 50, 3, seed=1)

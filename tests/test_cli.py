@@ -1,12 +1,15 @@
 """Tests for the command-line interface."""
 
+import errno
 import io
+import os
 
 import pytest
 
 from repro.cli import main
 from repro.graphs.generators import karate_club
 from repro.graphs.io import write_edgelist
+from tests.graphs.test_ingest_resume import CORRUPT_META, corrupt_meta
 
 
 @pytest.fixture
@@ -14,6 +17,10 @@ def karate_file(tmp_path):
     path = tmp_path / "karate.edges"
     write_edgelist(karate_club(), path)
     return str(path)
+
+
+def _full_disk(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 @pytest.fixture(autouse=True)
@@ -583,27 +590,86 @@ class TestCleanCliErrors:
     def test_faulted_ingest_then_resume_round_trip(
         self, tmp_path, capsys, monkeypatch
     ):
-        from repro.resilience import uninstall_plan
+        from repro.graphs import edgestore
 
         store = tmp_path / "store"
-        monkeypatch.setenv(
-            "REPRO_FAULTS", "edgestore.merge.chunk@1"
+        ingest = ["ingest", str(store), "--synthetic", "300,5", "--seed", "2"]
+        with monkeypatch.context() as patch:
+            patch.setattr(edgestore, "_merge_runs", _full_disk)
+            with pytest.raises(SystemExit) as exit_info:
+                main(ingest)
+        assert exit_info.value.code == (
+            f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
         )
-        try:
-            assert main(
-                ["ingest", str(store), "--synthetic", "300,5",
-                 "--seed", "2"]
-            ) == 2
-            assert "injected fault" in capsys.readouterr().err
-        finally:
-            uninstall_plan()
-        monkeypatch.delenv("REPRO_FAULTS")
-        assert main(
-            ["ingest", str(store), "--synthetic", "300,5",
-             "--seed", "2", "--resume"]
-        ) == 0
+        assert not store.exists()
+        assert (tmp_path / "store.ingest").exists()
+        assert main([*ingest, "--resume"]) == 0
         capsys.readouterr()
         assert main(["verify", str(store)]) == 0
+
+    def test_edgelist_resume_from_a_different_file(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.graphs import edgestore
+
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        first.write_text("0 1 2.0\n1 2 1.0\n2 0 1.5\n")
+        second.write_text("0 1 2.0\n1 2 1.0\n2 0 4.5\n")
+        store = tmp_path / "store"
+        with monkeypatch.context() as patch:
+            patch.setattr(edgestore, "_merge_runs", _full_disk)
+            with pytest.raises(SystemExit):
+                main(["ingest", str(store), "--edgelist", str(first)])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ingest", str(store), "--edgelist", str(second),
+                  "--resume"])
+        (line,) = str(exit_info.value.code).splitlines()
+        assert "re-fed input differs from the journaled ingest" in line
+        assert not store.exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--synthetic", "100,-1"], "out_degree must be >= 0, got -1"),
+         (["--edgelist", "missing.txt"], "No such file or directory"),
+         (["--synthetic", "50,2", "--n-nodes", "7"], "--n-nodes"),
+         (["--synthetic", "50,2", "--undirected"], "--undirected")],
+        ids=["negative-out-degree", "missing-edgelist",
+             "n-nodes-with-synthetic", "undirected-with-synthetic"],
+    )
+    def test_bad_ingest_arguments_are_one_line(
+        self, tmp_path, monkeypatch, flags, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ingest", "out", *flags])
+        (line,) = str(exit_info.value.code).splitlines()
+        assert named in line
+        assert not any(tmp_path.iterdir())  # no OUT, no OUT.ingest
+
+    @pytest.mark.parametrize("edit, named", CORRUPT_META)
+    @pytest.mark.parametrize(
+        "command",
+        [["verify", "STORE"],
+         ["color", "STORE", "--mmap", "--colors", "4"],
+         ["solve", "--task", "maxflow", "--dataset", "STORE", "--mmap",
+          "--colors", "4"]],
+        ids=["verify", "color", "solve"],
+    )
+    def test_corrupt_store_metadata_is_one_line(
+        self, tmp_path, capsys, command, edit, named
+    ):
+        store = tmp_path / "store"
+        assert main(["ingest", str(store), "--synthetic", "30,2"]) == 0
+        corrupt_meta(store, edit)
+        capsys.readouterr()
+        argv = [str(store) if arg == "STORE" else arg for arg in command]
+        try:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+        except SystemExit as exit_info:  # solve: printed on exit, status 1
+            err = str(exit_info.code)
+        (line,) = err.strip().splitlines()
+        assert named in line
 
 
 class TestCertifyCli:
