@@ -9,12 +9,19 @@ sink whose capacities encode data terms.  The stand-ins reproduce exactly
 that structure with a smooth synthetic "intensity" field, quantized to a
 handful of levels — quantization is what gives the real instances their
 near-regular blocks, which is what the coloring exploits.
+
+Both grid builders share :func:`_grid_network`, which derives every arc
+from the quantized field with index arithmetic and makes one
+``WeightedDiGraph.from_arrays`` call: no per-arc dict insertion.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro.exceptions import FlowError
 from repro.flow.network import FlowNetwork
 from repro.graphs.digraph import WeightedDiGraph
 from repro.utils.rng import SeedLike, ensure_rng
@@ -45,6 +52,61 @@ def _smooth_field(
     return np.minimum((field * levels).astype(int), levels - 1)
 
 
+def _grid_network(
+    sides: dict[str, int], levels: int, smoothness: float, seed: SeedLike
+) -> FlowNetwork:
+    """A BK-style grid network over a quantized field, built from arrays.
+
+    ``sides`` names the extents in label order (x first).  Nodes are
+    ``"s"``, ``"t"``, then pixels in row-major order (x fastest), each
+    labeled by its coordinate tuple of Python ints.  Raises
+    :class:`FlowError` naming the argument when a side is < 1,
+    ``levels < 2`` (no terminal arc could carry flow), or ``smoothness``
+    is not finite and >= 0.
+    """
+    for name, side in sides.items():
+        if side < 1:
+            raise FlowError(f"{name} must be >= 1, got {side}")
+    if levels < 2:
+        raise FlowError(f"levels must be >= 2, got {levels}")
+    if not (math.isfinite(smoothness) and smoothness >= 0):
+        raise FlowError(
+            f"smoothness must be finite and >= 0, got {smoothness}"
+        )
+    dims = tuple(sides.values())
+    field = _smooth_field(dims[::-1], levels, ensure_rng(seed)).ravel()
+    pixel = np.arange(field.size, dtype=np.int64)
+    node = pixel + 2
+    complement = levels - 1 - field
+    fed, drained = field > 0, complement > 0
+    src = [np.zeros(np.count_nonzero(fed), dtype=np.int64), node[drained]]
+    dst = [node[fed], np.ones(np.count_nonzero(drained), dtype=np.int64)]
+    capacity = [field[fed], complement[drained]]
+    coords = []
+    stride = 1
+    for side in dims:
+        coord = pixel // stride % side
+        coords.append(coord.tolist())
+        here = pixel[coord + 1 < side]
+        there = here + stride
+        gradient = np.minimum(np.abs(field[here] - field[there]), 2)
+        weight = smoothness * (1.0 + gradient)
+        src += [here + 2, there + 2]
+        dst += [there + 2, here + 2]
+        capacity += [weight, weight]
+        stride *= side
+    # Rebinding drops the per-part arrays before the CSR build.
+    src, dst, capacity = (np.concatenate(p) for p in (src, dst, capacity))
+    graph = WeightedDiGraph.from_arrays(
+        src,
+        dst,
+        capacity,
+        n_nodes=field.size + 2,
+        labels=["s", "t", *zip(*coords)],
+    )
+    return FlowNetwork(graph, "s", "t")
+
+
 def vision_grid_instance(
     width: int,
     height: int,
@@ -59,31 +121,12 @@ def vision_grid_instance(
       (the two data terms);
     * 4-neighbors share symmetric arcs with capacity ``smoothness``
       scaled by the local gradient level (few distinct values).
+
+    Nodes are ``"s"``, ``"t"``, then pixels ``(x, y)`` row by row.
     """
-    rng = ensure_rng(seed)
-    field = _smooth_field((height, width), levels, rng)
-    graph = WeightedDiGraph(directed=True)
-    graph.add_node("s")
-    graph.add_node("t")
-    for y in range(height):
-        for x in range(width):
-            graph.add_node((x, y))
-    for y in range(height):
-        for x in range(width):
-            level = float(field[y, x])
-            if level > 0:
-                graph.add_edge("s", (x, y), level)
-            complement = float(levels - 1 - field[y, x])
-            if complement > 0:
-                graph.add_edge((x, y), "t", complement)
-            for dx, dy in ((1, 0), (0, 1)):
-                nx_, ny_ = x + dx, y + dy
-                if nx_ < width and ny_ < height:
-                    gradient = abs(int(field[y, x]) - int(field[ny_, nx_]))
-                    capacity = smoothness * (1.0 + min(gradient, 2))
-                    graph.add_edge((x, y), (nx_, ny_), capacity)
-                    graph.add_edge((nx_, ny_), (x, y), capacity)
-    return FlowNetwork(graph, "s", "t")
+    return _grid_network(
+        {"width": width, "height": height}, levels, smoothness, seed
+    )
 
 
 def segmentation_3d_instance(
@@ -94,35 +137,13 @@ def segmentation_3d_instance(
     smoothness: float = 1.5,
     seed: SeedLike = 0,
 ) -> FlowNetwork:
-    """A 3-D BK-style instance (cell-segmentation structure)."""
-    rng = ensure_rng(seed)
-    field = _smooth_field((nz, ny, nx), levels, rng)
-    graph = WeightedDiGraph(directed=True)
-    graph.add_node("s")
-    graph.add_node("t")
-    for z in range(nz):
-        for y in range(ny):
-            for x in range(nx):
-                graph.add_node((x, y, z))
-    for z in range(nz):
-        for y in range(ny):
-            for x in range(nx):
-                level = float(field[z, y, x])
-                if level > 0:
-                    graph.add_edge("s", (x, y, z), level)
-                complement = float(levels - 1 - field[z, y, x])
-                if complement > 0:
-                    graph.add_edge((x, y, z), "t", complement)
-                for dx, dy, dz in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-                    x2, y2, z2 = x + dx, y + dy, z + dz
-                    if x2 < nx and y2 < ny and z2 < nz:
-                        gradient = abs(
-                            int(field[z, y, x]) - int(field[z2, y2, x2])
-                        )
-                        capacity = smoothness * (1.0 + min(gradient, 2))
-                        graph.add_edge((x, y, z), (x2, y2, z2), capacity)
-                        graph.add_edge((x2, y2, z2), (x, y, z), capacity)
-    return FlowNetwork(graph, "s", "t")
+    """A 3-D BK-style instance (cell-segmentation structure).
+
+    Nodes are ``"s"``, ``"t"``, then voxels ``(x, y, z)``, x fastest.
+    """
+    return _grid_network(
+        {"nx": nx, "ny": ny, "nz": nz}, levels, smoothness, seed
+    )
 
 
 def _scaled_side(paper_nodes: int, scale: float, minimum: int = 8) -> int:

@@ -64,9 +64,22 @@ def planted_block_lp(
     an exactly stable coloring of the extended matrix, so the reduced LP
     is exact (the Grohe et al. regime); increasing ``noise`` degrades it
     gracefully into the quasi-stable regime.
+
+    The matrix is built from index arrays: each active block, in
+    row-group-major order, draws its jitter with one ``rng.uniform``
+    call.  Raises :class:`LPError` unless ``0 < density <= 1``,
+    ``1 <= row_groups <= n_rows`` and ``1 <= col_groups <= n_cols``.
     """
     if not 0 < density <= 1:
         raise LPError(f"density must be in (0, 1], got {density}")
+    if not 1 <= row_groups <= n_rows:
+        raise LPError(
+            f"row_groups must be in [1, n_rows={n_rows}], got {row_groups}"
+        )
+    if not 1 <= col_groups <= n_cols:
+        raise LPError(
+            f"col_groups must be in [1, n_cols={n_cols}], got {col_groups}"
+        )
     rng = ensure_rng(seed)
     row_membership = np.sort(rng.integers(0, row_groups, size=n_rows))
     col_membership = np.sort(rng.integers(0, col_groups, size=n_cols))
@@ -94,31 +107,31 @@ def planted_block_lp(
         np.nonzero(row_membership == g)[0] for g in range(row_groups)
     ]
     rows, cols, values = [], [], []
-    for row_group in range(row_groups):
+    for row_group, col_group in zip(*np.nonzero(active)):
         group_rows = rows_of_group[row_group]
-        for col_group in range(col_groups):
-            if not active[row_group, col_group]:
-                continue
-            group_cols = cols_of_group[col_group]
-            width = len(group_cols)
-            # Per-row nonzero count, rounded to a multiple of
-            # width / gcd(|rows|, width) so the consecutive round-robin
-            # covers every column the same number of times — this makes
-            # the noiseless instance *exactly* biregular per block.
-            step = width // np.gcd(len(group_rows), width)
-            per_row = max(1, round(density * width / step)) * step
-            per_row = min(per_row, width)
-            level = base[row_group, col_group]
-            for rank, row in enumerate(group_rows):
-                start = (rank * per_row) % width
-                chosen = group_cols[(start + np.arange(per_row)) % width]
-                for col in chosen:
-                    jitter = 1.0 + noise * rng.uniform(-1.0, 1.0)
-                    rows.append(int(row))
-                    cols.append(int(col))
-                    values.append(level * jitter)
+        group_cols = cols_of_group[col_group]
+        width = len(group_cols)
+        # Per-row nonzero count, rounded to a multiple of
+        # width / gcd(|rows|, width) so the consecutive round-robin
+        # covers every column the same number of times — this makes
+        # the noiseless instance *exactly* biregular per block.
+        step = width // np.gcd(len(group_rows), width)
+        per_row = min(max(1, round(density * width / step)) * step, width)
+        # Row of rank r takes the per_row columns after r * per_row,
+        # cyclically.
+        rank = np.arange(len(group_rows))[:, None]
+        rows.append(np.repeat(group_rows, per_row))
+        cols.append(
+            group_cols[(rank * per_row + np.arange(per_row)) % width].ravel()
+        )
+        jitter = 1.0 + noise * rng.uniform(-1.0, 1.0, size=rows[-1].size)
+        values.append(base[row_group, col_group] * jitter)
     a_matrix = sp.csr_matrix(
-        (values, (rows, cols)), shape=(n_rows, n_cols)
+        (
+            np.concatenate(values),
+            (np.concatenate(rows), np.concatenate(cols)),
+        ),
+        shape=(n_rows, n_cols),
     )
     row_level = rng.uniform(20.0, 60.0, size=row_groups)
     col_level = rng.uniform(2.0, 12.0, size=col_groups)

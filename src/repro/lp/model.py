@@ -20,7 +20,13 @@ from repro.exceptions import LPError
 
 @dataclass
 class LinearProgram:
-    """``maximize c^T x  s.t.  A x <= b, x >= 0``."""
+    """``maximize c^T x  s.t.  A x <= b, x >= 0``.
+
+    Construction coerces ``A`` to float64 CSR and ``b``/``c`` to flat
+    float64 vectors, and raises :class:`LPError` on a shape mismatch or
+    on the first non-finite entry of ``A``, ``b`` or ``c`` (named, e.g.
+    ``b[3] = nan``).
+    """
 
     a_matrix: sp.csr_matrix
     b: np.ndarray
@@ -36,6 +42,24 @@ class LinearProgram:
             raise LPError(f"b has shape {self.b.shape}, expected ({m},)")
         if self.c.shape != (n,):
             raise LPError(f"c has shape {self.c.shape}, expected ({n},)")
+        # One O(nnz + m + n) pass, so NaN/inf fails here, named in the
+        # LP's own terms, not later inside a coloring or a solver.
+        data = self.a_matrix.data
+        bad = ~np.isfinite(data)
+        if bad.any():
+            k = int(np.argmax(bad))
+            i = int(np.searchsorted(self.a_matrix.indptr, k, side="right")) - 1
+            raise LPError(
+                f"A[{i}, {self.a_matrix.indices[k]}] = {data[k]}: "
+                "LP data must be finite"
+            )
+        for name, vector in (("b", self.b), ("c", self.c)):
+            bad = ~np.isfinite(vector)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise LPError(
+                    f"{name}[{k}] = {vector[k]}: LP data must be finite"
+                )
 
     @property
     def n_rows(self) -> int:

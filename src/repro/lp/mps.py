@@ -11,12 +11,20 @@ into the canonical ``max c x, A x <= b, x >= 0`` form:
 * ``UP`` bounds become extra constraint rows; nonzero ``LO``/``FX``
   bounds and ``RANGES`` are rejected loudly rather than silently
   mis-read.
+
+:func:`read_mps` makes one pass over the file, collecting
+``(row, column, value)`` triplets, and builds ``A`` once from arrays: it
+costs O(file size + nnz), whatever the row and column counts.  A line it
+cannot read exactly raises ``LPError("<file>:<line>: ...")``: a row or
+column that was never declared, an entry given twice, a number that does
+not parse or is not finite, or a line with a token missing.  Entries on
+extra ``N`` rows (free rows) are ignored.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from collections import OrderedDict
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,12 +34,32 @@ from repro.lp.model import LinearProgram
 
 
 def read_mps(path: str | os.PathLike) -> LinearProgram:
-    """Parse an MPS file into a :class:`LinearProgram`."""
-    row_sense: "OrderedDict[str, str]" = OrderedDict()
+    """Parse an MPS file into a :class:`LinearProgram` in O(nnz)."""
+
+    def fail(line: int, message: str) -> LPError:
+        return LPError(f"{path}:{line}: {message}")
+
+    def number(token: str, line: int) -> float:
+        try:
+            value = float(token)
+        except ValueError:
+            raise fail(line, f"{token!r} is not a number") from None
+        if not math.isfinite(value):
+            raise fail(line, f"{token!r} is not finite")
+        return value
+
+    #: every declared row: L/G/E rows count up from 0 in declaration
+    #: order, the objective (first N) row is -1, other N rows are -2
+    row_of: dict[str, int] = {}
     objective_row: str | None = None
-    columns: "OrderedDict[str, dict[str, float]]" = OrderedDict()
+    senses: list[str] = []
+    column_index: dict[str, int] = {}
+    rows: list[int] = []
+    cols: list[int] = []
+    values: list[float] = []
+    entered: set[tuple[int, int]] = set()
     rhs: dict[str, float] = {}
-    upper_bounds: dict[str, float] = {}
+    upper_bounds: dict[int, float] = {}
     maximize = False
     section = None
 
@@ -52,93 +80,133 @@ def read_mps(path: str | os.PathLike) -> LinearProgram:
             if section == "OBJSENSE":
                 maximize = parts[0].upper() in ("MAX", "MAXIMIZE")
             elif section == "ROWS":
+                if len(parts) != 2:
+                    raise fail(line_number, "expected '<sense> <row>'")
                 sense, name = parts[0].upper(), parts[1]
+                if name in row_of:
+                    raise fail(line_number, f"row {name!r} declared twice")
                 if sense == "N":
+                    row_of[name] = -1 if objective_row is None else -2
                     if objective_row is None:
                         objective_row = name
                 elif sense in ("L", "G", "E"):
-                    row_sense[name] = sense
+                    row_of[name] = len(senses)
+                    senses.append(sense)
                 else:
-                    raise LPError(f"{path}:{line_number}: bad row sense {sense}")
+                    raise fail(line_number, f"bad row sense {sense}")
             elif section == "COLUMNS":
                 if "MARKER" in raw:
-                    raise LPError(
-                        f"{path}:{line_number}: integer markers unsupported"
+                    raise fail(line_number, "integer markers unsupported")
+                if len(parts) % 2 == 0:
+                    raise fail(
+                        line_number, "expected '<column> <row> <value> ...'"
                     )
-                column = parts[0]
-                entries = columns.setdefault(column, {})
-                for row_name, value in zip(parts[1::2], parts[2::2]):
-                    entries[row_name] = float(value)
-            elif section == "RHS":
-                for row_name, value in zip(parts[1::2], parts[2::2]):
-                    rhs[row_name] = float(value)
-            elif section == "BOUNDS":
-                kind, column = parts[0].upper(), parts[2]
-                value = float(parts[3]) if len(parts) > 3 else 0.0
-                if kind == "UP":
-                    upper_bounds[column] = value
-                elif kind in ("LO", "FX"):
-                    if value != 0.0:
-                        raise LPError(
-                            f"{path}:{line_number}: nonzero {kind} bound "
-                            "unsupported"
+                column = column_index.setdefault(parts[0], len(column_index))
+                for row_name, token in zip(parts[1::2], parts[2::2]):
+                    value = number(token, line_number)
+                    i = row_of.get(row_name)
+                    if i is None:
+                        raise fail(line_number, f"undeclared row {row_name!r}")
+                    if i == -2:
+                        continue
+                    if (column, i) in entered:
+                        raise fail(
+                            line_number,
+                            f"repeated entry for column {parts[0]!r} "
+                            f"row {row_name!r}",
                         )
-                    if kind == "FX":
+                    entered.add((column, i))
+                    rows.append(i)
+                    cols.append(column)
+                    values.append(value)
+            elif section == "RHS":
+                if len(parts) < 3 or len(parts) % 2 == 0:
+                    raise fail(
+                        line_number, "expected '<set> <row> <value> ...'"
+                    )
+                for row_name, token in zip(parts[1::2], parts[2::2]):
+                    if row_name not in row_of:
+                        raise fail(line_number, f"undeclared row {row_name!r}")
+                    if row_name in rhs:
+                        raise fail(
+                            line_number, f"repeated RHS for row {row_name!r}"
+                        )
+                    rhs[row_name] = number(token, line_number)
+            elif section == "BOUNDS":
+                if len(parts) not in (3, 4):
+                    raise fail(
+                        line_number, "expected '<kind> <set> <column> [value]'"
+                    )
+                kind, column_name = parts[0].upper(), parts[2]
+                if column_name not in column_index:
+                    raise fail(
+                        line_number, f"undeclared column {column_name!r}"
+                    )
+                column = column_index[column_name]
+                if kind in ("UP", "LO", "FX"):
+                    if len(parts) != 4:
+                        raise fail(line_number, f"{kind} bound needs a value")
+                    value = number(parts[3], line_number)
+                    if kind == "UP":
+                        upper_bounds[column] = value
+                    elif value != 0.0:
+                        raise fail(
+                            line_number, f"nonzero {kind} bound unsupported"
+                        )
+                    elif kind == "FX":
                         upper_bounds[column] = 0.0
                 elif kind == "MI" or kind == "FR":
-                    raise LPError(
-                        f"{path}:{line_number}: free variables unsupported"
-                    )
+                    raise fail(line_number, "free variables unsupported")
                 else:
-                    raise LPError(f"{path}:{line_number}: bound {kind}")
+                    raise fail(line_number, f"bound {kind}")
             elif section == "RANGES":
-                raise LPError(f"{path}:{line_number}: RANGES unsupported")
+                raise fail(line_number, "RANGES unsupported")
 
     if objective_row is None:
         raise LPError(f"{path}: no objective (N) row")
 
-    column_names = list(columns.keys())
-    column_index = {name: j for j, name in enumerate(column_names)}
-    n = len(column_names)
-
-    rows_out: list[tuple[dict[int, float], float]] = []
-    for row_name, sense in row_sense.items():
-        coefficients: dict[int, float] = {}
-        for column_name, entries in columns.items():
-            if row_name in entries:
-                coefficients[column_index[column_name]] = entries[row_name]
-        bound = rhs.get(row_name, 0.0)
-        if sense == "L":
-            rows_out.append((coefficients, bound))
-        elif sense == "G":
-            rows_out.append(
-                ({j: -v for j, v in coefficients.items()}, -bound)
-            )
-        else:  # E: two inequalities
-            rows_out.append((coefficients, bound))
-            rows_out.append(
-                ({j: -v for j, v in coefficients.items()}, -bound)
-            )
-    for column_name, upper in upper_bounds.items():
-        rows_out.append(({column_index[column_name]: 1.0}, upper))
-
-    data, row_ids, col_ids = [], [], []
-    b = np.empty(len(rows_out))
-    for i, (coefficients, bound) in enumerate(rows_out):
-        b[i] = bound
-        for j, value in coefficients.items():
-            row_ids.append(i)
-            col_ids.append(j)
-            data.append(value)
-    a_matrix = sp.csr_matrix(
-        (data, (row_ids, col_ids)), shape=(len(rows_out), n)
-    )
-    c = np.zeros(n)
-    for column_name, entries in columns.items():
-        if objective_row in entries:
-            c[column_index[column_name]] = entries[objective_row]
+    row_ids = np.array(rows, dtype=np.int64)
+    col_ids = np.array(cols, dtype=np.int64)
+    data = np.array(values, dtype=np.float64)
+    objective = row_ids == -1
+    c = np.zeros(len(column_index))
+    c[col_ids[objective]] = data[objective]
     if not maximize:
         c = -c
+    row_ids, col_ids, data = (
+        row_ids[~objective], col_ids[~objective], data[~objective]
+    )
+
+    # Output rows: each L/G row once (a G row negated), each E row twice
+    # (the second copy negated), then one row per UP bound.
+    sense = np.array(senses, dtype="<U1")
+    greater, equal = sense == "G", sense == "E"
+    copies = 1 + equal.astype(np.int64)
+    first = np.cumsum(copies) - copies
+    n_constraints = int(copies.sum())
+    bound = np.array(
+        [rhs.get(name, 0.0) for name, i in row_of.items() if i >= 0]
+    )
+    bounded = np.fromiter(upper_bounds, dtype=np.int64)
+    b = np.empty(n_constraints + bounded.size)
+    b[first] = np.where(greater, -bound, bound)
+    b[first[equal] + 1] = -bound[equal]
+    b[n_constraints:] = list(upper_bounds.values())
+    second = equal[row_ids]
+    out_rows = np.concatenate([
+        first[row_ids],
+        first[row_ids[second]] + 1,
+        n_constraints + np.arange(bounded.size),
+    ])
+    out_cols = np.concatenate([col_ids, col_ids[second], bounded])
+    out_data = np.concatenate([
+        np.where(greater[row_ids], -data, data),
+        -data[second],
+        np.ones(bounded.size),
+    ])
+    a_matrix = sp.csr_matrix(
+        (out_data, (out_rows, out_cols)), shape=(b.size, len(column_index))
+    )
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return LinearProgram(a_matrix, b, c, name=name)
 

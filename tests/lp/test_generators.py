@@ -55,6 +55,19 @@ class TestPlantedBlock:
         with pytest.raises(LPError):
             planted_block_lp(10, 10, 2, 2, density=0.0)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((5, 40, 10, 4), "row_groups"),
+            ((5, 40, 0, 4), "row_groups"),
+            ((10, 10, 2, 0), "col_groups"),
+            ((10, 3, 2, 4), "col_groups"),
+        ],
+    )
+    def test_bad_group_counts(self, args, name):
+        with pytest.raises(LPError, match=f"{name} must be in \\[1, "):
+            planted_block_lp(*args)
+
 
 class TestQAPLike:
     def test_shape_scaling(self):

@@ -27,6 +27,24 @@ class TestConstruction:
         lp = LinearProgram(np.eye(2), np.ones(2), np.ones(2))
         assert lp.nnz == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["A", "b", "c"])
+    def test_non_finite_named(self, where, bad):
+        a_matrix = np.arange(1.0, 13.0).reshape(4, 3)
+        b, c = np.ones(4), np.ones(3)
+        if where == "A":
+            a_matrix[2, 1] = bad
+            expected = f"A[2, 1] = {bad}"
+        elif where == "b":
+            b[3] = bad
+            expected = f"b[3] = {bad}"
+        else:
+            c[1] = bad
+            expected = f"c[1] = {bad}"
+        with pytest.raises(LPError) as caught:
+            LinearProgram(sp.csr_matrix(a_matrix), b, c)
+        assert str(caught.value) == f"{expected}: LP data must be finite"
+
 
 class TestFeasibility:
     def test_zero_feasible(self):

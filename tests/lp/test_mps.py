@@ -111,3 +111,86 @@ class TestParsing:
         path.write_text("NAME T\nROWS\n L R1\nENDATA\n")
         with pytest.raises(LPError):
             read_mps(path)
+
+
+def mps_text(columns: str, rhs: str = "", bounds: str = "") -> str:
+    """A file with rows OBJ (N), R1 (L), R2 (G) and FREE (N): the
+    COLUMNS section starts on line 7."""
+    text = (
+        "NAME T\nROWS\n N  OBJ\n L  R1\n G  R2\n N  FREE\nCOLUMNS\n"
+        + columns
+        + "RHS\n"
+        + rhs
+    )
+    if bounds:
+        text += "BOUNDS\n" + bounds
+    return text + "ENDATA\n"
+
+
+class TestLoudErrors:
+    """Every line the reader cannot take exactly fails with
+    ``<file>:<line>: ...`` instead of being dropped or mis-read."""
+
+    @pytest.mark.parametrize(
+        "columns, rhs, bounds, line, message",
+        [
+            # a COLUMNS entry on a row never declared
+            ("    X1  R1  1.0\n    X1  R3  5.0\n", "", "", 9,
+             "undeclared row 'R3'"),
+            # an RHS entry on a row never declared
+            ("    X1  R1  1.0\n", "    RHS  R9  7.0\n", "", 10,
+             "undeclared row 'R9'"),
+            # a bound on a column never declared
+            ("    X1  R1  1.0\n", "", " UP BND  X7  1.0\n", 11,
+             "undeclared column 'X7'"),
+            # the same (column, row) entry twice
+            ("    X1  R1  1.0\n    X2  R2  1.0\n    X1  R1  2.0\n", "", "",
+             10, "repeated entry for column 'X1' row 'R1'"),
+            # the same RHS entry twice
+            ("    X1  R1  1.0\n", "    RHS  R1  1.0  R1  2.0\n", "", 10,
+             "repeated RHS for row 'R1'"),
+            # numbers that do not parse, or are not finite
+            ("    X1  R1  1.x\n", "", "", 8, "'1.x' is not a number"),
+            ("    X1  R1  nan\n", "", "", 8, "'nan' is not finite"),
+            ("    X1  OBJ  1  R2  -inf\n", "", "", 8, "'-inf' is not finite"),
+            ("    X1  R1  1.0\n", "    RHS  R1  inf\n", "", 10,
+             "'inf' is not finite"),
+            ("    X1  R1  1.0\n", "", " UP BND  X1  1.x\n", 11,
+             "'1.x' is not a number"),
+            # a token missing
+            ("    X1  R1\n", "", "", 8,
+             "expected '<column> <row> <value> ...'"),
+            ("    X1  R1  1.0\n", "    R1  4.0\n", "", 10,
+             "expected '<set> <row> <value> ...'"),
+            ("    X1  R1  1.0\n", "", " UP BND  X1\n", 11,
+             "UP bound needs a value"),
+        ],
+    )
+    def test_named_line(self, tmp_path, columns, rhs, bounds, line, message):
+        path = tmp_path / "bad.mps"
+        path.write_text(mps_text(columns, rhs, bounds))
+        with pytest.raises(LPError) as caught:
+            read_mps(path)
+        assert str(caught.value) == f"{path}:{line}: {message}"
+
+    def test_row_declared_twice(self, tmp_path):
+        path = tmp_path / "twice.mps"
+        path.write_text(
+            "NAME T\nROWS\n N  OBJ\n L  R1\n G  R1\nCOLUMNS\n"
+            "    X1  R1  1.0\nENDATA\n"
+        )
+        with pytest.raises(LPError, match=r"twice.mps:5: row 'R1' declared"):
+            read_mps(path)
+
+    def test_free_row_entries_ignored(self, tmp_path):
+        path = tmp_path / "free.mps"
+        path.write_text(
+            mps_text(
+                "    X1  OBJ  1.0  FREE  9.0\n    X1  R1  2.0  R2  1.0\n",
+                "    RHS  R1  4.0  FREE  3.0\n",
+            )
+        )
+        lp = read_mps(path)
+        assert lp.a_matrix.toarray().tolist() == [[2.0], [-1.0]]
+        assert lp.b.tolist() == [4.0, -0.0]
+        assert lp.c.tolist() == [-1.0]
