@@ -235,8 +235,9 @@ def _load_update_graph(args: argparse.Namespace):
 def _apply_batch_row(dynamic, index: int, batch: list) -> dict:
     """Apply one update batch; return its per-batch stats deltas.
 
-    ``max_q`` comes from the engine's maintained degree matrices —
-    ``O(n k)`` — rather than rebuilding the CSR adjacency per batch.
+    ``max_q`` comes from the engine's kept block bounds — ``O(k^2)``
+    plus the entries the batch made stale — rather than rebuilding the
+    CSR adjacency per batch.
     """
     before_splits = dynamic.stats.splits
     before_merges = dynamic.stats.merges
@@ -289,7 +290,8 @@ def _cmd_update(args: argparse.Namespace) -> int:
         try:
             updates = list(read_updates(args.trace))
         except (GraphError, OSError) as exc:
-            raise SystemExit(f"bad trace {args.trace}: {exc}") from exc
+            # main() reports it as one line and exits 2
+            raise GraphError(f"bad trace {args.trace}: {exc}") from exc
     else:
         updates = churn_scenario(
             args.scenario, graph, args.n_updates, seed=args.seed
@@ -338,7 +340,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             try:
                 update = parse_update(line)
             except GraphError as exc:
-                raise SystemExit(f"bad trace line: {exc}") from exc
+                # main() reports it as one line and exits 2
+                raise GraphError(f"bad trace line: {exc}") from exc
             if update is None:
                 continue
             batch.append(update)

@@ -112,11 +112,12 @@ class Coloring:
         return self._sizes
 
     def classes(self) -> list[np.ndarray]:
-        """List of member-index arrays, indexed by color id."""
+        """List of member-index arrays, indexed by color id: exactly one
+        per color, so none for the empty partition."""
         if self._classes is None:
             order = np.argsort(self.labels, kind="stable")
             boundaries = np.flatnonzero(np.diff(self.labels[order])) + 1
-            self._classes = np.split(order, boundaries)
+            self._classes = np.split(order, boundaries) if self.n else []
         return self._classes
 
     def members(self, color: int) -> np.ndarray:

@@ -21,13 +21,17 @@ scratch:
 4. **Coarsen** — deletions can make colors mergeable again; repair ends
    with a bounded pass that merges color pairs whose join keeps every
    affected block within tolerance (the lattice direction Rothko never
-   takes).  The pass reduces both degree matrices once, in member
-   order, to ``k x k`` upper/lower block bounds.  Toward every color
-   ``c`` other than ``a`` and ``b`` the joined class's spread is exactly
+   takes).  The screen reads ``k x k`` upper/lower block bounds, the
+   per-class max/min of both degree matrices.  Toward every color ``c``
+   other than ``a`` and ``b`` the joined class's spread is exactly
    ``max(U[a, c], U[b, c]) - min(L[a, c], L[b, c])``, so one array
    operation screens all of a candidate's partners in ``O(k)`` each;
    only survivors pay an ``O(n)`` pass over the merged column.  The
-   bounds are rebuilt only after a merge.
+   bounds are engine state, kept across updates: an arc event marks
+   its two cells stale, a split, merge or new node marks whole colors,
+   and just before a screen only those are re-reduced from the same
+   degree entries — exact, so every decision equals a full rebuild's.
+   The ``O(n k)`` full build runs only after the seed and each rebuild.
 5. **Rebuild** — when accumulated churn or color drift exceeds a
    configurable budget, fall back to a full Rothko recoloring and adopt
    its state wholesale; local repair resumes from there.
@@ -160,8 +164,10 @@ class DynamicColoring:
         ``drift_budget`` (relative) above the last rebuild's count.
     merge_attempts:
         Cap on coarsening tests per repair pass.  Each test costs ``O(k)``
-        against block bounds built once per pass (``O(n k)``, rebuilt
-        after a merge); a test that passes that screen adds ``O(n)``.
+        against the kept block bounds, which a pass brings up to date
+        before its first test and after each merge by re-reducing the
+        stale colors (``O(|P| k + n)`` each) and cells (``O(|P|)``); a
+        test that passes that screen adds ``O(n)``.
     attach:
         Subscribe to the graph's mutation hooks so direct ``add_edge`` /
         ``remove_edge`` calls are tracked too.  Use :meth:`detach` (or a
@@ -218,6 +224,10 @@ class DynamicColoring:
         self._pins = self._build_pins(coloring, frozen)
         self._dirty: set[tuple[int, int]] = set()
         self._merge_candidates: set[int] = set()
+        #: colors whose bound row and column, and ``(direction, row,
+        #: column)`` cells whose bound, changed since the last refresh
+        self._stale_colors: set[int] = set()
+        self._stale_cells: set[tuple[int, int, int]] = set()
         self._pending = False
         self._churn = 0
         self._attached = False
@@ -311,6 +321,12 @@ class DynamicColoring:
         self._dirty.clear()
         self._merge_candidates.clear()
         self._pending = False
+        # Block bounds and the member order are built on first use.
+        self._upper: np.ndarray | None = None
+        self._lower: np.ndarray | None = None
+        self._order: tuple[np.ndarray, np.ndarray] | None = None
+        self._stale_colors.clear()
+        self._stale_cells.clear()
 
     def _rebuild(self) -> None:
         start = time.perf_counter()
@@ -360,13 +376,15 @@ class DynamicColoring:
         self._pending = True
 
     def on_arc_changed(self, ui: int, vi: int, old: float, new: float) -> None:
-        """Hook: patch the degree matrices and mark the touched pair."""
+        """Hook: patch the degree matrices and mark the touched pair and
+        its two block-bound cells."""
         delta = new - old
         cu = int(self._labels_buf[ui])
         cv = int(self._labels_buf[vi])
         self._d_out[ui, cv] += delta
         self._d_in[vi, cu] += delta
         self._dirty.add((cu, cv))
+        self._stale_cells.update(((0, cu, cv), (1, cv, cu)))
         if delta < 0:
             # Deletions create coarsening opportunities.
             self._merge_candidates.update((cu, cv))
@@ -411,11 +429,12 @@ class DynamicColoring:
         return Coloring(self.labels.copy())
 
     def max_q_err(self) -> float:
-        """Current max (absolute or relative) error from the maintained
-        degree matrices — ``O(n k)``, no graph traversal."""
+        """Current max (absolute or relative) error from the kept block
+        bounds — ``O(k^2)`` plus re-reducing the stale entries, no graph
+        traversal."""
         if self.k == 0 or self.n == 0:
             return 0.0
-        bounds = self._block_bounds()
+        bounds = self._fresh_bounds()
         return float(self._spread(bounds.upper, bounds.lower).max())
 
     def repair(self) -> DynamicStats:
@@ -502,6 +521,7 @@ class DynamicColoring:
         eject = members[eject_mask]
         new_color = self._new_color(eject, pin=self._color_pin[color])
         self._members[color] = retain
+        self._mark_stale(color)
         self._labels_buf[eject] = new_color
         self._refresh_color(new_color)
         # Old column = old contributions minus what the ejected members
@@ -534,7 +554,14 @@ class DynamicColoring:
         n = self.n
         self._d_out[:n, color] = 0.0
         self._d_in[:n, color] = 0.0
+        self._mark_stale(color)
         return color
+
+    def _mark_stale(self, color: int) -> None:
+        """``color``'s members or degree columns changed: its bound row
+        and column need re-reducing, and the member order is out of date."""
+        self._stale_colors.add(color)
+        self._order = None
 
     def _refresh_color(self, color: int) -> None:
         """Rebuild both degree columns for one color from the live graph.
@@ -585,8 +612,9 @@ class DynamicColoring:
         """Merge candidate colors with the first unpinned partner whose
         join stays within tolerance, up to ``merge_attempts`` tests.
 
-        The block bounds are built only once a candidate has partners to
-        test, and again only after a merge changes the partition.
+        The block bounds are brought up to date only once a candidate
+        has partners to test, and again only after a merge changes the
+        partition.
         """
         attempts = gathers = 0
         bounds = None
@@ -606,7 +634,7 @@ class DynamicColoring:
                 )
                 if partners.size:
                     if bounds is None:
-                        bounds = self._block_bounds()
+                        bounds = self._fresh_bounds()
                     index, gathered = self._first_partner(bounds, a, partners)
                     gathers += gathered
                     if index is None:
@@ -630,7 +658,9 @@ class DynamicColoring:
 
     def _block_bounds(self) -> _BlockBounds:
         """Reduce both degree matrices per color in member order —
-        ``O(n k)``, no argsort."""
+        ``O(n k)``, no argsort.  The from-scratch build: the first
+        refresh after a seed or rebuild, and the oracle of
+        :meth:`verify_consistency`."""
         n, k = self.n, self.k
         order, starts = members_order(self._members)
         upper_out, lower_out = grouped_minmax_ordered(
@@ -645,6 +675,86 @@ class DynamicColoring:
             np.stack([upper_out.T, upper_in.T]),
             np.stack([lower_out.T, lower_in.T]),
         )
+
+    def _fresh_bounds(self) -> _BlockBounds:
+        """The kept block bounds, brought up to date.
+
+        Without kept bounds (after the seed or a rebuild) this is one
+        full :meth:`_block_bounds` build.  Otherwise only what changed
+        since the last refresh is re-reduced, from the same degree
+        entries, so the result equals a full build exactly: a stale
+        color's row over its members (``O(|P| k)``) and its column over
+        every class (``O(n)``), and a stale cell over its row class's
+        members (``O(|P|)``).
+        """
+        if self._upper is None:
+            bounds = self._block_bounds()
+            self._upper, self._lower = bounds.upper, bounds.lower
+            self._order = bounds.order, bounds.starts
+            _obs._active.count("dynamic.bounds_builds")
+        else:
+            if self._order is None:
+                self._order = members_order(self._members)
+            _obs._active.count("dynamic.bounds_patched", self._patch_bounds())
+        self._stale_colors.clear()
+        self._stale_cells.clear()
+        return _BlockBounds(*self._order, self._upper, self._lower)
+
+    def _patch_bounds(self) -> int:
+        """Re-reduce the stale colors and cells in place; returns how many
+        were re-reduced (cells inside a stale row or column are not)."""
+        n, k = self.n, self.k
+        if self._upper.shape[1] != k:
+            # Ids below both sizes keep their entries (an id whose color
+            # changed is stale); ids past the old size are new colors.
+            kept = min(self._upper.shape[1], k)
+            upper = np.zeros((2, k, k))
+            lower = np.zeros((2, k, k))
+            upper[:, :kept, :kept] = self._upper[:, :kept, :kept]
+            lower[:, :kept, :kept] = self._lower[:, :kept, :kept]
+            self._upper, self._lower = upper, lower
+        degrees = (self._d_out, self._d_in)
+        stale = [c for c in self._stale_colors if c < k]
+        if stale:
+            # Rows from the stale members' degree rows alone; columns
+            # over every class, both directions in one call.
+            rows, starts = members_order([self._members[c] for c in stale])
+            upper_col, lower_col = grouped_minmax_ordered(
+                np.concatenate([matrix[:n, stale].T for matrix in degrees]),
+                *self._order,
+            )
+            s = len(stale)
+            for direction, matrix in enumerate(degrees):
+                gathered = matrix[rows, :k]
+                self._upper[direction, stale] = np.maximum.reduceat(
+                    gathered, starts, axis=0
+                )
+                self._lower[direction, stale] = np.minimum.reduceat(
+                    gathered, starts, axis=0
+                )
+                part = slice(direction * s, (direction + 1) * s)
+                self._upper[direction][:, stale] = upper_col[part].T
+                self._lower[direction][:, stale] = lower_col[part].T
+        # The remaining cells, all of one direction in one gather: each
+        # cell's row-class members against its column, however many
+        # cells a batch left stale.
+        cells: tuple[list, list] = ([], [])
+        for direction, i, j in self._stale_cells:
+            if (i < k and j < k and i not in self._stale_colors
+                    and j not in self._stale_colors):
+                cells[direction].append((i, j))
+        for matrix, upper, lower, picked in zip(
+            degrees, self._upper, self._lower, cells
+        ):
+            if picked:
+                members = [self._members[i] for i, _ in picked]
+                sizes = np.array([m.size for m in members])
+                rows, starts = members_order(members, sizes)
+                i, j = np.array(picked).T
+                values = matrix[rows, np.repeat(j, sizes)]
+                upper[i, j] = np.maximum.reduceat(values, starts)
+                lower[i, j] = np.minimum.reduceat(values, starts)
+        return len(stale) + len(cells[0]) + len(cells[1])
 
     def _first_partner(
         self, bounds: _BlockBounds, a: int, partners: np.ndarray
@@ -708,6 +818,7 @@ class DynamicColoring:
         self._members[a] = np.concatenate([self._members[a], self._members[b]])
         self._d_out[:n, a] += self._d_out[:n, b]
         self._d_in[:n, a] += self._d_in[:n, b]
+        self._mark_stale(a)
         self._swap_remove(b)
 
     def _swap_remove(self, color: int) -> None:
@@ -720,6 +831,7 @@ class DynamicColoring:
             self._d_out[:n, color] = self._d_out[:n, last]
             self._d_in[:n, color] = self._d_in[:n, last]
             self._color_pin[color] = self._color_pin[last]
+            self._mark_stale(color)
             if last in self._merge_candidates:
                 self._merge_candidates.discard(last)
                 self._merge_candidates.add(color)
@@ -778,10 +890,12 @@ class DynamicColoring:
     # diagnostics
     # ------------------------------------------------------------------
     def verify_consistency(self, atol: float = 1e-6) -> None:
-        """Recompute the degree matrices from the graph and compare.
+        """Recompute the degree matrices from the graph and compare, and
+        check the kept block bounds against a full build.
 
         Raises :class:`ColoringError` on divergence — used by tests to
-        certify the incremental patches against ground truth.
+        certify the incremental patches against ground truth.  Nothing
+        is refreshed, so a check never changes what the next repair does.
         """
         n, k = self.n, self.k
         labels = self.labels
@@ -796,6 +910,36 @@ class DynamicColoring:
             raise ColoringError("maintained D_out diverged from the graph")
         if not np.allclose(self._d_in[:n, :k], d_in, atol=atol):
             raise ColoringError("maintained D_in diverged from the graph")
+        if self._upper is not None and k:
+            self._verify_bounds()
+
+    def _verify_bounds(self) -> None:
+        """Every kept bound cell outside the stale sets equals a full
+        :meth:`_block_bounds` build bit for bit, and so does a kept
+        member order."""
+        k = self.k
+        scratch = self._block_bounds()
+        if self._order is not None and not all(
+            np.array_equal(kept, built)
+            for kept, built in zip(self._order, (scratch.order, scratch.starts))
+        ):
+            raise ColoringError("kept member order is stale")
+        fresh = np.ones((2, k, k), dtype=bool)
+        stale = [c for c in self._stale_colors if c < k]
+        fresh[:, stale] = False
+        fresh[:, :, stale] = False
+        for direction, i, j in self._stale_cells:
+            if i < k and j < k:
+                fresh[direction, i, j] = False
+        size = min(k, self._upper.shape[1])
+        if fresh[:, size:].any() or fresh[:, :, size:].any():
+            raise ColoringError("a new color's block bounds are not stale")
+        fresh = fresh[:, :size, :size]
+        for kept, built in ((self._upper, scratch.upper),
+                            (self._lower, scratch.lower)):
+            if (kept[:, :size, :size][fresh].tobytes()
+                    != built[:, :size, :size][fresh].tobytes()):
+                raise ColoringError("kept block bounds diverged from a full build")
 
     def __repr__(self) -> str:
         return (

@@ -11,11 +11,13 @@ fresh copy of the graph.  Traces are plain text, one update per line::
 
 Lines starting with ``#`` and blank lines are ignored.  Node labels are
 parsed as ints when possible so traces round-trip against graphs with
-integer labels (every registry dataset).
+integer labels (every registry dataset).  A weight that does not parse,
+or is NaN or infinite, raises :class:`~repro.exceptions.GraphError`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, TextIO
 
@@ -44,6 +46,11 @@ class EdgeUpdate:
         if self.kind not in _KIND_TO_OP:
             raise ValueError(
                 f"kind must be one of {sorted(_KIND_TO_OP)}, got {self.kind!r}"
+            )
+        if not math.isfinite(self.weight):
+            raise GraphError(
+                f"non-finite weight {self.weight} on edge "
+                f"{self.u!r} -> {self.v!r}"
             )
 
     # -- constructors ---------------------------------------------------
@@ -93,13 +100,15 @@ def parse_update(line: str) -> EdgeUpdate | None:
     if kind == REWEIGHT:
         if len(parts) != 4:
             raise GraphError(f"reweight needs 'u v weight': {line!r}")
-        return EdgeUpdate.reweight(
-            coerce_label(parts[1]), coerce_label(parts[2]), float(parts[3])
-        )
-    if len(parts) not in (3, 4):
+    elif len(parts) not in (3, 4):
         raise GraphError(f"insert needs 'u v [weight]': {line!r}")
-    weight = float(parts[3]) if len(parts) == 4 else 1.0
-    return EdgeUpdate.insert(coerce_label(parts[1]), coerce_label(parts[2]), weight)
+    try:
+        weight = float(parts[3]) if len(parts) == 4 else 1.0
+    except ValueError:
+        weight = math.nan  # reported with the token below
+    if not math.isfinite(weight):
+        raise GraphError(f"weight {parts[3]!r} is not a finite number: {line!r}")
+    return EdgeUpdate(kind, coerce_label(parts[1]), coerce_label(parts[2]), weight)
 
 
 def read_updates(source: str | TextIO) -> Iterator[EdgeUpdate]:

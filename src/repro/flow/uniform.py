@@ -18,7 +18,6 @@ incoming flow.  ``maxUFlow`` defines the lower-bound capacities
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse as sp
 
 from repro.core.kernels import scatter_select_sums
@@ -80,7 +79,10 @@ def _uniform_flow_lp(
     per-target rate ``psi``.  Maximize ``|X| phi``.  With
     ``return_flow=True`` returns ``(value, edge_flow_matrix)`` where the
     matrix is a sparse |X| x |Y| uniform flow achieving the value.
+    ``scipy.optimize`` is imported here, so only this method pays for it.
     """
+    import scipy.optimize
+
     coo = graph.matrix.tocoo()
     n_edges = coo.nnz
     n_left, n_right = graph.n_left, graph.n_right

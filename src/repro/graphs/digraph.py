@@ -25,6 +25,7 @@ treatment in Sec. 3).
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence, Tuple
 
@@ -199,14 +200,18 @@ class WeightedDiGraph:
 
         For undirected graphs the reverse direction is stored as well.
         A weight of exactly zero means "no edge" (Sec. 3 convention), so
-        adding a zero-weight edge removes any existing edge instead.
+        adding a zero-weight edge removes any existing edge instead.  A
+        NaN or infinite weight raises :class:`GraphError`, as in
+        :meth:`from_arrays`.
         """
+        weight = float(weight)
+        if not math.isfinite(weight):
+            raise GraphError(f"non-finite weight {weight} on edge {u!r} -> {v!r}")
         if weight == 0.0:
             self.remove_edge(u, v, missing_ok=True)
             return
         ui = self.add_node(u)
         vi = self.add_node(v)
-        weight = float(weight)
         succ = self._succ[ui]
         old = succ.get(vi, 0.0)
         if old == 0.0:  # stored weights are never zero: a new arc

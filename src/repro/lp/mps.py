@@ -17,8 +17,10 @@ into the canonical ``max c x, A x <= b, x >= 0`` form:
 costs O(file size + nnz), whatever the row and column counts.  A line it
 cannot read exactly raises ``LPError("<file>:<line>: ...")``: a row or
 column that was never declared, an entry given twice, a number that does
-not parse or is not finite, or a line with a token missing.  Entries on
-extra ``N`` rows (free rows) are ignored.
+not parse or is not finite, a line with a token missing, or a nonzero
+RHS on the objective row (MPS's negated objective constant, which
+:class:`LinearProgram` has no field for).  Entries on extra ``N`` rows
+(free rows) are ignored.
 """
 
 from __future__ import annotations
@@ -132,6 +134,12 @@ def read_mps(path: str | os.PathLike) -> LinearProgram:
                             line_number, f"repeated RHS for row {row_name!r}"
                         )
                     rhs[row_name] = number(token, line_number)
+                    if row_name == objective_row and rhs[row_name] != 0.0:
+                        raise fail(
+                            line_number,
+                            f"RHS on objective row {row_name!r} (an "
+                            "objective constant) unsupported",
+                        )
             elif section == "BOUNDS":
                 if len(parts) not in (3, 4):
                     raise fail(

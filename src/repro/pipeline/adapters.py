@@ -134,7 +134,9 @@ class LPTask(CompressionTask):
     bipartite graph, scale the block sums by class sizes, solve the
     reduced LP, and lift ``x = V^T x_hat`` (Eq. 10).  ``workers`` is
     accepted like on every task and unused: the LP stages run
-    sequentially."""
+    sequentially.  ``method="scipy"`` loads HiGHS (``scipy.optimize``)
+    when the task is built, so set-up pays for that import rather than
+    the first checkpoint."""
 
     name = "lp"
 
@@ -155,6 +157,8 @@ class LPTask(CompressionTask):
         self.beta = beta
         self.backend = backend
         self._spec: ColoringSpec | None = None
+        if method == "scipy":
+            import repro.lp.scipy_backend  # noqa: F401
 
     def coloring_spec(self) -> ColoringSpec:
         if self._spec is None:

@@ -8,6 +8,8 @@ or all-zero score vector, an empty answer or a numpy error from deep
 inside a kernel.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,6 +18,7 @@ from repro.centrality.approx import pivot_betweenness
 from repro.centrality.brandes import betweenness_centrality
 from repro.core.partition import Coloring
 from repro.graphs.digraph import WeightedDiGraph
+from repro.graphs.edgestore import ingest_arrays
 from repro.graphs.generators import karate_club, path_graph
 from repro.solvers import betweenness_centrality_csr
 
@@ -54,8 +57,18 @@ class TestSources:
         assert np.array_equal(got, expected)
 
 
-def _path_with_length(length: float) -> WeightedDiGraph:
-    """The undirected path 0-1-2-3 with edge (0, 1) of ``length``."""
+def _path_with_length(length: float, tmp_path) -> WeightedDiGraph:
+    """The undirected path 0-1-2-3 with edge (0, 1) of ``length``.
+
+    ``add_edge`` refuses a NaN or infinite weight, so such a path is
+    read from an edge store, which takes any float weight.
+    """
+    if not math.isfinite(length):
+        store = ingest_arrays(
+            tmp_path / "path", [0, 1, 2], [1, 2, 3], [length, 1.0, 1.0],
+            directed=False,
+        )
+        return WeightedDiGraph.from_edgestore(store)
     graph = WeightedDiGraph(directed=False)
     graph.add_edge(0, 1, length)
     graph.add_edge(1, 2, 1.0)
@@ -65,11 +78,13 @@ def _path_with_length(length: float) -> WeightedDiGraph:
 
 class TestArcLengths:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -2.0])
-    def test_bad_length_named_by_arc(self, bad):
+    def test_bad_length_named_by_arc(self, bad, tmp_path):
         with pytest.raises(
             ValueError, match=f"arc 0 -> 1 has weight {bad}$"
         ):
-            betweenness_centrality(_path_with_length(bad), weighted=True)
+            betweenness_centrality(
+                _path_with_length(bad, tmp_path), weighted=True
+            )
 
     def test_first_bad_arc_in_row_order(self):
         matrix = sp.csr_matrix(
@@ -86,8 +101,8 @@ class TestArcLengths:
         with pytest.raises(ValueError, match=r"arc 1 -> 0 has weight 0\.0"):
             betweenness_centrality_csr(matrix, directed=True, weighted=True)
 
-    def test_unweighted_path_ignores_lengths(self):
-        scores = betweenness_centrality(_path_with_length(np.nan))
+    def test_unweighted_path_ignores_lengths(self, tmp_path):
+        scores = betweenness_centrality(_path_with_length(np.nan, tmp_path))
         assert np.array_equal(
             scores, betweenness_centrality(path_graph(4))
         )

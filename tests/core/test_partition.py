@@ -80,6 +80,11 @@ class TestQueries:
             [0, 2], [1, 4], [3],
         ]
 
+    @pytest.mark.parametrize("labels", [[], [0], [0, 1, 0, 2, 1]])
+    def test_one_class_per_color(self, labels):
+        coloring = Coloring(labels)
+        assert len(coloring.classes()) == coloring.n_colors
+
     def test_members(self):
         coloring = Coloring([0, 1, 0])
         assert coloring.members(0).tolist() == [0, 2]

@@ -202,6 +202,19 @@ class TestMutationHooks:
         dynamic.verify_consistency()
         assert dynamic.max_q_err() <= 3.0 + TOL_SLACK
 
+    def test_empty_graph_grows_consistently(self):
+        """An engine seeded on no nodes holds no colors, and its first
+        nodes arrive as proper singleton colors."""
+        dynamic = DynamicColoring(WeightedDiGraph(directed=True), q_tolerance=0.0)
+        assert dynamic.k == 0 and dynamic._members == []
+        dynamic.verify_consistency()
+        dynamic.apply(EdgeUpdate.insert(0, 1, 2.0))
+        assert dynamic.n == 2
+        assert len(dynamic._members) == dynamic.k == 2
+        dynamic.verify_consistency()
+        assert dynamic.max_q_err() == 0.0
+        assert max_q_err(dynamic.graph.to_csr(), dynamic.snapshot()) == 0.0
+
     def test_detach_stops_tracking(self, karate):
         dynamic = DynamicColoring(karate, q_tolerance=3.0)
         dynamic.detach()

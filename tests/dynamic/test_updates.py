@@ -29,6 +29,13 @@ class TestEdgeUpdate:
         with pytest.raises(ValueError):
             EdgeUpdate("upsert", 1, 2)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(GraphError, match="non-finite weight"):
+            EdgeUpdate.insert(0, 1, bad)
+        with pytest.raises(GraphError, match="non-finite weight"):
+            EdgeUpdate.reweight(0, 1, bad)
+
     def test_apply_insert_delete_reweight(self):
         graph = WeightedDiGraph(directed=True)
         EdgeUpdate.insert(0, 1, 2.0).apply_to(graph)
@@ -82,6 +89,14 @@ class TestTraceFormat:
         for line in ("? 1 2", "+ 1", "- 1 2 3", "~ 1 2"):
             with pytest.raises(GraphError):
                 parse_update(line)
+
+    @pytest.mark.parametrize(
+        "line", ["+ 0 1 nan", "~ 0 1 inf", "+ 0 1 -inf", "+ 0 1 abc", "~ 0 1 1,5"]
+    )
+    def test_bad_weights_name_the_line(self, line):
+        with pytest.raises(GraphError, match="not a finite number") as info:
+            parse_update(line)
+        assert repr(line) in str(info.value)
 
 
 class TestUndirectedTraceValidity:

@@ -6,6 +6,7 @@ import pytest
 from repro.exceptions import FlowError
 from repro.flow.network import FlowNetwork, FlowResult, validate_flow
 from repro.graphs.digraph import WeightedDiGraph
+from repro.graphs.edgestore import ingest_arrays
 
 
 def flow_result(value: float, flow: dict) -> FlowResult:
@@ -53,12 +54,14 @@ class TestFlowNetwork:
         with pytest.raises(FlowError):
             FlowNetwork(graph, 0, 1)
 
-    def test_nan_capacity_names_the_arc(self):
-        graph = WeightedDiGraph(directed=True)
-        graph.add_edge("s", "a", 1.0)
-        graph.add_edge("a", "t", float("nan"))
-        with pytest.raises(FlowError, match="'a' -> 't'"):
-            FlowNetwork(graph, "s", "t")
+    def test_nan_capacity_names_the_arc(self, tmp_path):
+        # add_edge refuses a NaN weight; an edge store carries one.
+        store = ingest_arrays(
+            tmp_path / "store", [0, 1], [1, 2], [1.0, float("nan")]
+        )
+        graph = WeightedDiGraph.from_edgestore(store)
+        with pytest.raises(FlowError, match="capacity nan on arc 1 -> 2"):
+            FlowNetwork(graph, 0, 2)
 
     def test_array_built_graph_stays_lazy(self):
         graph = WeightedDiGraph.from_arrays(

@@ -31,6 +31,18 @@ class TestConstruction:
         graph.add_edge(0, 1, 0.0)
         assert not graph.has_edge(0, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        graph = WeightedDiGraph()
+        graph.add_edge(0, 1, 1.0)
+        with pytest.raises(GraphError, match="non-finite weight .* 0 -> 2"):
+            graph.add_edge(0, 2, bad)
+        with pytest.raises(GraphError, match="non-finite weight"):
+            graph.add_edge(0, 1, bad)
+        # nothing changed: no node added, the old weight kept
+        assert graph.n_nodes == 2
+        assert graph.weight(0, 1) == 1.0
+
     def test_overwrite_weight(self):
         graph = WeightedDiGraph()
         graph.add_edge(0, 1, 1.0)

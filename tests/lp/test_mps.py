@@ -173,6 +173,31 @@ class TestLoudErrors:
             read_mps(path)
         assert str(caught.value) == f"{path}:{line}: {message}"
 
+    def test_objective_constant_is_not_dropped(self, tmp_path):
+        """``max x1 + 5, x1 <= 4`` is 9: read without its constant it
+        would solve to 4, so the reader refuses it."""
+        path = tmp_path / "offset.mps"
+        path.write_text(
+            "NAME OFFSET\nOBJSENSE\n    MAX\nROWS\n N  OBJ\n L  R1\n"
+            "COLUMNS\n    X1  OBJ  1.0  R1  1.0\n"
+            "RHS\n    RHS  OBJ  -5.0  R1  4.0\nENDATA\n"
+        )
+        with pytest.raises(LPError) as caught:
+            read_mps(path)
+        assert str(caught.value) == (
+            f"{path}:10: RHS on objective row 'OBJ' (an objective constant) "
+            "unsupported"
+        )
+
+    def test_zero_objective_constant_reads(self, tmp_path):
+        path = tmp_path / "zero.mps"
+        path.write_text(
+            mps_text("    X1  OBJ  1.0  R1  1.0\n", "    RHS  OBJ  0.0  R1  4.0\n")
+        )
+        lp = read_mps(path)
+        assert lp.b.tolist() == [4.0, -0.0]
+        assert lp.c.tolist() == [-1.0]
+
     def test_row_declared_twice(self, tmp_path):
         path = tmp_path / "twice.mps"
         path.write_text(

@@ -4,7 +4,9 @@
 once from arrays.  The earlier reader, which probed every column's
 entries for every row, is kept below as the oracle: on every valid file
 both must give bit-identical ``A`` (structure, values, explicit zeros
-and ``-0.0`` included), ``b`` and ``c``.  Files mix L/G/E rows, free
+and ``-0.0`` included), ``b`` and ``c``.  The one exception is a nonzero
+RHS on the objective row, an objective constant the oracle dropped:
+``read_mps`` must fail on that line instead.  Files mix L/G/E rows, free
 ``N`` rows, UP/LO/FX bounds, MIN/MAX senses, columns split over
 non-adjacent lines and columns with no entries.
 
@@ -16,6 +18,7 @@ import os
 from collections import OrderedDict
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,8 +180,12 @@ def mps_files(draw):
     for column, row, value in entries:
         lines.append(f"    {column}" + (f"  {row}  {value}" if row else ""))
     lines.append("RHS")
+    constant_line = None  # a nonzero RHS on COST, the objective row
     for row in draw(st.lists(st.sampled_from(targets), unique=True)):
-        lines.append(f"    RHS  {row}  {draw(VALUES)}")
+        value = draw(VALUES)
+        lines.append(f"    RHS  {row}  {value}")
+        if row == "COST" and float(value) != 0.0:
+            constant_line = len(lines)
     declared = sorted({column for column, _, _ in entries})
     bounds = draw(st.lists(st.sampled_from(declared), max_size=4))
     if bounds:
@@ -188,7 +195,7 @@ def mps_files(draw):
         value = draw(VALUES) if kind == "UP" else "0"
         lines.append(f" {kind} BND  {column}  {value}")
     lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", constant_line
 
 
 def assert_same_lp(actual, expected):
@@ -205,9 +212,18 @@ def assert_same_lp(actual, expected):
 
 
 class TestAgainstProbingReader:
-    @given(text=mps_files())
+    @given(drawn=mps_files())
     @settings(deadline=None)
-    def test_bit_identical(self, text, tmp_path_factory):
+    def test_bit_identical(self, drawn, tmp_path_factory):
+        """Bit-identical to the oracle, except that an objective constant
+        (which the oracle dropped) fails on its line."""
+        text, constant_line = drawn
         path = tmp_path_factory.getbasetemp() / "sweep.mps"
         path.write_text(text)
-        assert_same_lp(read_mps(path), probing_read_mps(path))
+        if constant_line is None:
+            assert_same_lp(read_mps(path), probing_read_mps(path))
+        else:
+            with pytest.raises(
+                LPError, match=f"sweep.mps:{constant_line}: RHS on objective"
+            ):
+                read_mps(path)

@@ -168,6 +168,23 @@ class TestDynamicInstrumentation:
             stats.merge_tests, stats.merge_gathers
         )
 
+    def test_bounds_are_built_once_per_seed_or_rebuild(self, karate):
+        """The O(nk) block-bound build runs once for the seed coloring
+        and once after each rebuild; every other refresh patches."""
+        dynamic = DynamicColoring(karate, q_tolerance=2.0)
+        generator = np.random.default_rng(4)
+        edges = sorted((u, v) for u, v, _ in karate.edges())
+        picks = generator.choice(len(edges), size=30, replace=False)
+        with recording() as rec:
+            for pick in picks:
+                dynamic.apply(EdgeUpdate.delete(*edges[int(pick)]))
+        dynamic.detach()
+        counters = rec.snapshot()["counters"]
+        stats = dynamic.stats
+        assert stats.rebuilds > 0 and stats.merges > 0
+        assert counters["dynamic.bounds_builds"] == stats.rebuilds + 1
+        assert counters["dynamic.bounds_patched"] > 0
+
 
 class TestTracingChangesNothing:
     """NullRecorder vs Recorder: bit-identical outputs either way."""

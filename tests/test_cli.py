@@ -580,6 +580,26 @@ class TestCleanCliErrors:
         assert line.startswith(f"repro {command}: {named} must be")
         assert f"got {float(flags[-1])}" in line
 
+    @pytest.mark.parametrize("line", ["+ 0 1 nan", "~ 0 1 inf", "+ 0 1 abc"])
+    def test_bad_stream_weight_is_one_line(self, capsys, monkeypatch, line):
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+        assert main(["stream", "--dataset", "karate", "--q", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (err,) = captured.err.strip().splitlines()
+        assert err.startswith("repro stream: bad trace line: weight ")
+        assert repr(line + "\n") in err
+
+    def test_bad_update_trace_weight_is_one_line(self, capsys, tmp_path):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("+ 1 2 1\n~ 1 2 nan\n")
+        assert main(["update", "--dataset", "karate", "--q", "2",
+                     "--trace", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (err,) = captured.err.strip().splitlines()
+        assert err.startswith(f"repro update: bad trace {trace}: weight 'nan'")
+
     def test_ingest_resume_without_journal(self, tmp_path):
         with pytest.raises(SystemExit, match="nothing to resume"):
             main(

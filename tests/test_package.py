@@ -1,7 +1,10 @@
 """Package-level hygiene: every module imports, public API is exposed."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -47,3 +50,31 @@ class TestSubpackageAll:
             assert getattr(package, name, None) is not None, (
                 f"{package_name}.{name} in __all__ but missing"
             )
+
+
+class TestLazySolverImports:
+    """``scipy.optimize`` (HiGHS) loads only for the tasks that solve
+    with it; a fresh interpreter shows what an import pays for."""
+
+    def _loaded_after(self, code):
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=source)
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys\n" + code
+             + "\nprint('scipy.optimize' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return result.stdout.strip() == "True"
+
+    def test_package_import_leaves_scipy_optimize_out(self):
+        assert not self._loaded_after(
+            "import repro, repro.pipeline, repro.dynamic, repro.datasets, "
+            "repro.flow, repro.cli"
+        )
+
+    def test_lp_task_loads_scipy_optimize(self):
+        assert self._loaded_after(
+            "from repro.lp.generators import fig3_example\n"
+            "from repro.pipeline import LPTask\n"
+            "LPTask(fig3_example(), method='scipy')"
+        )
