@@ -23,63 +23,76 @@ never ``O(n k)``.  It keeps only
 
 * the CSR/CSC adjacency snapshots (``O(m)``),
 * the per-color member lists and the label array (``O(n)`` total),
-* the ``k x k`` boundary matrices ``U`` / ``L`` — persistent across
-  iterations, patched per split,
-* each row's maximum and first argmax of the weighted and raw out/in
-  errors (``O(k)``),
+* the two ``k x k`` error matrices ``Err_out`` and ``Err_in`` (one
+  ``(2, capacity, capacity)`` float64 array) in natural orientation:
+  row = the node's color, column = the color its degree points at,
+  each entry the spread ``U - L`` (relative mode:
+  ``relative_spread(U, L)``) of the row's members' degrees toward the
+  column.  The bounds ``U``/``L`` themselves are never kept: every
+  refresh recomputes both from its own gather;
+* per natural row and direction the raw maximum, the weighted
+  maximum of ``Err ⊙ C`` and its first argmax (``O(k)``) — for the
+  in-direction, the *column* maxima of the full scan's score matrix,
 * a ``4n`` float64 column accumulator (two colors, two directions) and
-  its ``4n`` int32 slot map, reused by every refresh (48 bytes per
-  node, allocated by the first split).  The error matrices ``Err`` and
-  the size-weighted scores ``Err ⊙ C`` are never stored: the row maxima
-  are patched from the entries a split changes.
+  its ``4n`` int32 slot map, reused by every split (48 bytes per node,
+  allocated by the first split).  The size-weighted scores ``Err ⊙ C``
+  are never stored: the maxima are patched from the entries a split
+  changes.
 
 The dense ``k x n`` degree matrices of the naive formulation are *never*
 materialized.  A split of ``c`` into ``(c, t)`` touches only what its
 arcs reach; with ``vol(P)`` the number of arcs at the members of ``c``:
 
-* the split-threshold degree vector ``D[j, members(i)]`` is an
-  edge-chunked masked bincount, ``O(vol(P))``;
-* one refresh of the dirty colors ``{c, t}`` gathers the arcs of the
-  pre-split members once, in edge-budget chunks, and rebuilds from them
-  each color's *row-group* (its ``U``/``L`` toward every color) and
-  *column* (every group's ``U``/``L`` toward it).  A group's max toward a
-  color comes from the
-  nonzero (member, color) sums; its min is 0 unless a per-color touch
-  count shows that every member touches that color.  A column comes
-  from the nodes adjacent to the color alone, grouped by label with a
-  per-group touch count the same way;
-* the row maxima are rescanned only for the two dirty rows and the rows
-  whose argmax sat in a dirty column; every other row compares its
-  maximum with its two dirty entries.  :meth:`Rothko._find_witness` is
-  then an ``O(k)`` argmax over the row maxima, with the full scan's
-  tie-break (row-major first, out before in).
+* when ``vol(P)`` fits one edge-budget chunk the arcs of both
+  directions are gathered once, in member order, and serve everything:
+  the split-threshold degrees ``D[j, members(i)]`` are a bincount over
+  the witness direction's arcs toward the target, and after the split
+  each arc's half is its member's eject flag.  Larger splits gather in
+  chunks, once for the threshold and once for the refresh;
+* rows ``c`` and ``t`` are rewritten whole in both directions from the
+  nonzero (member, color) degree sums — a group's max toward a color
+  is the max of those sums, and its min is 0 unless a per-color touch
+  count shows that every member touches that color — and rescanned;
+* in the columns, only the colors ``g`` with a node adjacent to the
+  split members can change: any other had degree 0 toward ``c`` and
+  has 0 toward ``c`` and ``t``.  For each adjacent ``g`` the cells
+  ``(g, c)`` and ``(g, t)`` come from the adjacent nodes alone,
+  grouped by label with a per-group touch count, and ``g``'s maxima
+  are patched from those two entries; ``g`` is rescanned only when its
+  raw maximum or its weighted argmax sat at ``c`` and dropped;
+* :meth:`Rothko._find_witness` is then an ``O(k)`` argmax over the
+  maxima, with the full scan's tie-break (row-major first, out before
+  in; for the in-direction, the smallest first-argmax among the rows
+  attaining the maximum, then the first such row).
 
-Each refresh half has a dense and a sparse form, picked from sizes the
-split can observe, never from an option: a chunk keeps the dense
-``2k x rows`` degree slice wherever its cells do not exceed the arcs
-gathered (early splits of large colors with dense rows), and a column
-keeps the member-order ``reduceat`` over all ``n`` nodes whenever the
-refreshed colors' arcs reach ``n``.  Per-split work is
-``O(vol(P) + k)`` up to the edge budget; peak memory stays the
-adjacency snapshots plus ``O(n)`` transients, which is what lets
-``bench_rothko_largescale`` color million-node graphs.  Degree sums
-are direct sums in a fixed arc order (both forms give the same bits),
-so entries are exactly zero iff every term is — the
-geometric/relative thresholds need no residue special-casing.
+A split therefore costs ``O(vol(P))`` plus ``O(k)`` for the two rows it
+rewrites.  Each refresh half has a dense and a sparse form, picked from
+sizes the split can observe, never from an option: a chunk keeps the
+dense ``2k x rows`` degree slice wherever its cells do not exceed the
+arcs gathered (early splits of large colors with dense rows), and the
+columns are rewritten whole, from a member-order ``reduceat`` over all
+``n`` nodes, whenever the split's arcs reach ``n`` (or span chunks).
+Peak memory stays the adjacency snapshots plus ``O(n)`` transients,
+which is what lets ``bench_rothko_largescale`` color million-node
+graphs.  Degree sums are direct sums in a fixed arc order (every form
+gives the same bits: a column cell adds the arcs of one half's members
+in member order, which the split color's member order preserves), so
+entries are exactly zero iff every term is — the geometric/relative
+thresholds need no residue special-casing.
 
 The loop is the paper's greedy rule: one split per iteration, at the
 single worst witness.  :meth:`Rothko.verify_state` checks the
-maintained state against a from-scratch recompute, and the row maxima
-and the witness against a full scan; the invariant test suite drives
-it after every split.
+maintained state against a from-scratch recompute, and the maxima and
+the witness against a full scan; the invariant test suite drives it
+after every split.
 
-The threshold kernel dispatches through a resolved
+The chunked threshold kernel dispatches through a resolved
 :class:`~repro.core.backends.base.Backend` (``backend=`` argument, the
 ``REPRO_BACKEND`` environment variable, or auto-detection — numba when
 importable, else the numpy reference; see :mod:`repro.core.backends`);
-the refresh is plain numpy, so every backend runs it.  All backends are
-bit-identical (the parity sweep enforces it), so the choice affects
-wall-clock only.
+the rest of a split is plain numpy, so every backend runs it.  All
+backends are bit-identical (the parity sweep enforces it), so the
+choice affects wall-clock only.
 
 ``RothkoStep.coloring`` is materialized lazily: the engine records each
 split's parent color, so any intermediate snapshot can be reconstructed
@@ -95,9 +108,13 @@ span carrying the chosen witness and the pre-split q-error, and the
 ``rothko.splits`` counter plus the ``rothko.max_q_err`` gauge track
 progress.  The counters ``rothko.witness_s``, ``rothko.threshold_s``
 and ``rothko.refresh_s`` split the loop's time into witness selection
-(just before the span opens), the split threshold, and committing the
-split plus the state refresh (together the whole span), one add each
-per split, no extra spans.
+(just before the span opens), the gather and split threshold, and
+committing the split plus the state refresh (together the whole span);
+``kernels.bincount_cells`` (cells scattered and reduced),
+``rothko.cells_patched`` (cells rewritten outside the two rewritten
+rows) and ``rothko.rows_rescanned`` (natural rows whose maxima were
+recomputed whole) count a split's work.  One add each per split, no
+extra spans.
 With no recorder installed (the default) these calls hit the null
 recorder and cost nothing measurable.
 """
@@ -132,8 +149,6 @@ ERROR_MODES = ("absolute", "relative")
 #: temporaries at once (the budget scales with n because the column
 #: accumulator is O(n) regardless)
 _EDGE_CHUNK = 4096
-#: witness-score track order of the per-row maxima
-_TRACKS = ("weighted out", "weighted in", "raw out", "raw in")
 
 
 def coerce_adjacency(graph) -> sp.csr_matrix:
@@ -443,6 +458,7 @@ class Rothko:
         ]
         #: split history: parent color of each color (-1 for initial ones)
         self._parent: list[int] = [-1] * self.k
+        self._initial_colors = self.k
         self._frozen_ids = np.array(sorted(self.frozen), dtype=np.int64)
         #: capacity cap from the tightest color budget seen (see _grow)
         self._capacity_hint: int | None = None
@@ -454,37 +470,38 @@ class Rothko:
         return self._backend
 
     # ------------------------------------------------------------------
-    # incremental state: U/L (k x k) and the per-row witness maxima
+    # incremental state: Err (2 x k x k) and the natural-row maxima
     # ------------------------------------------------------------------
     def _init_state(self) -> None:
-        """Build the boundary state and the row maxima once, memory-flat.
+        """Build the error matrices and the row maxima once, memory-flat.
 
-        Every initial color is dirty, so the same refresh the splits use
-        fills all ``U``/``L`` rows (the columns follow from the rows) and
-        rescans every row's maxima: ``O(m + k^2)`` time, no ``k x n``
-        matrix ever exists.
+        Every initial color's rows come from one pass over its arcs (two
+        colors per pass); the rows cover every entry, so no column is
+        refreshed, and every row's maxima are scanned: ``O(m + k^2)``
+        time, no ``k x n`` matrix ever exists.
         """
         capacity = max(16, 2 * self.k)
         k = self.k
         self._sizes = np.zeros(capacity, dtype=np.int64)
-        self._alpha_pow = np.ones(capacity, dtype=np.float64)
-        self._beta_pow = np.ones(capacity, dtype=np.float64)
+        # [0] |P_g|^alpha, [1] |P_g|^beta: the witness weight of a cell
+        # in natural row g of direction d toward X is
+        # _pow[d, g] * _pow[1 - d, X]
+        self._pow = np.ones((2, capacity), dtype=np.float64)
         self._frozen = np.zeros(capacity, dtype=bool)
         self._frozen[self._frozen_ids] = True
-        # Boundary matrices in "natural" orientation: row = the node's
-        # color group, column = the color the degree points at.
-        self._u_out = np.zeros((capacity, capacity), dtype=np.float64)
-        self._l_out = np.zeros((capacity, capacity), dtype=np.float64)
-        self._u_in = np.zeros((capacity, capacity), dtype=np.float64)
-        self._l_in = np.zeros((capacity, capacity), dtype=np.float64)
-        # Per-row maxima and first argmaxes of the witness scores, one
-        # row per _TRACKS entry: what a full O(k^2) scan would find in
-        # each row, patched per split (see _update_row_maxima).
-        self._best = np.zeros((len(_TRACKS), capacity), dtype=np.float64)
-        self._best_at = np.zeros((len(_TRACKS), capacity), dtype=np.int64)
+        # Error matrices in natural orientation, [0] out and [1] in:
+        # row = the node's color group, column = the color the degree
+        # points at; U - L (relative mode: relative_spread(U, L)).
+        self._err = np.zeros((2, capacity, capacity), dtype=np.float64)
+        # Per natural row and direction: the raw maximum, the weighted
+        # maximum and its first argmax — what a full O(k^2) scan would
+        # find in each row, patched per split (see _patch_maxima).
+        self._raw = np.zeros((2, capacity), dtype=np.float64)
+        self._best = np.zeros((2, capacity), dtype=np.float64)
+        self._best_at = np.zeros((2, capacity), dtype=np.int64)
         # Column refresh scratch over the (color, direction, node) cells
-        # of a two-color pass: a zero accumulator and a slot map,
-        # allocated on first use.
+        # of a split: a zero accumulator and a slot map, allocated on
+        # first use.
         self._column_sums: np.ndarray | None = None
         self._column_slots: np.ndarray | None = None
         if k == 0:
@@ -492,50 +509,50 @@ class Rothko:
 
         self._sizes[:k] = [m.size for m in self._members]
         sizes_f = self._sizes[:k].astype(np.float64)
-        self._alpha_pow[:k] = np.power(sizes_f, self.alpha)
-        self._beta_pow[:k] = np.power(sizes_f, self.beta)
+        self._pow[0, :k] = np.power(sizes_f, self.alpha)
+        self._pow[1, :k] = np.power(sizes_f, self.beta)
 
-        self._refresh(range(k))
+        cells = 0
+        for begin in range(0, k, 2):
+            colors = list(range(begin, min(begin + 2, k)))
+            cells += self._refresh_rows(colors, self._gathers(colors))
+        _obs._active.count("kernels.bincount_cells", cells)
+        self._rescan(np.repeat([0, 1], k), np.arange(2 * k) % k)
 
     def _spread(self, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
         if self.error_mode == "absolute":
             return upper - lower
         return relative_spread(upper, lower)
 
-    def _scores(self, rows=None, cols=None) -> np.ndarray:
-        """Witness scores of a block, ``(4, rows, cols)`` in
-        :data:`_TRACKS` order.  ``rows``/``cols`` index the colors (at
-        most one of them an array); ``None`` means all ``k``.
+    def _row_scores(
+        self, directions, rows
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Raw errors and witness scores of natural rows, each
+        ``(rows, k)``: ``directions`` and ``rows`` are matching index
+        arrays, or one direction and a slice.
 
-        The one score computation: the weighted scores ``Err ⊙ C``
-        (``C[i, j] = |P_i|^alpha |P_j|^beta``) with frozen rows (out,
-        the source splits) and columns (in, the target splits) masked to
-        ``-inf``, then the raw errors.  Element-wise, so maxima patched
-        from blocks equal the maxima of a full scan bit for bit.
+        The one score computation: ``Err ⊙ C`` with
+        ``C[g, X] = _pow[d, g] * _pow[1 - d, X]`` — ``|P_i|^alpha
+        |P_j|^beta`` of the full scan's ``(i, j)`` — and frozen rows
+        (the split color) masked to ``-inf``.  Element-wise, so maxima
+        patched cell by cell equal a full scan's bit for bit.
         """
-        everything = slice(0, self.k)
-        rows = everything if rows is None else rows
-        cols = everything if cols is None else cols
-        out_block, in_block = (rows, cols), (cols, rows)
-        raw_out = self._spread(self._u_out[out_block], self._l_out[out_block])
-        raw_in = self._spread(self._u_in[in_block], self._l_in[in_block]).T
-        scores = np.empty((len(_TRACKS),) + raw_out.shape)
-        scores[2] = raw_out
-        scores[3] = raw_in
+        k = self.k
+        raw = self._err[directions, rows, :k]
         if self.alpha == 0.0 and self.beta == 0.0:
-            scores[0] = raw_out
-            scores[1] = raw_in
+            scores = raw.copy()
         else:
-            weight = self._alpha_pow[rows, None] * self._beta_pow[None, cols]
-            np.multiply(raw_out, weight, out=scores[0])
-            np.multiply(raw_in, weight, out=scores[1])
+            weight = (
+                self._pow[directions, rows][..., None]
+                * self._pow[1 - directions, :k]
+            )
+            scores = raw * weight
         if self._frozen_ids.size:
-            scores[0][self._frozen[rows]] = -np.inf
-            scores[1][:, self._frozen[cols]] = -np.inf
-        return scores
+            scores[self._frozen[rows]] = -np.inf
+        return raw, scores
 
     def _grow(self) -> None:
-        capacity = self._u_out.shape[0]
+        capacity = self._err.shape[1]
         if self.k < capacity:
             return
         new_capacity = max(2 * capacity, self.k + 1)
@@ -553,158 +570,118 @@ class Rothko:
         self._grow_to(new_capacity)
 
     def _grow_to(self, new_capacity: int) -> None:
-        capacity = self._u_out.shape[0]
-        for name in ("_u_out", "_l_out", "_u_in", "_l_in"):
-            old = getattr(self, name)
-            grown = np.zeros((new_capacity, new_capacity), dtype=np.float64)
-            grown[:capacity, :capacity] = old
-            setattr(self, name, grown)
-        for name in ("_best", "_best_at"):
-            old = getattr(self, name)
-            grown = np.zeros((old.shape[0], new_capacity), dtype=old.dtype)
-            grown[:, :capacity] = old
-            setattr(self, name, grown)
+        capacity = self._err.shape[1]
+        grown = np.zeros((2, new_capacity, new_capacity), dtype=np.float64)
+        grown[:, :capacity, :capacity] = self._err
+        self._err = grown
         for name, fill in (
-            ("_sizes", 0), ("_alpha_pow", 1.0), ("_beta_pow", 1.0),
-            ("_frozen", False),
+            ("_sizes", 0), ("_pow", 1.0), ("_frozen", False), ("_raw", 0.0),
+            ("_best", 0.0), ("_best_at", 0),
         ):
             old = getattr(self, name)
-            grown = np.full(new_capacity, fill, dtype=old.dtype)
-            grown[:capacity] = old
+            grown = np.full(
+                old.shape[:-1] + (new_capacity,), fill, dtype=old.dtype
+            )
+            grown[..., :capacity] = old
             setattr(self, name, grown)
 
-    def _refresh(self, dirty: Iterable[int]) -> None:
-        """Recompute the dirty colors' U/L rows and columns, then patch
-        the row maxima — the one state update behind the initial build
-        and every split.
+    def _edge_budget(self) -> int:
+        """Arcs per gather chunk: the edge budget, and at least ``n``
+        (the column accumulator is ``O(n)`` regardless).  A split whose
+        arcs fit it is gathered once."""
+        return max(_EDGE_CHUNK, self.n)
 
-        Dirty colors are refreshed two at a time (a split's pair
-        ``(c, t)`` is one pass over the pre-split members): each pass
-        gathers the colors' arcs once, in edge-budget chunks, and both
-        pieces of state come out of that gather:
-
-        * each color's *row-group* (its ``U``/``L`` toward all ``k``
-          colors) from the nonzero (member, color) degree sums — a
-          group's max toward a color is the max of those sums, and its
-          min is the min of them only if every member touches the color
-          (a per-color touch count), else 0;
-        * each color's *column* (every group's ``U``/``L`` toward it)
-          from the nodes adjacent to its members, grouped by label with
-          a per-group touch count the same way.
-
-        Both come in a dense and a sparse form, picked from sizes the
-        pass can observe (see :meth:`_refresh_colors`).  Sums are direct,
-        in arc order, so both forms give the same bits and exact zeros
-        stay exact (what the geometric/relative thresholds rely on).
-        When every color is dirty (the initial state) the rows already
-        cover every entry and the columns are skipped.
-        """
-        dirty = np.unique(np.fromiter(dirty, dtype=np.int64))
-        columns = dirty.size < self.k
-        if columns and self._column_sums is None:
-            self._column_sums = np.zeros(4 * self.n, dtype=np.float64)
-            self._column_slots = np.zeros(4 * self.n, dtype=np.int32)
-        order = starts = None
-        cells = 0
-        for begin in range(0, dirty.size, 2):
-            colors = dirty[begin:begin + 2].tolist()
-            dense_columns, pass_cells = self._refresh_colors(colors, columns)
-            cells += pass_cells
-            if dense_columns:
-                if order is None:
-                    order, starts = members_order(
-                        self._members, self._sizes[:self.k]
-                    )
-                cells += self._dense_columns(colors, order, starts)
-        _obs._active.count("kernels.bincount_cells", cells)
-        self._update_row_maxima(dirty)
-
-    def _refresh_colors(
-        self, colors: list[int], columns: bool
-    ) -> tuple[bool, int]:
-        """One refresh pass over one or two dirty colors: rewrite their
-        row-groups and (with ``columns``) their sparse-form columns;
-        returns whether the columns need the dense form instead, and the
-        cells scattered.
-
-        The columns take the dense form when the colors' arcs reach
-        ``n``: one ``O(n)`` member-order ``reduceat`` then beats per-node
-        reductions, and the arc-order accumulation spans chunks.  Below
-        that, the columns are reduced from the adjacent nodes alone, in
-        one chunk (the edge budget is at least ``n``).
-        """
-        n, k = self.n, self.k
-        width = 2 * k
+    def _arc_ranges(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Start and count of each member's arcs, ``(2, |members|)`` each:
+        row 0 its out-arcs (CSR), row 1 its in-arcs (CSC)."""
         csr, csc = self._csr, self._csc
-        labels = self.labels
-        take_ranges = self._backend.take_ranges
+        ends = members + 1
+        starts = np.array([csr.indptr[members], csc.indptr[members]])
+        counts = np.array([csr.indptr[ends], csc.indptr[ends]]) - starts
+        return starts, counts
+
+    def _gather(
+        self, starts: np.ndarray, counts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Both directions' arcs of the members whose
+        :meth:`_arc_ranges` these are, member by member in member order:
+        ``(local, node, weight, n_out)`` with the ``n_out`` out-arcs
+        (CSR) first, then the in-arcs (CSC); ``local`` is the arc's
+        member position."""
+        csr, csc = self._csr, self._csc
+        size = starts.shape[1]
+        counts_flat = counts.ravel()
+        positions = self._backend.take_ranges(starts.ravel(), counts_flat)
+        n_out = int(counts[0].sum())
+        out_positions, in_positions = positions[:n_out], positions[n_out:]
+        # intp node ids: every later gather by node skips the cast
+        nodes = np.concatenate(
+            [csr.indices[out_positions], csc.indices[in_positions]],
+            dtype=np.intp,
+        )
+        weights = np.concatenate(
+            [csr.data[out_positions], csc.data[in_positions]]
+        )
+        local = np.arange(size, dtype=np.int64)
+        local = np.repeat(np.concatenate([local, local]), counts_flat)
+        return local, nodes, weights, n_out
+
+    def _gathers(self, colors):
+        """The arcs of one or two colors' members, color after color, in
+        edge-budget chunks: yields each chunk's :meth:`_gather` and its
+        members' positions in ``colors``."""
         parts = [self._members[color] for color in colors]
         members = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        row_group = np.repeat(
-            np.arange(len(parts)), [part.size for part in parts]
-        )
-        counts_out = csr.indptr[members + 1] - csr.indptr[members]
-        counts_in = csc.indptr[members + 1] - csc.indptr[members]
-        counts = counts_out + counts_in
-        dense_columns = columns and int(counts.sum()) >= n
-        # [group * 2k + direction * k + color] row-group accumulators
-        upper = np.full(len(parts) * width, -np.inf)
-        lower = np.full(len(parts) * width, np.inf)
-        touch = np.zeros(len(parts) * width, dtype=np.int64)
+        groups = np.repeat(np.arange(len(parts)), [part.size for part in parts])
+        starts, counts = self._arc_ranges(members)
+        for begin, end in self._edge_chunks(
+            counts.sum(axis=0), self._edge_budget()
+        ):
+            yield (
+                self._gather(starts[:, begin:end], counts[:, begin:end]),
+                groups[begin:end],
+            )
+
+    def _refresh_rows(self, colors, chunks, accumulate: bool = False) -> int:
+        """Rewrite the whole rows (both directions) of one or two colors
+        from their members' arcs; returns the cells scattered.
+
+        ``chunks`` yields ``(arcs, groups)``: a :meth:`_gather` and each
+        member's position in ``colors`` (members need not be grouped).
+        A color's max toward a color is the max of the nonzero (member,
+        color) sums, and its min is the min of them only if every member
+        touches the color (a per-color touch count), else 0.  With
+        ``accumulate`` each chunk's column cells also add into the
+        whole-column accumulator, in arc order.
+        """
+        k = self.k
+        width = 2 * k
+        upper = np.full(len(colors) * width, -np.inf)
+        lower = np.full(len(colors) * width, np.inf)
+        touch = np.zeros(len(colors) * width, dtype=np.int64)
         cells = 0
-        for begin, end in self._edge_chunks(counts, max(_EDGE_CHUNK, n)):
-            rows = members[begin:end]
-            chunk_out = counts_out[begin:end]
-            chunk_in = counts_in[begin:end]
-            positions = take_ranges(csr.indptr[rows], chunk_out)
-            out_nodes = csr.indices[positions]
-            out_weights = csr.data[positions]
-            positions = take_ranges(csc.indptr[rows], chunk_in)
-            in_nodes = csc.indices[positions]
-            in_weights = csc.data[positions]
-            del positions
-            local = np.arange(end - begin, dtype=np.int64)
-            local_out = np.repeat(local, chunk_out)
-            local_in = np.repeat(local, chunk_in)
-            local = np.concatenate([local_out, local_in])
-            far = np.concatenate([labels[out_nodes], labels[in_nodes] + k])
-            weights = np.concatenate([out_weights, in_weights])
-            groups = row_group[begin:end]
-            if width * (end - begin) <= far.size:
+        for arcs, groups in chunks:
+            local, nodes, weights, n_out = arcs
+            far = self.labels[nodes]
+            far[n_out:] += k
+            if width * groups.size <= far.size:
                 fold = self._fold_row_slice
             else:
                 fold = self._fold_row_pairs
             cells += fold(local, far, weights, groups, (upper, lower, touch))
-            if not columns:
-                continue
-            # Column cells (2 * group + direction) * n + node, in the
-            # same arc order as ``weights``: D_in[:, color] collects the
-            # arcs out of the members (CSR side, direction 1),
-            # D_out[:, color] the arcs *into* them (direction 0).
-            if groups[0] == groups[-1]:
-                offset_out = offset_in = 2 * n * int(groups[0])
-            else:
-                offset_out = 2 * n * groups[local_out]
-                offset_in = 2 * n * groups[local_in]
-            keys = np.concatenate([
-                np.add(out_nodes, offset_out + n, dtype=np.int64),
-                np.add(in_nodes, offset_in, dtype=np.int64),
-            ])
-            if dense_columns:
+            if accumulate:
                 # Unbuffered, in arc order: the same sums a single
-                # bincount over the whole pass would produce.
-                np.add.at(self._column_sums, keys, weights)
-        sizes = np.repeat([part.size for part in parts], width)
+                # bincount over the whole split would produce.
+                np.add.at(
+                    self._column_sums, self._column_keys(arcs, groups),
+                    weights,
+                )
+        sizes = np.repeat(self._sizes[colors], width)
         self._close_extrema(upper, lower, touch, sizes)
+        spread = self._spread(upper, lower).reshape(len(colors), 2, k)
         for group, color in enumerate(colors):
-            base = group * width
-            self._u_out[color, :k] = upper[base:base + k]
-            self._l_out[color, :k] = lower[base:base + k]
-            self._u_in[color, :k] = upper[base + k:base + width]
-            self._l_in[color, :k] = lower[base + k:base + width]
-        if columns and not dense_columns:
-            cells += self._column_extrema(colors, keys, weights)
-        return dense_columns, cells
+            self._err[:, color, :k] = spread[group]
+        return cells
 
     def _fold_row_slice(self, local, far, weights, groups, accumulators) -> int:
         """Dense row form: one bincount into the ``2k x rows`` slice, so
@@ -719,14 +696,13 @@ class Rothko:
         block = np.bincount(
             far * rows + local, weights=weights, minlength=width * rows
         ).reshape(width, rows)
-        # Members are concatenated color by color: one run per group.
-        cuts = np.flatnonzero(groups[1:] != groups[:-1]) + 1
-        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), rows]):
-            span = slice(groups[lo] * width, (groups[lo] + 1) * width)
-            run = block[:, lo:hi]
+        sizes = np.bincount(groups)
+        for group in np.flatnonzero(sizes).tolist():
+            span = slice(group * width, (group + 1) * width)
+            run = block if sizes[group] == rows else block[:, groups == group]
             np.maximum(upper[span], run.max(axis=1), out=upper[span])
             np.minimum(lower[span], run.min(axis=1), out=lower[span])
-            touch[span] += hi - lo
+            touch[span] += run.shape[1]
         return block.size
 
     def _fold_row_pairs(self, local, far, weights, groups, accumulators) -> int:
@@ -768,110 +744,193 @@ class Rothko:
         np.maximum(upper, 0.0, out=upper, where=partial)
         np.minimum(lower, 0.0, out=lower, where=partial)
 
-    def _dense_columns(
-        self, colors: list[int], order: np.ndarray, starts: np.ndarray
-    ) -> int:
-        """Dense column form: reduce the accumulated ``(2, n)`` column
-        sums of each color per group with the member-order ``reduceat``,
-        then re-zero the buffer; returns the cells reduced."""
-        sums = self._column_sums[:2 * len(colors) * self.n]
-        upper, lower = self._backend.grouped_minmax_ordered(
-            sums.reshape(2 * len(colors), self.n), order, starts
-        )
-        for group, color in enumerate(colors):
-            self._write_column(
-                color, upper[2 * group:2 * group + 2],
-                lower[2 * group:2 * group + 2],
+    def _column_keys(self, arcs, groups: np.ndarray) -> np.ndarray:
+        """Column cells ``(2 * group + direction) * n + node`` of gathered
+        arcs: ``Err_in[:, color]`` collects the arcs out of the members
+        (CSR side, direction 1), ``Err_out[:, color]`` the arcs *into*
+        them (direction 0)."""
+        local, nodes, _, n_out = arcs
+        offsets = 2 * self.n * groups
+        keys = np.add(nodes, offsets[local], dtype=np.int64)
+        keys[:n_out] += self.n
+        return keys
+
+    def _whole_columns(self, arcs: int) -> bool:
+        """Whether a split rewrites its two columns whole: once its arcs
+        reach ``n``, one ``O(n)`` member-order ``reduceat`` beats
+        per-node cells.  Below that, only the colors the arcs reach are
+        patched, from the adjacent nodes alone."""
+        return arcs >= self.n
+
+    def _refresh_split(
+        self, split_color: int, eject_mask: np.ndarray, arcs, volume: int
+    ) -> tuple[int, int, int]:
+        """Refresh the state after a split of ``split_color`` into itself
+        and the new color ``t``; returns ``(bincount cells, cells
+        patched, rows rescanned)``.
+
+        ``arcs`` is the split's one gather, in the pre-split member
+        order that ``eject_mask`` follows; ``None`` gathers the two
+        colors again, in chunks.  Rows ``c`` and ``t`` are rewritten
+        whole and rescanned.  In the columns, only the colors ``g`` with
+        a node adjacent to the split members changed (any other had
+        degree 0 toward ``c`` and has 0 toward ``c`` and ``t``): their
+        cells ``(g, c)`` and ``(g, t)`` are rewritten and their maxima
+        patched from those two entries.
+        """
+        n, k = self.n, self.k
+        t = k - 1
+        whole = arcs is None or self._whole_columns(volume)
+        if self._column_sums is None:
+            self._column_sums = np.zeros(4 * n, dtype=np.float64)
+            self._column_slots = np.zeros(4 * n, dtype=np.int32)
+        if arcs is None:
+            chunks = self._gathers([split_color, t])
+        else:
+            groups = eject_mask.astype(np.int64)
+            chunks = [(arcs, groups)]
+        cells = self._refresh_rows([split_color, t], chunks, accumulate=whole)
+        if whole:
+            directions, rows, before, after, reduced = self._dense_columns(
+                split_color
             )
-        sums[:] = 0.0
-        return sums.size
+        else:
+            directions, rows, before, after, reduced = self._column_extrema(
+                split_color, self._column_keys(arcs, groups), arcs[2]
+            )
+        others = (rows != split_color) & (rows != t)
+        directions, rows = directions[others], rows[others]
+        stale = self._patch_maxima(
+            directions, rows, before[others], after[:, others], split_color
+        )
+        self._rescan(
+            np.concatenate([[0, 0, 1, 1], directions[stale]]),
+            np.concatenate([[split_color, t] * 2, rows[stale]]),
+        )
+        return cells + reduced, 2 * rows.size, 4 + int(stale.sum())
+
+    def _dense_columns(self, split_color: int) -> tuple:
+        """Dense column form: reduce the accumulated ``(4, n)`` column
+        sums per group with the member-order ``reduceat``, re-zero the
+        buffer and rewrite the split color's and the new color's columns
+        whole.  Returns the rewritten ``(direction, row)`` pairs, their
+        entries at the split color before, the ``(2, pairs)`` entries at
+        the split color and the new color after, and the cells reduced.
+        """
+        n, k = self.n, self.k
+        order, starts = members_order(self._members, self._sizes[:k])
+        upper, lower = self._backend.grouped_minmax_ordered(
+            self._column_sums.reshape(4, n), order, starts
+        )
+        self._column_sums[:] = 0.0
+        values = self._spread(upper, lower).reshape(2, 2, k)
+        before = self._err[:, :k, split_color].flatten()
+        self._err[:, :k, split_color] = values[0]
+        self._err[:, :k, k - 1] = values[1]
+        return (
+            np.repeat([0, 1], k), np.arange(2 * k) % k, before,
+            values.reshape(2, 2 * k), 4 * n,
+        )
 
     def _column_extrema(
-        self, colors: list[int], keys: np.ndarray, weights: np.ndarray
-    ) -> int:
+        self, split_color: int, keys: np.ndarray, weights: np.ndarray
+    ) -> tuple:
         """Sparse column form: sum the arcs per column cell in the zero
         accumulator, keep one representative arc per cell (the last
-        writer of the slot map), and reduce those cells per group with a
-        per-group touch count; returns the cells reduced."""
+        writer of the slot map), reduce those cells per group with a
+        per-group touch count, and rewrite the cells of the
+        ``(direction, color)`` pairs the arcs reach.  Returns what
+        :meth:`_dense_columns` returns, for those pairs."""
         n, k = self.n, self.k
-        size = 2 * len(colors) * k
-        upper = np.full(size, -np.inf)
-        lower = np.full(size, np.inf)
-        touch = np.zeros(size, dtype=np.int64)
-        reduced = 0
-        if keys.size:
-            np.add.at(self._column_sums, keys, weights)
-            arcs = np.arange(keys.size, dtype=np.int32)
-            self._column_slots[keys] = arcs
-            cells = keys[self._column_slots[keys] == arcs]
-            sums = self._column_sums[cells]
-            self._column_sums[cells] = 0.0
-            column = cells // n
-            group = column * k + self.labels[cells - column * n]
-            np.maximum.at(upper, group, sums)
-            np.minimum.at(lower, group, sums)
-            touch += np.bincount(group, minlength=size)
-            reduced = cells.size
+        np.add.at(self._column_sums, keys, weights)
+        arcs = np.arange(keys.size, dtype=np.int32)
+        self._column_slots[keys] = arcs
+        cells = keys[self._column_slots[keys] == arcs]
+        sums = self._column_sums[cells]
+        self._column_sums[cells] = 0.0
+        column, node = np.divmod(cells, n)
+        group = column * k + self.labels[node]
+        upper = np.full(4 * k, -np.inf)
+        lower = np.full(4 * k, np.inf)
+        np.maximum.at(upper, group, sums)
+        np.minimum.at(lower, group, sums)
+        touch = np.bincount(group, minlength=4 * k)
+        # [half, direction, color]: pairs adjacent to either half
+        upper, lower, touch = (
+            array.reshape(2, 2, k) for array in (upper, lower, touch)
+        )
+        directions, rows = np.nonzero(touch[0] + touch[1])
+        upper = upper[:, directions, rows]
+        lower = lower[:, directions, rows]
         self._close_extrema(
-            upper, lower, touch, np.tile(self._sizes[:k], 2 * len(colors))
+            upper, lower, touch[:, directions, rows], self._sizes[rows]
         )
-        upper = upper.reshape(-1, 2, k)
-        lower = lower.reshape(-1, 2, k)
-        for group, color in enumerate(colors):
-            self._write_column(color, upper[group], lower[group])
-        return reduced
+        values = self._spread(upper, lower)
+        before = self._err[directions, rows, split_color]
+        self._err[directions, rows, split_color] = values[0]
+        self._err[directions, rows, k - 1] = values[1]
+        return directions, rows, before, values, cells.size
 
-    def _write_column(
-        self, color: int, upper: np.ndarray, lower: np.ndarray
-    ) -> None:
-        k = self.k
-        self._u_out[:k, color] = upper[0]
-        self._l_out[:k, color] = lower[0]
-        self._u_in[:k, color] = upper[1]
-        self._l_in[:k, color] = lower[1]
+    def _patch_maxima(
+        self, directions: np.ndarray, rows: np.ndarray, old: np.ndarray,
+        new: np.ndarray, split_color: int,
+    ) -> np.ndarray:
+        """Patch natural rows' maxima from their rewritten entries ``new``
+        at the split color and the new color (``old`` is the entry at
+        the split color before); returns which rows need a full rescan.
 
-    def _update_row_maxima(self, dirty: np.ndarray) -> None:
-        """Patch the per-row witness maxima after a refresh of ``dirty``.
-
-        Only the dirty rows and dirty columns changed (sizes, and so the
-        witness weights, change only for dirty colors).  Every row first
-        compares its maximum with its dirty entries, with ``np.argmax``'s
-        first-index (and first-NaN) tie-break; then the dirty rows, and
-        the rows whose maximum sat in a dirty column (it may have
-        dropped), are rescanned in full — ``O(k)`` per split outside the
-        rescans.
+        ``np.argmax``'s tie-break holds (the first maximum wins; the new
+        color is the last column, so it wins only a strict improvement).
+        A row is rescanned when its raw maximum or its weighted argmax
+        sat at the split color and dropped, or when an entry involved
+        is NaN (overflowed sums), where the first NaN wins.
         """
-        k = self.k
-        is_dirty = np.zeros(k, dtype=bool)
-        is_dirty[dirty] = True
-        rescan = np.flatnonzero(
-            is_dirty | is_dirty[self._best_at[:, :k]].any(axis=0)
+        new_color = self.k - 1
+        new_c, new_t = new
+        # entries are >= 0 or NaN, so the sum is NaN iff one of them is
+        stale = np.isnan(old + new_c + new_t)
+        raw = self._raw[directions, rows]
+        stale |= (old == raw) & (new_c < raw)
+        self._raw[directions, rows] = np.maximum(
+            np.maximum(raw, new_c), new_t
         )
-        scores = self._scores(cols=dirty)
-        value = scores.max(axis=2)
-        column = dirty[scores.argmax(axis=2)]
-        best = self._best[:, :k]
-        best_at = self._best_at[:, :k]
-        nan_value, nan_best = np.isnan(value), np.isnan(best)
+        if self.alpha == 0.0 and self.beta == 0.0:
+            score_c, score_t = new_c, new_t
+        else:
+            row_pow = self._pow[directions, rows]
+            score_c = new_c * (row_pow * self._pow[1 - directions, split_color])
+            score_t = new_t * (row_pow * self._pow[1 - directions, new_color])
+            stale |= np.isnan(score_c + score_t)
+        if self._frozen_ids.size:
+            frozen = self._frozen[rows]
+            score_c[frozen] = -np.inf
+            score_t[frozen] = -np.inf
+        best = self._best[directions, rows]
+        best_at = self._best_at[directions, rows]
+        at_c = best_at == split_color
+        stale |= at_c & ~(score_c >= best)
         take = (
-            (value > best)
-            | (nan_value & ~nan_best)
-            | (((value == best) | (nan_value & nan_best)) & (column < best_at))
+            at_c | (score_c > best)
+            | ((score_c == best) & (split_color < best_at))
         )
-        np.copyto(best, value, where=take)
-        np.copyto(best_at, column, where=take)
-        self._rescan_rows(rescan)
+        best = np.where(take, score_c, best)
+        best_at = np.where(take, split_color, best_at)
+        take = score_t > best
+        self._best[directions, rows] = np.where(take, score_t, best)
+        self._best_at[directions, rows] = np.where(take, new_color, best_at)
+        return stale
 
-    def _rescan_rows(self, rows: np.ndarray) -> None:
-        """Recompute the maxima of whole rows, in row blocks so the
-        ``(4, rows, k)`` score block stays near the edge budget."""
+    def _rescan(self, directions: np.ndarray, rows: np.ndarray) -> None:
+        """Recompute the maxima of whole natural rows, in row blocks so
+        the score block stays near the edge budget."""
         step = max(1, 4 * _EDGE_CHUNK // max(self.k, 1))
         for begin in range(0, rows.size, step):
-            block = rows[begin:begin + step]
-            scores = self._scores(rows=block)
+            block = (directions[begin:begin + step], rows[begin:begin + step])
+            raw, scores = self._row_scores(*block)
             # max() is the value at argmax(), NaN (the first NaN) included
-            self._best[:, block] = scores.max(axis=2)
-            self._best_at[:, block] = scores.argmax(axis=2)
+            self._raw[block] = raw.max(axis=1)
+            self._best[block] = scores.max(axis=1)
+            self._best_at[block] = scores.argmax(axis=1)
 
     # ------------------------------------------------------------------
     # error matrices and witness selection
@@ -884,48 +943,57 @@ class Rothko:
         degrees mix, so the smallest eps for which the block is
         ``~eps``-regular is exactly this matrix entry.
 
-        Derived from the maintained U/L in ``O(k^2)`` (fresh arrays are
-        returned; mutating them does not disturb the engine).
+        Copied from the maintained matrices in ``O(k^2)`` (fresh arrays
+        are returned; mutating them does not disturb the engine).
         """
-        scores = self._scores()
-        return scores[2], scores[3]
+        k = self.k
+        return self._err[0, :k, :k].copy(), self._err[1, :k, :k].T.copy()
 
     def _find_witness(self) -> tuple[float, float, int, int, str]:
         """Return (max_raw_err, max_weighted_err, i, j, direction).
 
-        ``O(k)`` over the maintained per-row maxima: the first row
-        holding the global maximum, then that row's first argmax, is
-        exactly the row-major first argmax of the full score matrix, and
-        an out-witness wins ties with an in-witness — the same answer as
-        the reference :meth:`_scan_witness`.
+        ``O(k)`` over the maintained maxima, with the full scan's
+        answer (:meth:`_scan_witness`).  Out: the first row holding the
+        global maximum, then that row's first argmax — the row-major
+        first argmax of the score matrix.  In: the natural rows kept
+        here are the score matrix's *columns*; its row-major first
+        argmax is the smallest first-argmax among the rows that attain
+        the maximum, then the first such row.  An out-witness wins ties
+        with an in-witness.
         """
         k = self.k
         if k == 0:
             return 0.0, 0.0, 0, 0, "out"
+        raw_max = float(self._raw[:, :k].max(initial=0.0))
         best = self._best[:, :k]
-        raw_max = float(best[2:].max(initial=0.0))
         row_out = int(np.argmax(best[0]))
-        row_in = int(np.argmax(best[1]))
         best_out = best[0, row_out]
-        best_in = best[1, row_in]
+        best_in = best[1, int(np.argmax(best[1]))]
         if best_out >= best_in:
             column = int(self._best_at[0, row_out])
             return raw_max, float(best_out), row_out, column, "out"
-        column = int(self._best_at[1, row_in])
-        return raw_max, float(best_in), row_in, column, "in"
+        attain = np.isnan(best[1]) if np.isnan(best_in) else best[1] == best_in
+        targets = self._best_at[1, :k]
+        i = int(targets[attain].min())
+        j = int(np.flatnonzero(attain & (targets == i))[0])
+        return raw_max, float(best_in), i, j, "in"
 
     def _scan_witness(self) -> tuple[float, float, int, int, str]:
-        """The ``O(k^2)`` reference for :meth:`_find_witness`: spread and
-        argmax over the full score matrices."""
+        """The ``O(k^2)`` reference for :meth:`_find_witness`: argmax over
+        the full score matrices in (source, target) orientation."""
         k = self.k
         if k == 0:
             return 0.0, 0.0, 0, 0, "out"
-        scores = self._scores()
-        raw_max = float(scores[2:].max(initial=0.0))
-        flat_out = int(np.argmax(scores[0]))
-        flat_in = int(np.argmax(scores[1]))
-        best_out = scores[0].flat[flat_out]
-        best_in = scores[1].flat[flat_in]
+        raw_out, scores_out = self._row_scores(0, slice(0, k))
+        raw_in, scores_in = self._row_scores(1, slice(0, k))
+        scores_in = scores_in.T
+        raw_max = float(
+            np.maximum(raw_out.max(initial=0.0), raw_in.max(initial=0.0))
+        )
+        flat_out = int(np.argmax(scores_out))
+        flat_in = int(np.argmax(scores_in))
+        best_out = scores_out.flat[flat_out]
+        best_in = scores_in.flat[flat_in]
         if best_out >= best_in:
             i, j = divmod(flat_out, k)
             return raw_max, float(best_out), i, j, "out"
@@ -975,17 +1043,37 @@ class Rothko:
     def _split(self, i: int, j: int, direction: str) -> int:
         """Greedy split at one witness: threshold, commit, refresh.
 
-        Reports the threshold seconds, then the seconds to commit the
-        split and refresh the state, to the ``rothko.threshold_s`` /
-        ``rothko.refresh_s`` counters (one add each per split).
+        When the split color's arcs fit one edge-budget chunk they are
+        gathered once, in member order, and serve the threshold (a
+        bincount over the witness direction's arcs toward the target)
+        and the refresh; larger splits gather in chunks, once for the
+        threshold and once for the refresh.  Reports the threshold
+        seconds (gather included), then the seconds to commit the split
+        and refresh the state, to the ``rothko.threshold_s`` /
+        ``rothko.refresh_s`` counters, and the refresh's work to
+        ``kernels.bincount_cells``, ``rothko.cells_patched`` and
+        ``rothko.rows_rescanned`` (one add each per split).
         """
         start = time.perf_counter()
         split_color, target = (i, j) if direction == "out" else (j, i)
         members = self._members[split_color]
-        indptr = (self._csr if direction == "out" else self._csc).indptr
-        degrees = self._threshold_degrees(
-            members, indptr[members + 1] - indptr[members], direction, target
-        )
+        starts, counts = self._arc_ranges(members)
+        volume = int(counts.sum())
+        if volume <= self._edge_budget():
+            arcs = self._gather(starts, counts)
+            local, nodes, weights, n_out = arcs
+            side = slice(0, n_out) if direction == "out" else slice(n_out, None)
+            toward = self.labels[nodes[side]] == target
+            degrees = np.bincount(
+                local[side][toward], weights=weights[side][toward],
+                minlength=members.size,
+            )
+        else:
+            arcs = None
+            degrees = self._threshold_degrees(
+                members, counts[0 if direction == "out" else 1],
+                direction, target,
+            )
         eject_mask = split_eject_mask(
             degrees, self.split_mean, relative=self.error_mode == "relative"
         )
@@ -993,8 +1081,13 @@ class Rothko:
         self._apply_split(
             split_color, members[~eject_mask], members[eject_mask]
         )
-        self._refresh((split_color, self.k - 1))
+        cells, patched, rescanned = self._refresh_split(
+            split_color, eject_mask, arcs, volume
+        )
         recorder = _obs._active
+        recorder.count("kernels.bincount_cells", cells)
+        recorder.count("rothko.cells_patched", patched)
+        recorder.count("rothko.rows_rescanned", rescanned)
         recorder.count("rothko.threshold_s", decided - start)
         recorder.count("rothko.refresh_s", time.perf_counter() - decided)
         return split_color
@@ -1013,8 +1106,8 @@ class Rothko:
         for color, members in ((split_color, retain), (new_color, eject)):
             self._sizes[color] = members.size
             size_f = np.float64(members.size)
-            self._alpha_pow[color] = np.power(size_f, self.alpha)
-            self._beta_pow[color] = np.power(size_f, self.beta)
+            self._pow[0, color] = np.power(size_f, self.alpha)
+            self._pow[1, color] = np.power(size_f, self.beta)
 
     # ------------------------------------------------------------------
     # the anytime loop
@@ -1038,7 +1131,7 @@ class Rothko:
     def max_q_err(self) -> float:
         """Max unweighted q-error of the current coloring.
 
-        Served from the maintained per-row maxima in ``O(k)`` — no
+        Served from the maintained row maxima in ``O(k)`` — no
         degree-matrix rebuild.  Equals ``RothkoResult.max_q_err`` of a
         fresh run stopped at this state.
         """
@@ -1046,9 +1139,19 @@ class Rothko:
 
     def coloring_at(self, n_colors: int) -> Coloring:
         """Reconstruct the coloring as of the split that reached
-        ``n_colors`` colors, by replaying the parent pointers backwards."""
+        ``n_colors`` colors, by replaying the parent pointers backwards.
+
+        Rothko never merges, so no coloring with fewer colors than the
+        initial partition ever existed: asking for one raises
+        :class:`ColoringError`.
+        """
         if n_colors >= self.k:
             return self.coloring()
+        if n_colors < self._initial_colors:
+            raise ColoringError(
+                f"no coloring with {n_colors} colors: the run started "
+                f"from {self._initial_colors} initial colors"
+            )
         remap = np.arange(self.k, dtype=np.int64)
         for color in range(n_colors, self.k):
             # parent < color, so remap[parent] is already resolved to an
@@ -1186,23 +1289,8 @@ class Rothko:
         u_out, l_out = grouped_minmax_by_labels(d_out.T, self.labels, k)
         u_in, l_in = grouped_minmax_by_labels(d_in.T, self.labels, k)
         checks = [
-            ("U_out", self._u_out[:k, :k], u_out),
-            ("L_out", self._l_out[:k, :k], l_out),
-            ("U_in", self._u_in[:k, :k], u_in),
-            ("L_in", self._l_in[:k, :k], l_in),
-        ]
-        derived = self._scores()
-        weight = self._alpha_pow[:k, None] * self._beta_pow[None, :k]
-        w_out = self._spread(u_out, l_out) * weight
-        w_in = self._spread(u_in, l_in).T * weight
-        if self._frozen_ids.size:
-            w_out[self._frozen_ids, :] = -np.inf
-            w_in[:, self._frozen_ids] = -np.inf
-        checks += [
-            ("weighted_out", derived[0], w_out),
-            ("weighted_in", derived[1], w_in),
-            ("Err_out", derived[2], self._spread(u_out, l_out)),
-            ("Err_in", derived[3], self._spread(u_in, l_in).T),
+            ("Err_out", self._err[0, :k, :k], self._spread(u_out, l_out)),
+            ("Err_in", self._err[1, :k, :k], self._spread(u_in, l_in)),
         ]
         for name, maintained, scratch in checks:
             # Maintained sums accumulate edge weights in a different
@@ -1220,21 +1308,22 @@ class Rothko:
                 raise ColoringError(
                     f"maintained {name} diverged from scratch recompute"
                 )
-        # The row maxima are derived from the maintained U/L, so they
-        # must match a full scan of it exactly, as must the witness.
-        if k:
-            at = derived.argmax(axis=2)
-            best = np.take_along_axis(derived, at[..., None], axis=2)[..., 0]
-            for track, name in enumerate(_TRACKS):
-                if not (
-                    np.array_equal(self._best_at[track, :k], at[track])
-                    and np.array_equal(
-                        self._best[track, :k], best[track], equal_nan=True
-                    )
+        # The maxima are derived from the maintained matrices, so they
+        # must match a full scan of them exactly, as must the witness.
+        for direction, name in enumerate(("out", "in") if k else ()):
+            raw, scores = self._row_scores(direction, slice(0, k))
+            scans = (
+                ("raw", self._raw, raw.max(axis=1)),
+                ("weighted", self._best, scores.max(axis=1)),
+                ("argmax", self._best_at, scores.argmax(axis=1)),
+            )
+            for track, maintained, scan in scans:
+                if not np.array_equal(
+                    maintained[direction, :k], scan, equal_nan=True
                 ):
                     raise ColoringError(
-                        f"maintained {name} row maxima diverged from a "
-                        f"full scan"
+                        f"maintained {track} {name} row maxima diverged "
+                        f"from a full scan"
                     )
         fast, scan = self._find_witness(), self._scan_witness()
         if fast[2:] != scan[2:] or not np.array_equal(

@@ -77,10 +77,12 @@ class EdgeUpdate:
 
     # -- serialization --------------------------------------------------
     def to_line(self) -> str:
+        """The trace line; the weight is written with ``repr``, the
+        shortest text that reads back as the same float."""
         op = _KIND_TO_OP[self.kind]
         if self.kind == DELETE:
             return f"{op} {self.u} {self.v}"
-        return f"{op} {self.u} {self.v} {self.weight:g}"
+        return f"{op} {self.u} {self.v} {float(self.weight)!r}"
 
 
 def parse_update(line: str) -> EdgeUpdate | None:

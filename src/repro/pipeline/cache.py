@@ -125,8 +125,8 @@ class ColoringCache:
     """Spec-keyed registry of :class:`ProgressiveRun` instances.
 
     A cached run pins its Rothko engine — the memory-flat ``O(m + k^2)``
-    state: CSR/CSC adjacency snapshots, member lists, and the ``k x k``
-    boundary/error/witness matrices — plus its memoized checkpoint
+    state: CSR/CSC adjacency snapshots, member lists, the two ``k x k``
+    error matrices and their witness maxima — plus its memoized checkpoint
     colorings for the cache's lifetime, so scope a cache to one sweep or
     experiment call (every driver here creates its own by default) and
     :meth:`clear` it when reuse is over.

@@ -1,6 +1,6 @@
 """The incremental-maintenance invariant of the Rothko engine.
 
-The memory-flat engine keeps the U/L boundary matrices as persistent
+The memory-flat engine keeps the two error matrices as persistent
 ``k x k`` state, patched after every split from the split color's
 gathered arcs (no dense degree matrices exist), plus the per-row
 witness maxima derived from them.  These tests

@@ -185,6 +185,21 @@ class TestWitnessAgainstReference:
         )
         assert weighted == pytest.approx(expected_weighted)
 
+    def test_in_witness_tie_takes_the_row_major_first(self):
+        """Two in-direction errors tie at 15: ``Err_in[1, 0]`` (color 1's
+        members receive 15 and 0 from color 0) and ``Err_in[0, 1]``.
+        The full scan's row-major first argmax over (target, split) is
+        target 0, split 1 — not the first natural row holding the
+        maximum (row 0, target 1)."""
+        dense = np.zeros((5, 5))
+        dense[[0, 1, 2], 3] = 5.0
+        dense[3, 0] = dense[4, 2] = 15.0
+        engine = Rothko(
+            sp.csr_matrix(dense), initial=Coloring([0, 0, 0, 1, 1])
+        )
+        assert engine._scan_witness() == (15.0, 15.0, 0, 1, "in")
+        assert engine._find_witness() == engine._scan_witness()
+
 
 class TestInitialAndFrozen:
     def test_initial_partition_respected(self):
@@ -213,6 +228,20 @@ class TestInitialAndFrozen:
     def test_initial_size_mismatch(self):
         with pytest.raises(ColoringError):
             Rothko(np.zeros((3, 3)), initial=Coloring([0, 1]))
+
+    def test_coloring_at_below_initial_partition_raises(self, karate):
+        """Rothko never merges, so no state below the initial partition
+        ever existed: asking for one names the request and the initial
+        count instead of merging initial colors."""
+        initial = Coloring(np.arange(34) % 3)
+        engine = Rothko(karate, initial=initial)
+        steps = list(engine.steps(max_iterations=3))
+        assert engine.k == 6
+        assert engine.coloring_at(3) == initial
+        for n_colors in (0, 1, 2):
+            with pytest.raises(ColoringError, match=rf"{n_colors} colors.*3"):
+                engine.coloring_at(n_colors)
+        assert [step.coloring.n_colors for step in steps] == [4, 5, 6]
 
 
 class TestSplitMeans:
@@ -339,7 +368,7 @@ class TestCapacityGrowth:
         adjacency = random_adjacency(50, 0.3, 1)
         engine = Rothko(adjacency)
         engine.run(max_colors=40000, q_tolerance=5.0)
-        assert engine._u_out.shape[0] <= 2 * engine.k + 16
+        assert engine._err.shape[1] <= 2 * engine.k + 16
 
     def test_budget_caps_doubling_exactly(self):
         """A run that exhausts its budget lands on capacity == budget,
@@ -348,7 +377,8 @@ class TestCapacityGrowth:
         engine = Rothko(adjacency)
         engine.run(max_colors=48)
         assert engine.k == 48
-        assert engine._u_out.shape[0] == 48
+        # two capacity x capacity error matrices, out and in
+        assert engine._err.shape == (2, 48, 48)
 
     def test_stale_hint_resumes_doubling(self):
         """A follow-up run past an earlier budget must not degrade to

@@ -3,6 +3,8 @@
 import io
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.dynamic.updates import (
     EdgeUpdate,
@@ -66,6 +68,26 @@ class TestTraceFormat:
         write_updates(updates, buffer)
         buffer.seek(0)
         assert list(read_updates(buffer)) == updates
+
+    @given(
+        weight=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([5e-324, 2.2250738585072014e-308, -0.0,
+                             1.7976931348623157e308, 1.23456789,
+                             123456789.0]),
+        ),
+        kind=st.sampled_from(["insert", "reweight"]),
+    )
+    def test_weights_round_trip_exactly(self, weight, kind):
+        """Every finite weight — tiny, huge, -0.0, many digits — reads
+        back as the same float, bit for bit."""
+        update = getattr(EdgeUpdate, kind)(3, 4, weight)
+        buffer = io.StringIO()
+        write_updates([update], buffer)
+        buffer.seek(0)
+        (back,) = read_updates(buffer)
+        assert back == update
+        assert back.weight.hex() == update.weight.hex()
 
     def test_file_round_trip(self, tmp_path):
         path = str(tmp_path / "trace.txt")

@@ -72,6 +72,51 @@ class TestRothkoInstrumentation:
         assert spans >= inside >= 0.95 * spans
 
 
+    def test_patch_counters_follow_the_arcs(self):
+        """A split that patches its columns rewrites two cells, ``(g, c)``
+        and ``(g, t)``, for every (direction, color) pair adjacent to the
+        split color outside its own two rows: ``rothko.cells_patched``
+        is twice that count, taken here from the CSR/CSC on their own.
+        ``rothko.rows_rescanned`` counts the two rewritten rows in both
+        directions plus the patched rows whose maximum dropped."""
+        from repro.core.partition import Coloring
+        from repro.core.rothko import Rothko
+
+        n = 300
+        adjacency = random_adjacency(n, 0.01, 7)
+        csr, csc = adjacency.tocsr(), adjacency.tocsc()
+        # eight initial colors: every split's arcs stay below n, so
+        # every split patches instead of rewriting whole columns
+        engine = Rothko(adjacency, initial=Coloring(np.arange(n) % 8))
+        splits = 0
+        with recording() as rec:
+            before = dict(rec.snapshot()["counters"])
+            for step in engine.steps(max_colors=40):
+                after = rec.snapshot()["counters"]
+                c, t = step.parent_color, step.new_color
+                members = np.concatenate(
+                    [engine.members(c), engine.members(t)]
+                )
+                assert csr[members].nnz + csc[:, members].nnz < n
+                into = engine.labels[csc[:, members].indices]
+                out_of = engine.labels[csr[members].indices]
+                pairs = sum(
+                    len(set(colors.tolist()) - {c, t})
+                    for colors in (into, out_of)
+                )
+                patched = after["rothko.cells_patched"] - before.get(
+                    "rothko.cells_patched", 0
+                )
+                rescanned = after["rothko.rows_rescanned"] - before.get(
+                    "rothko.rows_rescanned", 0
+                )
+                assert patched == 2 * pairs
+                assert 4 <= rescanned <= 4 + pairs
+                before = dict(after)
+                splits += 1
+        assert splits == 32
+
+
 class TestSolverInstrumentation:
     def test_arcstore_engines_report_work(self):
         network = flow_network()
