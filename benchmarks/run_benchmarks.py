@@ -75,7 +75,7 @@ SMOKE_FILTERS = {
     # One numpy-vs-best pairing; the million-node case (two full
     # colorings per test) stays out of smoke.
     "bench_backends": "test_backend_coloring[250000]",
-    "bench_core_micro": "test_q_error_evaluation or edmonds_karp",
+    "bench_core_micro": "test_q_error_evaluation or dinic",
     # Quarter-million-node mmap-vs-resident parity; the million-node
     # parity case and the 100M-arc ingest+color run stay out of smoke.
     "bench_outofcore_scale": "test_outofcore_parity[250000]",

@@ -22,7 +22,7 @@ from repro.utils.tables import format_table
 
 def main() -> None:
     network = vision_grid_instance(16, 16, levels=10, seed=1)
-    exact = max_flow(network, algorithm="push_relabel").value
+    exact = max_flow(network).value
     print(
         f"Instance: {network.graph.n_nodes} nodes; exact max-flow "
         f"{exact:.1f}\n"
@@ -41,7 +41,7 @@ def main() -> None:
     rows = []
     for step in engine.steps(max_colors=24):
         reduced = reduced_network(network, step.coloring, bound="upper")
-        approx = max_flow(reduced, algorithm="dinic").value
+        approx = max_flow(reduced).value
         rows.append(
             [
                 step.iteration,

@@ -434,7 +434,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return 2
     scale = args.scale if args.scale is not None else _SOLVE_SCALES[args.task]
     task_options = {
-        "maxflow": {"bound": args.bound, "algorithm": args.algorithm},
+        "maxflow": {"bound": args.bound},
         "lp": {"mode": args.mode},
         "centrality": {"seed": args.seed},
     }
@@ -793,10 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: the problem size)")
     solve.add_argument("--bound", choices=("upper", "lower"),
                        default="upper", help="maxflow: reduced capacity bound")
-    solve.add_argument("--algorithm",
-                       choices=("push_relabel", "dinic", "edmonds_karp"),
-                       default="push_relabel",
-                       help="maxflow: reduced-network solver")
     solve.add_argument("--mode", choices=("sqrt", "grohe"), default="sqrt",
                        help="lp: reduction weight mode")
     solve.add_argument("--seed", type=int, default=0,

@@ -1,16 +1,19 @@
 """The :class:`Backend` protocol: the kernel surface a backend implements.
 
 Every kernel the engines and the solvers dispatch through a backend is
-listed here — nothing else is (the Rothko split refresh is plain numpy
-on top of ``take_ranges`` and ``grouped_minmax_ordered``, so every
-backend runs it).  The contract mirrors the numpy
-reference implementation in :mod:`repro.core.backends.numpy_backend`
-exactly: plain ``numpy.ndarray`` in, plain ``numpy.ndarray`` out (C
-layout, float64/int64), bit-identical results.  A backend is free to
-compute however it likes (vectorized numpy, compiled CPU loops) as
-long as what crosses the boundary is a numpy array with the same
-values; the parity test sweep (``tests/core/test_backends.py``) holds
-every registered backend to that.
+listed here — ``KERNEL_NAMES`` for the coloring engines,
+``SOLVER_KERNEL_NAMES`` for the exact tier — and nothing else is (the
+Rothko split refresh is plain numpy on top of ``take_ranges`` and
+``grouped_minmax_ordered``, so every backend runs it).  The contract
+mirrors the numpy reference implementation in
+:mod:`repro.core.backends.numpy_backend` exactly: plain
+``numpy.ndarray`` in, plain ``numpy.ndarray`` out (C layout,
+float64/int64), bit-identical results.  A backend is free to compute
+however it likes (vectorized numpy, compiled CPU loops) as long as what
+crosses the boundary is a numpy array with the same values; the parity
+test sweep (``tests/core/test_backends.py``) holds every registered
+backend to that, and ``test_protocol_surface`` holds every backend
+class to exactly these kernels.
 """
 
 from __future__ import annotations
@@ -32,16 +35,14 @@ KERNEL_NAMES = (
     "grouped_minmax_ordered",
 )
 
-#: the solver kernel family the ArcStore tier dispatches through
-#: (residual BFS, Dinic blocking flow, the fused flow solvers, and the
-#: batched Brandes dependency pass) — semantics are defined by the
-#: numpy reference in :mod:`repro.core.backends.solver_numpy`
+#: the solver kernel family the exact tier dispatches through (the
+#: residual level BFS and blocking flow of Dinic, fused push-relabel,
+#: and the batched Brandes dependency pass) — semantics are defined by
+#: the numpy reference in :mod:`repro.core.backends.solver_numpy`
 SOLVER_KERNEL_NAMES = (
     "solve_bfs_levels",
-    "solve_bfs_parents",
     "solve_blocking_flow",
     "solve_push_relabel",
-    "solve_edmonds_karp",
     "solve_brandes_batch",
 )
 
@@ -115,20 +116,6 @@ class Backend(Protocol):
         """Residual BFS levels (-1 unreached); ``sink < 0`` means full
         BFS, otherwise expansion stops after the sink's level."""
 
-    def solve_bfs_parents(
-        self,
-        indptr: np.ndarray,
-        arcs: np.ndarray,
-        head: np.ndarray,
-        tail: np.ndarray,
-        cap: np.ndarray,
-        n: int,
-        source: int,
-        sink: int,
-    ) -> np.ndarray:
-        """First-occurrence shortest-path discovery arcs; a negative
-        entry at the sink signals unreachability."""
-
     def solve_blocking_flow(
         self,
         local_indptr: np.ndarray,
@@ -152,20 +139,6 @@ class Backend(Protocol):
     ) -> tuple[float, int, int]:
         """Fused highest-label push-relabel; mutates ``cap`` into the
         final residual and returns ``(value, relabels, pushes)``."""
-
-    def solve_edmonds_karp(
-        self,
-        indptr: np.ndarray,
-        arcs: np.ndarray,
-        head: np.ndarray,
-        tail: np.ndarray,
-        cap: np.ndarray,
-        n: int,
-        source: int,
-        sink: int,
-    ) -> tuple[float, int]:
-        """Fused shortest-augmenting-path loop; mutates ``cap`` and
-        returns ``(value, augmentations)``."""
 
     def solve_brandes_batch(
         self,

@@ -222,12 +222,6 @@ class NumbaBackend(NumpyBackend):
             n, source, sink,
         )
 
-    def solve_bfs_parents(self, indptr, arcs, head, tail, cap, n, source, sink):
-        return solver_numba.solve_bfs_parents(
-            _contig(indptr), _contig(arcs), _contig(head), _contig(tail),
-            _contig(cap), n, source, sink,
-        )
-
     def solve_blocking_flow(self, local_indptr, heads, caps, source, sink):
         return solver_numba.solve_blocking_flow(
             _contig(local_indptr), _contig(heads), _contig(caps),
@@ -238,12 +232,6 @@ class NumbaBackend(NumpyBackend):
         return solver_numba.solve_push_relabel(
             _contig(indptr), _contig(arcs), _contig(head), _contig(cap),
             n, source, sink,
-        )
-
-    def solve_edmonds_karp(self, indptr, arcs, head, tail, cap, n, source, sink):
-        return solver_numba.solve_edmonds_karp(
-            _contig(indptr), _contig(arcs), _contig(head), _contig(tail),
-            _contig(cap), n, source, sink,
         )
 
     def solve_brandes_batch(self, indptr, indices, sources, weights, n):

@@ -178,10 +178,8 @@ class NumpyBackend:
 
     # solver kernel family (reference semantics in solver_numpy)
     solve_bfs_levels = staticmethod(solver_numpy.solve_bfs_levels)
-    solve_bfs_parents = staticmethod(solver_numpy.solve_bfs_parents)
     solve_blocking_flow = staticmethod(solver_numpy.solve_blocking_flow)
     solve_push_relabel = staticmethod(solver_numpy.solve_push_relabel)
-    solve_edmonds_karp = staticmethod(solver_numpy.solve_edmonds_karp)
     solve_brandes_batch = staticmethod(solver_numpy.solve_brandes_batch)
 
     def __repr__(self) -> str:

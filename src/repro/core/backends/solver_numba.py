@@ -5,11 +5,6 @@ numpy reference (:mod:`repro.core.backends.solver_numpy`) into one
 compiled pass.  Determinism is load-bearing, not incidental:
 
 * BFS levels are unique, so any traversal order matches the reference.
-* The parent BFS visits frontier nodes in **ascending id order** and
-  their arcs in adjacency order, assigning each node its first
-  discovery arc and finishing the level in which the sink appears —
-  exactly the first-occurrence rule of the reference's stable-sort
-  dedupe, so Edmonds–Karp augments along identical paths.
 * The blocking-flow DFS replays the reference's advance / fused
   augment-retreat / dead-end-kill decisions verbatim on arrays.
 * Push-relabel emulates the reference's per-height LIFO bucket lists
@@ -79,37 +74,6 @@ if available():  # pragma: no cover - exercised only where numba is installed
             frontier, nxt = nxt, frontier
             f_count = n_count
         return level
-
-    @njit(cache=True, nogil=True)
-    def solve_bfs_parents(indptr, arcs, head, tail, cap, n, source, sink):
-        parent_arc = np.full(n, -1, dtype=np.int64)
-        visited = np.zeros(n, dtype=np.bool_)
-        visited[source] = True
-        frontier = np.empty(n, dtype=np.int64)
-        nxt = np.empty(n, dtype=np.int64)
-        frontier[0] = source
-        f_count = 1
-        while f_count > 0:
-            n_count = 0
-            for i in range(f_count):
-                u = frontier[i]
-                for p in range(indptr[u], indptr[u + 1]):
-                    a = arcs[p]
-                    if cap[a] > _EPS:
-                        v = head[a]
-                        if not visited[v]:
-                            visited[v] = True
-                            parent_arc[v] = a
-                            nxt[n_count] = v
-                            n_count += 1
-            if visited[sink]:
-                return parent_arc
-            # Ascending frontier keeps next level's discovery order
-            # aligned with the reference's sorted-unique frontiers.
-            nxt[:n_count] = np.sort(nxt[:n_count])
-            frontier, nxt = nxt, frontier
-            f_count = n_count
-        return parent_arc
 
     @njit(cache=True, nogil=True)
     def solve_blocking_flow(local_indptr, heads, caps, source, sink):
@@ -257,37 +221,6 @@ if available():  # pragma: no cover - exercised only where numba is installed
                     cursor[u] = position + 1
 
         return excess[sink], relabels, pushes
-
-    @njit(cache=True, nogil=True)
-    def solve_edmonds_karp(indptr, arcs, head, tail, cap, n, source, sink):
-        total = 0.0
-        augmentations = 0
-        path = np.empty(n, dtype=np.int64)
-        while True:
-            parent_arc = solve_bfs_parents(
-                indptr, arcs, head, tail, cap, n, source, sink
-            )
-            if parent_arc[sink] < 0:
-                break
-            augmentations += 1
-            plen = 0
-            v = sink
-            while v != source:
-                a = parent_arc[v]
-                path[plen] = a
-                plen += 1
-                v = tail[a]
-            bottleneck = cap[path[0]]
-            for i in range(1, plen):
-                c = cap[path[i]]
-                if c < bottleneck:
-                    bottleneck = c
-            for i in range(plen):
-                a = path[i]
-                cap[a] -= bottleneck
-                cap[a ^ 1] += bottleneck
-            total += bottleneck
-        return total, augmentations
 
     @njit(cache=True, nogil=True)
     def solve_brandes_batch(indptr, indices, sources, weights, n):

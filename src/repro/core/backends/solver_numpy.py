@@ -2,9 +2,8 @@
 
 These are the exact-solver counterparts of the coloring kernels in
 :mod:`repro.core.backends.numpy_backend`: the frontier-batched residual
-BFS (levels and discovery arcs), the blocking-flow DFS of Dinic's
-phases, the fused highest-label push-relabel loop, the fused
-Edmonds–Karp augmentation loop, and the batched multi-lane Brandes
+level BFS and the blocking-flow DFS of Dinic's phases, the fused
+highest-label push-relabel loop, and the batched multi-lane Brandes
 dependency pass.  They define the semantics every backend must
 reproduce to 1e-9 (the BFS/flow kernels are bit-identical; the Brandes
 batch tolerates re-association of the dependency sums).
@@ -17,9 +16,9 @@ backends package never forms an import cycle through the solver tier
 imports nothing from here).  The gather helpers below mirror the
 reference kernels in ``numpy_backend`` verbatim.
 
-All kernels are **pure** of observability: work counters (phases,
-relabels, pushes, augmentations) are *returned* so the dispatch layer
-in :mod:`repro.solvers` can report them once per solve.
+All kernels are **pure** of observability: work counters (relabels,
+pushes) are *returned* so the dispatch layer in :mod:`repro.solvers`
+can report them once per solve.
 """
 
 from __future__ import annotations
@@ -37,10 +36,8 @@ _DENSE_WASTE = 8
 
 __all__ = [
     "solve_bfs_levels",
-    "solve_bfs_parents",
     "solve_blocking_flow",
     "solve_push_relabel",
-    "solve_edmonds_karp",
     "solve_brandes_batch",
 ]
 
@@ -113,50 +110,6 @@ def solve_bfs_levels(
         if sink >= 0 and level[sink] == depth:
             break
     return level
-
-
-def solve_bfs_parents(
-    indptr: np.ndarray,
-    arcs: np.ndarray,
-    head: np.ndarray,
-    tail: np.ndarray,
-    cap: np.ndarray,
-    n: int,
-    source: int,
-    sink: int,
-) -> np.ndarray:
-    """Shortest-path discovery arcs (Edmonds–Karp's BFS).
-
-    ``parent_arc[v]`` is the arc that first reached ``v`` on some
-    shortest residual path from the source — the *first occurrence* in
-    (ascending frontier node, adjacency position) order, which every
-    backend must reproduce exactly so the augmentation sequence is
-    identical.  ``parent_arc[sink] < 0`` signals an unreachable sink.
-    Expansion stops after the level at which the sink is discovered.
-    """
-    parent_arc = np.full(n, -1, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    visited[source] = True
-    frontier = np.array([source], dtype=np.int64)
-    while frontier.size:
-        arc_ids = _frontier_arcs(indptr, arcs, cap, frontier)
-        heads = head[arc_ids]
-        fresh = ~visited[heads]
-        arc_ids, heads = arc_ids[fresh], heads[fresh]
-        if heads.size == 0:
-            return parent_arc
-        # First-occurrence dedupe (stable sort keeps discovery order).
-        order = np.argsort(heads, kind="stable")
-        sorted_heads = heads[order]
-        keep = np.empty(sorted_heads.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(sorted_heads[1:], sorted_heads[:-1], out=keep[1:])
-        frontier = sorted_heads[keep]
-        visited[frontier] = True
-        parent_arc[frontier] = arc_ids[order[keep]]
-        if visited[sink]:
-            return parent_arc
-    return parent_arc
 
 
 # ----------------------------------------------------------------------
@@ -348,50 +301,6 @@ def solve_push_relabel(
 
     cap_array[:] = cap
     return excess[sink], relabels, pushes
-
-
-# ----------------------------------------------------------------------
-# Edmonds–Karp (fused BFS + augmentation loop)
-# ----------------------------------------------------------------------
-def solve_edmonds_karp(
-    indptr: np.ndarray,
-    arcs: np.ndarray,
-    head: np.ndarray,
-    tail: np.ndarray,
-    cap: np.ndarray,
-    n: int,
-    source: int,
-    sink: int,
-) -> Tuple[float, int]:
-    """Shortest augmenting paths; mutates ``cap`` in place.
-
-    Returns ``(flow_value, augmentations)``.  Each BFS uses the
-    first-occurrence parent rule of :func:`solve_bfs_parents`, so the
-    augmenting-path sequence — and therefore the final residual state —
-    is identical across backends.
-    """
-    total = 0.0
-    augmentations = 0
-    while True:
-        parent_arc = solve_bfs_parents(
-            indptr, arcs, head, tail, cap, n, source, sink
-        )
-        if parent_arc[sink] < 0:
-            break
-        augmentations += 1
-        # Collect the path, then augment by its bottleneck.
-        path = []
-        v = sink
-        while v != source:
-            a = int(parent_arc[v])
-            path.append(a)
-            v = int(tail[a])
-        path_array = np.asarray(path, dtype=np.int64)
-        bottleneck = float(cap[path_array].min())
-        cap[path_array] -= bottleneck
-        cap[path_array ^ 1] += bottleneck
-        total += bottleneck
-    return total, augmentations
 
 
 # ----------------------------------------------------------------------

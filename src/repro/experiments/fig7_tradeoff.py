@@ -1,7 +1,7 @@
 """Fig. 7: speed-accuracy trade-offs for the three task types.
 
-For every dataset the exact baseline is solved once (push-relabel for
-flow, the LP solver for LPs, Brandes for centrality); then the coloring
+For every dataset the exact baseline is solved once (Dinic for flow,
+the LP solver for LPs, Brandes for centrality); then the coloring
 approximation is evaluated at a sweep of color budgets, reporting the
 task-appropriate accuracy per budget: ratio error (flow/LP, 1.0 ideal)
 or Spearman's rho (centrality, 1.0 ideal).
@@ -81,7 +81,7 @@ def maxflow_tradeoff(
     rows = []
     for name in datasets:
         network = load_flow(name, scale=scale)
-        exact, exact_seconds = time_call(max_flow, network, "push_relabel")
+        exact, exact_seconds = time_call(max_flow, network)
         results = progressive_sweep(
             MaxFlowTask(network), color_budgets, cache=cache
         )

@@ -95,7 +95,7 @@ def responsiveness_rows(
 
     def eval_flow(coloring: Coloring) -> float:
         reduced = reduced_network(network, coloring, bound="upper")
-        return max_flow(reduced, algorithm="dinic").value
+        return max_flow(reduced).value
 
     row = _responsiveness(engine, eval_flow, max_colors=max_colors)
     rows.append({"task": "maxflow", "dataset": flow_dataset, **row})

@@ -173,7 +173,6 @@ def approx_max_flow(
     n_colors: int | None = None,
     q: float | None = None,
     bound: str = "upper",
-    algorithm: str = "push_relabel",
     split_mean: str = "arithmetic",
 ) -> ApproxFlowResult:
     """Approximate ``maxFlow(G)`` on the reduced graph (the paper's method).
@@ -187,12 +186,7 @@ def approx_max_flow(
         raise ValueError("approx_max_flow needs n_colors and/or q")
     from repro.pipeline import MaxFlowTask, run_task
 
-    task = MaxFlowTask(
-        network,
-        bound=bound,
-        algorithm=algorithm,
-        split_mean=split_mean,
-    )
+    task = MaxFlowTask(network, bound=bound, split_mean=split_mean)
     result = run_task(task, n_colors=n_colors, q=q)
     return ApproxFlowResult(
         value=result.value,

@@ -191,22 +191,18 @@ def validate_flow(
 
 def max_flow(
     network: FlowNetwork,
-    algorithm: str = "push_relabel",
+    algorithm: str = "dinic",
     backend=None,
 ) -> FlowResult:
-    """Dispatch to one of the max-flow solvers.
+    """Maximum s-t flow of ``network``.
 
-    ``algorithm`` is one of ``push_relabel`` (the paper's exact
-    baseline), ``dinic`` or ``edmonds_karp``.  ``backend`` reaches the
+    ``algorithm`` is ``"dinic"`` (the default and the exact reference
+    everywhere) or ``"push_relabel"``.  ``backend`` reaches the
     solver-kernel dispatch (explicit wins, else the process default).
     """
-    from repro.solvers import arc_store_for, dinic, edmonds_karp, push_relabel
+    from repro.solvers import arc_store_for, dinic, push_relabel
 
-    solvers = {
-        "push_relabel": push_relabel,
-        "dinic": dinic,
-        "edmonds_karp": edmonds_karp,
-    }
+    solvers = {"dinic": dinic, "push_relabel": push_relabel}
     if algorithm not in solvers:
         raise ValueError(
             f"algorithm must be one of {sorted(solvers)}, "

@@ -151,9 +151,7 @@ def _uniform_flow_feasible(graph: BipartiteGraph, target: float) -> bool:
     coo = graph.matrix.tocoo()
     for x, y, c in zip(coo.row, coo.col, coo.data):
         network_graph.add_edge(("x", int(x)), ("y", int(y)), float(c))
-    result = max_flow(
-        FlowNetwork(network_graph, "s", "t"), algorithm="dinic"
-    )
+    result = max_flow(FlowNetwork(network_graph, "s", "t"))
     return result.value >= target * (1 - 1e-9)
 
 

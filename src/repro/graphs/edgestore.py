@@ -453,7 +453,7 @@ class EdgeStoreWriter:
                     f"match); re-feed the identical input or start over"
                 )
             return
-        self._validate(src, dst)
+        self._validate(src, dst, weight)
         self._appended += src.size
         if not self.directed:
             off = src != dst
@@ -471,21 +471,31 @@ class EdgeStoreWriter:
         if self._buffered >= self.chunk_arcs:
             self._flush_run()
 
-    def _validate(self, src: np.ndarray, dst: np.ndarray) -> None:
+    def _validate(
+        self, src: np.ndarray, dst: np.ndarray, weight: np.ndarray
+    ) -> None:
+        """Refuse the first arc with an endpoint out of range or a NaN
+        or infinite weight, named by its index in the whole input."""
         n = self.declared_n
         low = min(int(src.min()), int(dst.min()))
         high = max(int(src.max()), int(dst.max()))
-        if low >= 0 and (n is None or high < n):
-            return
-        bad = (src < 0) | (dst < 0)
-        if n is not None:
-            bad |= (src >= n) | (dst >= n)
-        arc = int(np.flatnonzero(bad)[0])
-        bound = "inf" if n is None else n
-        raise GraphError(
-            f"edge endpoints out of range [0, {bound}): "
-            f"arc {self._appended + arc}: {src[arc]} -> {dst[arc]}"
-        )
+        if low < 0 or (n is not None and high >= n):
+            bad = (src < 0) | (dst < 0)
+            if n is not None:
+                bad |= (src >= n) | (dst >= n)
+            arc = int(np.flatnonzero(bad)[0])
+            bound = "inf" if n is None else n
+            raise GraphError(
+                f"edge endpoints out of range [0, {bound}): "
+                f"arc {self._appended + arc}: {src[arc]} -> {dst[arc]}"
+            )
+        finite = np.isfinite(weight)
+        if not finite.all():
+            arc = int(np.argmin(finite))
+            raise GraphError(
+                f"non-finite weight {weight[arc]}: "
+                f"arc {self._appended + arc}: {src[arc]} -> {dst[arc]}"
+            )
 
     def _flush_run(self) -> None:
         if not self._buffered:

@@ -1,4 +1,4 @@
-"""scipy (HiGHS) backend: the cross-validation oracle for our solvers."""
+"""scipy (HiGHS) backend: the default, exact LP solve."""
 
 from __future__ import annotations
 

@@ -1,4 +1,9 @@
-"""Unified LP solve dispatch."""
+"""One LP solve entry point over the two solvers in the repo.
+
+``"scipy"`` runs HiGHS through :mod:`repro.lp.scipy_backend` (the
+default, and the exact solve); ``"interior_point"`` runs the Mehrotra
+solver of :mod:`repro.lp.interior_point`, which Table 1 stops early.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ import numpy as np
 
 from repro.lp.model import LinearProgram
 
-METHODS = ("scipy", "interior_point", "simplex")
+METHODS = ("scipy", "interior_point")
 
 
 @dataclass(frozen=True)
@@ -31,9 +36,9 @@ def solve_lp(
 ) -> LPSolution:
     """Solve an LP with one of the backends.
 
-    ``"scipy"`` (HiGHS; the fast oracle), ``"interior_point"`` (our
-    Mehrotra solver — supports early stopping), or ``"simplex"`` (our
-    dense two-phase simplex — for small/reduced LPs).
+    ``"scipy"`` (HiGHS; the default and the fast exact solve) or
+    ``"interior_point"`` (our Mehrotra solver — supports early stopping,
+    which Table 1's baseline needs).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -49,26 +54,14 @@ def solve_lp(
             method=method,
             elapsed=time.perf_counter() - start,
         )
-    if method == "interior_point":
-        from repro.lp.interior_point import interior_point_solve
+    from repro.lp.interior_point import interior_point_solve
 
-        result = interior_point_solve(lp, **kwargs)
-        return LPSolution(
-            status=result.status,
-            objective=result.objective,
-            x=result.x,
-            method=method,
-            elapsed=time.perf_counter() - start,
-            iterations=result.iterations,
-        )
-    from repro.lp.simplex import simplex_solve
-
-    objective, x, iterations = simplex_solve(lp, **kwargs)
+    result = interior_point_solve(lp, **kwargs)
     return LPSolution(
-        status="optimal",
-        objective=objective,
-        x=x,
+        status=result.status,
+        objective=result.objective,
+        x=result.x,
         method=method,
         elapsed=time.perf_counter() - start,
-        iterations=iterations,
+        iterations=result.iterations,
     )

@@ -1,5 +1,5 @@
-"""The flat arc store: one contiguous residual representation for all
-exact solvers.
+"""The flat arc store: one contiguous residual representation for the
+exact max-flow solvers.
 
 ``ArcStore`` encodes a flow network (or any weighted digraph) as paired
 residual arcs in flat numpy arrays: original arc ``e`` gets id ``2e`` and
@@ -18,20 +18,17 @@ solvers share:
 
 * :func:`bfs_levels` — frontier-batched level BFS over residual arcs
   (the level graph of Dinic, reachability for min-cut);
-* :func:`bfs_parents` — the same BFS recording discovery arcs (the
-  augmenting-path search of Edmonds–Karp);
 * :meth:`ArcStore.residual` — a fresh residual capacity vector, the one
   place residual state is created;
 * :meth:`ArcStore.extract_flow_arrays` — per-arc flows of the forward
   arcs as ``(tails, heads, flows)`` arrays, ``flow = cap0 - cap``.
 
-The traversals dispatch through the backend layer
+The traversal dispatches through the backend layer
 (:mod:`repro.core.backends`): every solver entry point takes
-``backend=`` and routes its BFS through
-``backend.solve_bfs_levels`` / ``backend.solve_bfs_parents`` — the
-numpy reference lives in ``core/backends/solver_numpy.py``, and the
-numba backend fuses the whole frontier loop into one compiled pass
-with identical discovery order (bit-identical levels and parents).
+``backend=`` and routes its BFS through ``backend.solve_bfs_levels``
+— the numpy reference lives in ``core/backends/solver_numpy.py``, and
+the numba backend fuses the whole frontier loop into one compiled pass
+(levels are unique, so both agree bit for bit).
 :func:`resolve_solver_backend` is the shared resolution rule: an
 explicit request wins, otherwise the *process default*
 (``set_default_backend`` / ``REPRO_BACKEND`` / auto) applies — the
@@ -47,12 +44,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.backends import Backend, default_backend, resolve_backend
-from repro.core.kernels import take_ranges
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graphs.digraph import WeightedDiGraph
-
-_EPS = 1e-12
 
 
 def resolve_solver_backend(backend: "str | Backend | None") -> Backend:
@@ -205,18 +199,8 @@ def arc_store_for(graph: "WeightedDiGraph") -> ArcStore:
 
 
 # ----------------------------------------------------------------------
-# vectorized traversals
+# vectorized traversal
 # ----------------------------------------------------------------------
-def _frontier_arcs(
-    store: ArcStore, cap: np.ndarray, frontier: np.ndarray
-) -> np.ndarray:
-    """All residual arcs (cap > eps) leaving the frontier nodes."""
-    starts = store.indptr[frontier]
-    counts = store.indptr[frontier + 1] - starts
-    arcs = store.arcs[take_ranges(starts, counts)]
-    return arcs[cap[arcs] > _EPS]
-
-
 def bfs_levels(
     store: ArcStore,
     cap: np.ndarray,
@@ -241,32 +225,3 @@ def bfs_levels(
         int(source),
         -1 if sink is None else int(sink),
     )
-
-
-def bfs_parents(
-    store: ArcStore,
-    cap: np.ndarray,
-    source: int,
-    sink: int,
-    backend: "str | Backend | None" = None,
-) -> np.ndarray | None:
-    """Shortest-path discovery arcs (Edmonds–Karp's BFS), or None.
-
-    Returns ``parent_arc[v]`` = the arc that first reached ``v`` on some
-    shortest residual path from the source — the *first occurrence* in
-    (ascending frontier, adjacency position) order, an ordering every
-    backend reproduces exactly; ``None`` when the sink is unreachable.
-    """
-    parent_arc = resolve_solver_backend(backend).solve_bfs_parents(
-        store.indptr,
-        store.arcs,
-        store.head,
-        store.tail,
-        cap,
-        store.n,
-        int(source),
-        int(sink),
-    )
-    if parent_arc[sink] < 0:
-        return None
-    return parent_arc

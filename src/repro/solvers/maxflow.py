@@ -1,24 +1,21 @@
 """Exact max-flow and min-cut on the flat arc store.
 
-All three solvers operate on one :class:`~repro.solvers.arcstore.
-ArcStore` and a residual capacity vector from ``store.residual()``:
+Both solvers operate on one :class:`~repro.solvers.arcstore.ArcStore`
+and a residual capacity vector from ``store.residual()``:
 
-* :func:`dinic` — level BFS through the backend's
-  ``solve_bfs_levels`` kernel, then a blocking flow over the
-  *compacted* level graph: the admissible arcs are extracted with one
-  numpy mask over all arc ids, pruned to the sink-reaching core by a
-  backward BFS, regrouped by tail, and the current-arc DFS runs
-  through ``solve_blocking_flow`` on just those arcs (no per-arc level
-  checks in the hot loop); augmentations are written back to the
-  residual vector in one scatter per phase, and one/two-level phases
-  (most of the arc volume on the stereo instances) solve in closed form
-  with no DFS at all.
+* :func:`dinic` — the exact solver every reference uses: level BFS
+  through the backend's ``solve_bfs_levels`` kernel, then a blocking
+  flow over the *compacted* level graph: the admissible arcs are
+  extracted with one numpy mask over all arc ids, pruned to the
+  sink-reaching core by a backward BFS, regrouped by tail, and the
+  current-arc DFS runs through ``solve_blocking_flow`` on just those
+  arcs (no per-arc level checks in the hot loop); augmentations are
+  written back to the residual vector in one scatter per phase, and
+  one/two-level phases (most of the arc volume on the stereo instances)
+  solve in closed form with no DFS at all.
 * :func:`push_relabel` — highest-label selection with per-height bucket
   stacks and the gap heuristic, fused into the backend's
   ``solve_push_relabel`` kernel.
-* :func:`edmonds_karp` — shortest augmenting paths, fused into the
-  backend's ``solve_edmonds_karp`` kernel (first-occurrence parent BFS
-  plus O(path) augmentation).
 * :func:`min_cut` — runs :func:`dinic`, then reads reachability
   straight off the final residual arrays (one more vectorized BFS) and
   collects the saturated forward arcs leaving the source side.
@@ -31,12 +28,12 @@ per-arc flows.  Results are bit-identical across backends: the kernel
 contracts in :mod:`repro.core.backends.solver_numpy` pin the discovery
 orders, so every backend augments along the same paths.
 
-Every solver reports its work counters to :mod:`repro.obs` in one add
+Both solvers report their work counters to :mod:`repro.obs` in one add
 at return — ``solvers.dinic.phases``, ``solvers.pr.relabels`` /
-``solvers.pr.pushes``, ``solvers.ek.augmentations`` — so profiled runs
-can attribute flow time to algorithmic effort without any per-arc cost.
-The kernels themselves are pure; the counters they tally come back in
-their return values and are recorded here, once per solve.
+``solvers.pr.pushes`` — so profiled runs can attribute flow time to
+algorithmic effort without any per-arc cost.  The kernels themselves
+are pure; the counters they tally come back in their return values and
+are recorded here, once per solve.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ from repro.solvers.arcstore import (
 
 _EPS = 1e-12
 
-__all__ = ["dinic", "push_relabel", "edmonds_karp", "min_cut"]
+__all__ = ["dinic", "push_relabel", "min_cut"]
 
 
 # ----------------------------------------------------------------------
@@ -235,38 +232,6 @@ def push_relabel(
     recorder = _obs._active
     recorder.count("solvers.pr.relabels", int(relabels))
     recorder.count("solvers.pr.pushes", int(pushes))
-    return float(value), cap
-
-
-# ----------------------------------------------------------------------
-# Edmonds–Karp
-# ----------------------------------------------------------------------
-def edmonds_karp(
-    store: ArcStore,
-    source: int,
-    sink: int,
-    backend: "str | Backend | None" = None,
-) -> Tuple[float, np.ndarray]:
-    """Maximum s-t flow by shortest augmenting paths on the arc store.
-
-    One fused kernel call (``solve_edmonds_karp``): every BFS follows
-    the first-occurrence parent rule, so all backends augment along the
-    identical path sequence and land on the same residual vector.
-    """
-    cap = store.residual()
-    value, augmentations = resolve_solver_backend(
-        backend
-    ).solve_edmonds_karp(
-        store.indptr,
-        store.arcs,
-        store.head,
-        store.tail,
-        cap,
-        store.n,
-        int(source),
-        int(sink),
-    )
-    _obs._active.count("solvers.ek.augmentations", int(augmentations))
     return float(value), cap
 
 

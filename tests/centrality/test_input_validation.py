@@ -18,9 +18,9 @@ from repro.centrality.approx import pivot_betweenness
 from repro.centrality.brandes import betweenness_centrality
 from repro.core.partition import Coloring
 from repro.graphs.digraph import WeightedDiGraph
-from repro.graphs.edgestore import ingest_arrays
 from repro.graphs.generators import karate_club, path_graph
 from repro.solvers import betweenness_centrality_csr
+from tests.conftest import store_with_weights
 
 
 @pytest.fixture
@@ -60,11 +60,11 @@ class TestSources:
 def _path_with_length(length: float, tmp_path) -> WeightedDiGraph:
     """The undirected path 0-1-2-3 with edge (0, 1) of ``length``.
 
-    ``add_edge`` refuses a NaN or infinite weight, so such a path is
-    read from an edge store, which takes any float weight.
+    ``add_edge`` and the store writer refuse a NaN or infinite weight,
+    so such a path is read from an edge store edited on disk.
     """
     if not math.isfinite(length):
-        store = ingest_arrays(
+        store = store_with_weights(
             tmp_path / "path", [0, 1, 2], [1, 2, 3], [length, 1.0, 1.0],
             directed=False,
         )

@@ -16,6 +16,7 @@ import scipy.sparse as sp
 
 from repro.core.backends import (
     KERNEL_NAMES,
+    SOLVER_KERNEL_NAMES,
     Backend,
     available_backends,
     default_backend,
@@ -107,8 +108,20 @@ class TestResolution:
         assert default_backend().name in ("numpy", "numba")
 
     def test_protocol_surface(self):
-        for name in KERNEL_NAMES:
+        kernels = set(KERNEL_NAMES) | set(SOLVER_KERNEL_NAMES)
+        assert len(kernels) == len(KERNEL_NAMES) + len(SOLVER_KERNEL_NAMES)
+        for name in kernels:
             assert callable(getattr(REFERENCE, name))
+
+        def public(cls):
+            return {name for name in vars(cls) if not name.startswith("_")}
+
+        # The protocol and the numpy reference define exactly the listed
+        # kernels; the numba class overrides some of them and adds none.
+        # Class dicts need no numba install to inspect.
+        assert public(Backend) == kernels
+        assert public(NumpyBackend) - {"name"} == kernels
+        assert public(numba_backend.NumbaBackend) - {"name"} <= kernels
 
     def test_resolve_workers(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)

@@ -1,18 +1,21 @@
 """The maintained witness state and the split sequence it drives.
 
-Rothko keeps, next to U/L, each row's maximum and first argmax of the
-weighted and raw out/in errors, and picks every witness from those row
-maxima in ``O(k)``.  Two guards pin that down:
+Rothko keeps, next to its two ``k×k`` error matrices, each row's
+maximum and first argmax of the weighted and raw out/in errors, and
+picks every witness from those row maxima in ``O(k)``.  Two guards pin
+that down:
 
 * a property sweep over small adversarial digraphs (self-loops, zero
   and negative weights, duplicate arcs, isolated nodes), where after
   every split ``_find_witness()`` must equal the ``O(k^2)`` full scan
   ``_scan_witness()`` and ``verify_state`` must hold — under absolute
-  and relative error, witness exponents and frozen colors.  The edge
-  budget is shrunk to one arc, so splits gather their arcs in several
-  chunks and rescan rows in small blocks.  CI reruns it
-  with the longer ``ci`` hypothesis profile
-  (``--hypothesis-profile=ci``);
+  and relative error, witness exponents and frozen colors.
+  ``_EDGE_CHUNK`` is shrunk to one arc, so the edge budget is ``n``:
+  rows rescan at most four at a time, and a split with more than ``n``
+  arcs is gathered in chunks, while one with at most ``n`` arcs is
+  still gathered once (``tests/core/test_split_forms.py`` forces each
+  split form on every split).  CI reruns it with the longer ``ci``
+  hypothesis profile (``--hypothesis-profile=ci``);
 * a recorded split sequence: the witness tuples of the first 300
   greedy splits on three registry stand-ins at small scales, recorded
   with the earlier engine (dense degree slices and a full witness scan

@@ -6,7 +6,7 @@ import pytest
 from repro.exceptions import FlowError
 from repro.flow.network import FlowNetwork, FlowResult, validate_flow
 from repro.graphs.digraph import WeightedDiGraph
-from repro.graphs.edgestore import ingest_arrays
+from tests.conftest import store_with_weights
 
 
 def flow_result(value: float, flow: dict) -> FlowResult:
@@ -55,8 +55,9 @@ class TestFlowNetwork:
             FlowNetwork(graph, 0, 1)
 
     def test_nan_capacity_names_the_arc(self, tmp_path):
-        # add_edge refuses a NaN weight; an edge store carries one.
-        store = ingest_arrays(
+        # add_edge and the store writer refuse a NaN weight; a store
+        # edited on disk carries one.
+        store = store_with_weights(
             tmp_path / "store", [0, 1], [1, 2], [1.0, float("nan")]
         )
         graph = WeightedDiGraph.from_edgestore(store)

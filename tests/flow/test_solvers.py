@@ -10,7 +10,7 @@ from repro.flow.network import FlowNetwork, max_flow, validate_flow
 from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.generators import pathological_flow_network
 
-ALGORITHMS = ("edmonds_karp", "dinic", "push_relabel")
+ALGORITHMS = ("dinic", "push_relabel")
 
 
 def random_network(seed: int, n: int = 12, density: float = 0.35):

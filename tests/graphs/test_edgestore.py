@@ -150,6 +150,21 @@ class TestWriterDedup:
                 np.array([2]), np.array([7]), np.array([1.0])
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_names_offender(self, tmp_path, bad):
+        writer = EdgeStoreWriter(tmp_path / "store", n_nodes=3)
+        writer.append(np.array([0]), np.array([1]), np.array([1.0]))
+        with pytest.raises(
+            GraphError, match=rf"non-finite weight {bad}: arc 2: 1 -> 2$"
+        ):
+            writer.append(
+                np.array([2, 1]), np.array([0, 2]), np.array([1.0, bad])
+            )
+        # The refused chunk was neither buffered nor counted.
+        store = writer.finalize()
+        assert store.n_arcs == 1
+        assert store.csr_matrix()[0, 1] == 1.0
+
     def test_infers_n_nodes_when_unset(self, tmp_path):
         store = ingest_arrays(
             tmp_path / "store",

@@ -9,7 +9,7 @@ from repro.lp.interior_point import (
     interior_point_solve,
 )
 from repro.lp.scipy_backend import scipy_solve
-from tests.lp.test_simplex import random_feasible_lp
+from tests.conftest import random_feasible_lp
 
 
 class TestConvergence:

@@ -123,7 +123,6 @@ class TestSolverInstrumentation:
         for algorithm, counter in (
             ("dinic", "solvers.dinic.phases"),
             ("push_relabel", "solvers.pr.relabels"),
-            ("edmonds_karp", "solvers.ek.augmentations"),
         ):
             with recording() as rec:
                 max_flow(network, algorithm=algorithm)
@@ -246,7 +245,7 @@ class TestTracingChangesNothing:
 
     def test_solver_outputs_identical_off_vs_on(self):
         network = flow_network(seed=7)
-        for algorithm in ("dinic", "push_relabel", "edmonds_karp"):
+        for algorithm in ("dinic", "push_relabel"):
             off = max_flow(network, algorithm=algorithm)
             with recording():
                 on = max_flow(network, algorithm=algorithm)

@@ -9,7 +9,6 @@ from repro.solvers import (
     ArcStore,
     arc_store_for,
     bfs_levels,
-    bfs_parents,
 )
 from repro.solvers.arcstore import unique_int
 
@@ -109,25 +108,6 @@ class TestTraversals:
         cap[0::2] = 0.0  # saturate every forward arc
         level = bfs_levels(store, cap, 0)
         assert (level[1:] == -1).all()
-
-    def test_bfs_parents_walks_back_to_source(self, diamond_graph):
-        store = arc_store_for(diamond_graph)
-        s = diamond_graph.index_of("s")
-        t = diamond_graph.index_of("t")
-        parent_arc = bfs_parents(store, store.residual(), s, t)
-        node, hops = t, 0
-        while node != s:
-            node = int(store.tail[parent_arc[node]])
-            hops += 1
-        assert hops == 2
-
-    def test_bfs_parents_unreachable(self):
-        graph = WeightedDiGraph(directed=True)
-        graph.add_node("s")
-        graph.add_node("t")
-        graph.add_edge("s", "x", 5.0)
-        store = arc_store_for(graph)
-        assert bfs_parents(store, store.residual(), 0, 1) is None
 
 
 class TestHelpers:

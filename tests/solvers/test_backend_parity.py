@@ -25,7 +25,7 @@ from repro.graphs.edgestore import ingest_arrays
 from repro.obs import recording
 from tests.conftest import is_file_backed
 
-ALGORITHMS = ("edmonds_karp", "dinic", "push_relabel")
+ALGORITHMS = ("dinic", "push_relabel")
 BACKENDS = ("numpy", "numba")
 MODES = ("serial", "threads")
 

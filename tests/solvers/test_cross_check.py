@@ -23,7 +23,7 @@ from repro.flow.mincut import min_cut
 from repro.flow.network import FlowNetwork, max_flow, validate_flow
 from repro.graphs.digraph import WeightedDiGraph
 
-ALGORITHMS = ("edmonds_karp", "dinic", "push_relabel")
+ALGORITHMS = ("dinic", "push_relabel")
 
 
 def random_flow_network(seed: int, n: int = 14, density: float = 0.3):
