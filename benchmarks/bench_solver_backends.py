@@ -1,22 +1,19 @@
-"""Solver-tier backend dispatch: numba kernels and parallel Brandes
-(acceptance benchmark of the solver kernel family).
+"""Exact solver timings: numpy Dinic and Brandes, and parallel Brandes.
 
-Two mid-size workloads, each solved through the dispatched arcstore
-engine under every available backend:
+Two mid-size workloads, each solved by the arcstore engine:
 
 * exact Dinic max-flow on the ``tsukuba0`` stereo instance — deep BFS
-  levels, so the per-frontier work the numba kernels fuse dominates;
-* exact Brandes betweenness on the ``deezer`` social graph — the
-  per-source sequential numba pass vs the numpy lane batches (node-major
-  lock-step BFS, each level a row-block x lanes product or pair by pair).
+  levels, so the per-frontier gathers dominate;
+* exact Brandes betweenness on the ``deezer`` social graph — the lane
+  batches (node-major lock-step BFS, each level a row-block x lanes
+  product or pair by pair).
 
-``test_dinic_backend`` / ``test_brandes_backend`` record per-backend
-medians in ``benchmarks/results/bench_solver_backends.json`` (via
-``run_benchmarks.py --json``); the assertion tests pin the contract —
-results identical to the numpy/serial reference within 1e-9, a >= 3x
-numba speedup on both workloads (skipped cleanly on numpy-only boxes),
-and a >= 2x speedup of Brandes source batches fanned over threads
-(asserted at >= 4 cores, reported otherwise).
+``test_dinic_time`` / ``test_brandes_time`` record their medians in
+``benchmarks/results/bench_solver_backends.json`` (via
+``run_benchmarks.py --json``); ``test_brandes_parallel_speedup`` pins
+the thread fan-out — results identical to serial within 1e-9, and a
+>= 2x speedup of Brandes source batches fanned over threads (asserted
+at >= 4 cores, reported otherwise).
 """
 
 from __future__ import annotations
@@ -25,10 +22,8 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.centrality.brandes import betweenness_centrality
-from repro.core.backends import solver_numba
 from repro.datasets.registry import load_flow, load_graph
 from repro.flow.network import max_flow
 
@@ -38,18 +33,10 @@ FLOW_SCALE = 0.2
 CENTRALITY_SCALE = 0.06
 #: the parallel test needs multiple source batches (batch size is
 #: ``4M / n`` lanes), so it runs deezer at a larger cut than the
-#: backend comparison does
+#: timing tests do
 PARALLEL_SCALE = 0.15
-NUMBA_SPEEDUP_TARGET = 3.0
 PARALLEL_SPEEDUP_TARGET = 2.0
 PARALLEL_ASSERT_CORES = 4
-
-BACKENDS = ["numpy", "numba"]
-
-
-def _require(backend: str) -> None:
-    if backend == "numba" and not solver_numba.available():
-        pytest.skip("numba not installed")
 
 
 def _flow_network():
@@ -60,29 +47,25 @@ def _graph():
     return load_graph("deezer", scale=scale_factor(CENTRALITY_SCALE))
 
 
-def _solve_dinic(network, backend):
-    return max_flow(network, algorithm="dinic", backend=backend)
+def _solve_dinic(network):
+    return max_flow(network, algorithm="dinic")
 
 
-def _solve_brandes(graph, backend, workers=None):
-    return betweenness_centrality(graph, backend=backend, workers=workers)
+def _solve_brandes(graph, workers=None):
+    return betweenness_centrality(graph, workers=workers)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_dinic_backend(benchmark, backend):
-    _require(backend)
+def test_dinic_time(benchmark):
     network = _flow_network()
-    _solve_dinic(network, backend)  # warm caches + jit compilation
-    result = run_once(benchmark, _solve_dinic, network, backend)
+    _solve_dinic(network)  # warm the loaders and the arc-store cache
+    result = run_once(benchmark, _solve_dinic, network)
     assert result.value > 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_brandes_backend(benchmark, backend):
-    _require(backend)
+def test_brandes_time(benchmark):
     graph = _graph()
-    _solve_brandes(graph, backend)  # warm caches + jit compilation
-    result = run_once(benchmark, _solve_brandes, graph, backend)
+    _solve_brandes(graph)  # warm caches
+    result = run_once(benchmark, _solve_brandes, graph)
     assert result.max() > 0
 
 
@@ -96,58 +79,6 @@ def _timed_best_of(fn, *args, repeats=3, **kwargs):
     return result, best_seconds
 
 
-def test_solver_backend_speedup_and_equality():
-    """numba kernels: >= 3x over numpy on Dinic and Brandes, results
-    within 1e-9 of the numpy reference."""
-    _require("numba")
-    network = _flow_network()
-    graph = _graph()
-    # Warm the loaders, the arc-store cache, and the jit compilations.
-    _solve_dinic(network, "numba")
-    _solve_brandes(graph, "numba")
-
-    np_flow, np_flow_s = _timed_best_of(_solve_dinic, network, "numpy")
-    nb_flow, nb_flow_s = _timed_best_of(_solve_dinic, network, "numba")
-    np_btw, np_btw_s = _timed_best_of(_solve_brandes, graph, "numpy")
-    nb_btw, nb_btw_s = _timed_best_of(_solve_brandes, graph, "numba")
-
-    assert np.isclose(nb_flow.value, np_flow.value, atol=1e-9)
-    assert np.allclose(nb_btw, np_btw, atol=1e-9)
-
-    flow_speedup = np_flow_s / nb_flow_s
-    btw_speedup = np_btw_s / nb_btw_s
-    rows = [
-        {
-            "workload": f"dinic tsukuba0@{scale_factor(FLOW_SCALE)}",
-            "n": network.graph.n_nodes,
-            "arcs": network.graph.n_arcs,
-            "numpy_s": np_flow_s,
-            "numba_s": nb_flow_s,
-            "speedup": flow_speedup,
-        },
-        {
-            "workload": f"brandes deezer@{scale_factor(CENTRALITY_SCALE)}",
-            "n": graph.n_nodes,
-            "arcs": graph.n_arcs,
-            "numpy_s": np_btw_s,
-            "numba_s": nb_btw_s,
-            "speedup": btw_speedup,
-        },
-    ]
-    write_report(
-        "solver_backends",
-        rows,
-        f"Solver kernels, numba vs numpy "
-        f"(dinic {flow_speedup:.1f}x, brandes {btw_speedup:.1f}x)",
-    )
-    assert flow_speedup >= NUMBA_SPEEDUP_TARGET, (
-        f"numba Dinic only {flow_speedup:.2f}x faster than numpy"
-    )
-    assert btw_speedup >= NUMBA_SPEEDUP_TARGET, (
-        f"numba Brandes only {btw_speedup:.2f}x faster than numpy"
-    )
-
-
 def test_brandes_parallel_speedup():
     """Brandes source batches over ``min(cores, 8)`` threads: identical
     to serial within 1e-9 always; >= 2x over serial asserted at >= 4
@@ -155,18 +86,16 @@ def test_brandes_parallel_speedup():
     graph = load_graph("deezer", scale=scale_factor(PARALLEL_SCALE))
     cores = os.cpu_count() or 1
     workers = min(cores, 8)
-    serial = _solve_brandes(graph, None, workers=1)  # warm caches
+    serial = _solve_brandes(graph, workers=1)  # warm caches
 
-    serial, serial_s = _timed_best_of(
-        _solve_brandes, graph, None, workers=1
-    )
+    serial, serial_s = _timed_best_of(_solve_brandes, graph, workers=1)
     parallel, parallel_s = _timed_best_of(
-        _solve_brandes, graph, None, workers=workers
+        _solve_brandes, graph, workers=workers
     )
 
     # Batch boundaries and the submission-order reduce are worker-count
-    # independent, so parallel results are bit-identical to serial on a
-    # given backend; 1e-9 is the contract the sweep asserts.
+    # independent, so parallel results are bit-identical to serial;
+    # 1e-9 is the contract the sweep asserts.
     assert np.allclose(parallel, serial, atol=1e-9)
 
     speedup = serial_s / parallel_s

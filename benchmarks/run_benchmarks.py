@@ -27,14 +27,6 @@ alongside the timings.  The child also reports its own peak RSS
 platforms without the ``resource`` module), persisted as ``max_rss_mb``;
 benchmarks that attach ``extra_info`` (e.g. the large-scale Rothko
 suite's traced peak memory) carry it through to the condensed results.
-``--json`` additionally writes one consolidated ``BENCH_<date>.json``
-at the repo root mapping every suite to its per-benchmark medians and
-peak RSS — the committed regression baseline
-(``benchmarks/check_regressions.py`` diffs a fresh run against it).
-The header records the run's ``{backend, workers}`` config
-(from ``REPRO_BACKEND``/``REPRO_WORKERS``); a same-day run under a
-*different* config writes ``BENCH_<date>.<backend>-w<workers>.json``
-instead of overwriting the other config's numbers.
 
 Usage::
 
@@ -72,9 +64,6 @@ SMOKE_FILTERS = {
     "bench_rothko_largescale": (
         "test_largescale_coloring[250000] or colors128"
     ),
-    # One numpy-vs-best pairing; the million-node case (two full
-    # colorings per test) stays out of smoke.
-    "bench_backends": "test_backend_coloring[250000]",
     "bench_core_micro": "test_q_error_evaluation or dinic",
     # Quarter-million-node mmap-vs-resident parity; the million-node
     # parity case and the 100M-arc ingest+color run stay out of smoke.
@@ -85,49 +74,10 @@ SMOKE_FILTERS = {
     # Time both sweep strategies once each; the strict >= 3x assertion
     # test stays out of smoke mode (CI runners are too noisy for it).
     "bench_pipeline_progressive": "test_sweep",
-    # Time the dispatched solver kernels once per backend (numba rows
-    # skip cleanly where absent); the >= 3x numba speedup and the
-    # parallel-Brandes assertion tests stay out of smoke.
-    "bench_solver_backends": (
-        "test_dinic_backend or test_brandes_backend"
-    ),
+    # Time Dinic and Brandes once each; the parallel-Brandes assertion
+    # test stays out of smoke.
+    "bench_solver_backends": "test_dinic_time or test_brandes_time",
 }
-
-
-def run_config() -> dict:
-    """The kernel/parallelism configuration the child suites run under.
-
-    Derived from the environment alone (the suites consult the same
-    variables; importing repro into this driver would shadow the
-    children's own resolution and slow every invocation down).
-    """
-    backend = os.environ.get("REPRO_BACKEND") or "auto"
-    try:
-        workers = int(os.environ.get("REPRO_WORKERS") or 1)
-    except ValueError:
-        workers = 1
-    return {"backend": backend, "workers": workers}
-
-
-def consolidated_path(stamp: str, config: dict) -> pathlib.Path:
-    """Where this run's consolidated baseline lands.
-
-    ``BENCH_<date>.json`` normally; when that file already exists and
-    records a *different* ``{backend, workers}`` configuration,
-    the name gains a config suffix instead of silently overwriting the
-    other configuration's numbers (same-config reruns still overwrite —
-    that is a refresh, not a collision).
-    """
-    default = REPO_ROOT / f"BENCH_{stamp}.json"
-    if default.exists():
-        try:
-            existing = json.loads(default.read_text()).get("config")
-        except (OSError, ValueError):
-            existing = None
-        if existing is not None and existing != config:
-            suffix = f"{config['backend']}-w{config['workers']}"
-            return REPO_ROOT / f"BENCH_{stamp}.{suffix}.json"
-    return default
 
 
 def discover(selects: list[str]) -> list[pathlib.Path]:
@@ -294,20 +244,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     failures = 0
-    consolidated: dict[str, dict] = {}
     for path in suites:
         print(f"== {path.stem} ==")
         condensed = run_suite(path, args.smoke, args.pytest_args)
         if condensed is None:
             failures += 1
             continue
-        consolidated[path.stem] = {
-            "max_rss_mb": condensed.get("max_rss_mb"),
-            "medians": {
-                row["name"]: row["median"]
-                for row in condensed["results"]
-            },
-        }
         for row in condensed["results"]:
             print(
                 f"  {row['name']}: median {row['median'] * 1000:.2f} ms "
@@ -327,29 +269,6 @@ def main(argv: list[str] | None = None) -> int:
             out_path = RESULTS_DIR / f"{path.stem}.json"
             out_path.write_text(json.dumps(condensed, indent=2) + "\n")
             print(f"  -> {out_path.relative_to(REPO_ROOT)}")
-    if args.json and consolidated:
-        # One consolidated baseline per run at the repo root: every
-        # suite's per-benchmark medians and peak RSS in a single file,
-        # so a regression diff is one document, not a results/ crawl.
-        import datetime
-
-        stamp = datetime.date.today().isoformat()
-        config = run_config()
-        bench_path = consolidated_path(stamp, config)
-        bench_path.write_text(
-            json.dumps(
-                {
-                    "date": stamp,
-                    "smoke": args.smoke,
-                    "python": sys.version.split()[0],
-                    "config": config,
-                    "suites": consolidated,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-        print(f"-> consolidated baseline: {bench_path.name}")
     return 1 if failures else 0
 
 

@@ -48,7 +48,6 @@ def pivot_betweenness(
     coloring: Coloring,
     seed: SeedLike = None,
     pivots_per_color: int = 1,
-    backend=None,
     workers: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Betweenness estimated from per-color representative sources.
@@ -56,8 +55,8 @@ def pivot_betweenness(
     Returns ``(scores, representatives)``.  Each color contributes
     ``|P_i| / pivots`` times the dependency vector of each of its
     ``pivots`` sampled sources; ``pivots_per_color`` must be at least 1.
-    ``backend``/``workers`` reach the Brandes kernel dispatch and the
-    threaded fan-out of its source batches.
+    ``workers`` reaches the threaded fan-out of the Brandes source
+    batches.
     """
     if pivots_per_color < 1:
         raise ValueError(
@@ -78,7 +77,6 @@ def pivot_betweenness(
         graph,
         sources=sources,
         source_weights=weights,
-        backend=backend,
         workers=workers,
     )
     return scores, np.asarray(representatives)
@@ -91,7 +89,6 @@ def approx_betweenness(
     split_mean: str = "geometric",
     seed: SeedLike = 0,
     pivots_per_color: int = 1,
-    backend=None,
     workers: int | None = None,
 ) -> ApproxCentralityResult:
     """The paper's centrality pipeline: color, then pivot-Brandes,
@@ -99,9 +96,8 @@ def approx_betweenness(
 
     ``alpha = beta = 1`` per Sec. 5.2; the geometric-mean split is the
     paper's recommendation for scale-free social graphs (all weights are
-    non-negative here).  ``backend`` reaches both the coloring engine and
-    the restricted Brandes passes; ``workers`` fans those passes' source
-    batches out over threads (the coloring itself is sequential).
+    non-negative here).  ``workers`` fans the restricted Brandes passes'
+    source batches out over threads (the coloring itself is sequential).
     """
     if n_colors is None and q is None:
         raise ValueError("approx_betweenness needs n_colors and/or q")
@@ -112,7 +108,6 @@ def approx_betweenness(
         seed=seed,
         pivots_per_color=pivots_per_color,
         split_mean=split_mean,
-        backend=backend,
         workers=workers,
     )
     result = run_task(task, n_colors=n_colors, q=q)

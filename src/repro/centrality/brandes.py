@@ -30,7 +30,6 @@ def betweenness_centrality(
     sources: Iterable[int] | None = None,
     source_weights: Iterable[float] | None = None,
     weighted: bool = False,
-    backend=None,
     workers: int | None = None,
 ) -> np.ndarray:
     """Betweenness centrality of every node (by internal index).
@@ -39,8 +38,7 @@ def betweenness_centrality(
     passes — the hook used by the pivot approximations.  With the default
     (all sources, unit weights) the result is exact.  ``weighted=True``
     treats edge weights as finite positive lengths (Dijkstra variant).
-    ``backend=`` selects the solver kernels and ``workers=`` fans the
-    source batches out over threads.
+    ``workers=`` fans the source batches out over threads.
     """
     from repro.solvers import betweenness_centrality_csr
 
@@ -51,6 +49,5 @@ def betweenness_centrality(
         sources=sources,
         source_weights=source_weights,
         weighted=weighted,
-        backend=backend,
         workers=workers,
     )

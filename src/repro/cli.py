@@ -35,25 +35,6 @@ from repro.obs import trace as _trace
 from repro.utils.tables import render_rows
 
 
-def _apply_backend(args: argparse.Namespace) -> str | None:
-    """Install the requested kernel backend as the process default.
-
-    Returns the spec so commands can also pass it explicitly (the
-    pipeline's coloring-cache key records the resolved name).  Unknown
-    names and unavailable optional backends exit with a clear message
-    instead of an ImportError mid-run.
-    """
-    spec = getattr(args, "backend", None)
-    if spec:
-        from repro.core.backends import set_default_backend
-
-        try:
-            set_default_backend(spec)
-        except (ImportError, ValueError) as exc:
-            raise SystemExit(f"--backend {spec}: {exc}") from exc
-    return spec
-
-
 def _positive_int(text: str) -> int:
     """argparse type for counts that must be at least 1."""
     try:
@@ -63,6 +44,19 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {text!r}"
+        )
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type for rng seeds, which must be non-negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}"
         )
     return value
 
@@ -180,7 +174,6 @@ def _cmd_color(args: argparse.Namespace) -> int:
         "color", (args.colors, args.q, "q"), (None, args.eps, "eps")
     ):
         return 2
-    backend = _apply_backend(args)
     if args.mmap:
         from repro.graphs.digraph import WeightedDiGraph
 
@@ -190,13 +183,9 @@ def _cmd_color(args: argparse.Namespace) -> int:
     else:
         graph = read_edgelist(args.path, directed=args.directed)
     if args.eps is not None:
-        result = eps_color(
-            graph, n_colors=args.colors, eps=args.eps, backend=backend
-        )
+        result = eps_color(graph, n_colors=args.colors, eps=args.eps)
     else:
-        result = q_color(
-            graph, n_colors=args.colors, q=args.q, backend=backend
-        )
+        result = q_color(graph, n_colors=args.colors, q=args.q)
     report = q_error_report(graph.to_csr(), result.coloring)
     rows = [
         {
@@ -272,7 +261,6 @@ def _dynamic_coloring(args: argparse.Namespace, graph):
             q_tolerance=args.q,
             drift_budget=args.drift_budget,
             split_mean=args.split_mean,
-            backend=_apply_backend(args),
         )
     except ValueError as exc:
         print(f"repro {args.command}: {exc}", file=sys.stderr)
@@ -414,12 +402,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     # The lazy imports are a real chunk of the command's wall time
     # (scipy optimize, dataset generators), so they get their own span.
     with _trace.span("cli.imports"):
-        from repro.core.backends import resolve_workers
         from repro.datasets.registry import load_flow, load_graph, load_lp
         from repro.exceptions import DatasetError
         from repro.pipeline import progressive_sweep, run_task, task_for
+        from repro.solvers.betweenness import resolve_workers
 
-    backend = _apply_backend(args)
     try:
         workers = resolve_workers(args.workers)
     except ValueError as exc:  # a bad REPRO_WORKERS value
@@ -458,7 +445,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 problem = loaders[args.task](args.dataset, scale=scale)
         except DatasetError as exc:
             raise SystemExit(str(exc)) from exc
-    options["backend"] = backend
     options["workers"] = workers
     task = task_for(args.task, problem, **options)
 
@@ -567,7 +553,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
     if rest[0] == "profile":
         raise SystemExit("profile cannot wrap itself")
-    _apply_backend(args)
     parser = build_parser()
     inner = parser.parse_args(rest)
     _validate(parser, inner)
@@ -668,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--synthetic", default=None, metavar="N,OUT_DEGREE",
                         help="stream-generate a uniform random digraph "
                              "instead of reading a file")
-    ingest.add_argument("--seed", type=int, default=0,
+    ingest.add_argument("--seed", type=_seed, default=0,
                         help="rng seed (with --synthetic)")
     ingest.add_argument("--undirected", action="store_true",
                         help="store both directions of every edge "
@@ -713,8 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="treat edges as directed")
     color.add_argument("--out", default=None,
                        help="write 'label color' lines to this file")
-    color.add_argument("--backend", default=None,
-                       help="kernel backend: auto, numpy, or numba (default: REPRO_BACKEND or auto-detect)")
     color.add_argument("--trace-out", default=None,
                        help="dump the recorded trace/metrics as JSONL")
     color.set_defaults(func=_cmd_color)
@@ -742,16 +725,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="updates per repair batch")
         cmd.add_argument("--trace", default=None,
                          help="update trace file ('+/-/~ u v [w]' lines)")
-        cmd.add_argument("--backend", default=None,
-                         help="kernel backend: auto, numpy, or numba (default: REPRO_BACKEND or auto-detect)")
         cmd.add_argument("--trace-out", default=None,
                          help="dump the recorded trace/metrics as JSONL")
         if name == "update":
             cmd.add_argument("--scenario", choices=("random", "hub", "jitter"),
                              default="random",
                              help="churn generator when no --trace is given")
-            cmd.add_argument("--n-updates", type=int, default=100)
-            cmd.add_argument("--seed", type=int, default=0)
+            cmd.add_argument("--n-updates", type=_positive_int, default=100)
+            cmd.add_argument("--seed", type=_seed, default=0)
             cmd.set_defaults(func=_cmd_update)
         else:
             cmd.set_defaults(func=_cmd_stream)
@@ -795,10 +776,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="upper", help="maxflow: reduced capacity bound")
     solve.add_argument("--mode", choices=("sqrt", "grohe"), default="sqrt",
                        help="lp: reduction weight mode")
-    solve.add_argument("--seed", type=int, default=0,
+    solve.add_argument("--seed", type=_seed, default=0,
                        help="centrality: pivot sampling seed")
-    solve.add_argument("--backend", default=None,
-                       help="kernel backend: auto, numpy, or numba (default: REPRO_BACKEND or auto-detect)")
     solve.add_argument("--workers", type=_positive_int, default=None,
                        help="threads that centrality's Brandes source "
                             "batches fan out over "
@@ -815,8 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run another repro command under the tracer and print a "
              "per-span summary",
     )
-    profile.add_argument("--backend", default=None,
-                         help="kernel backend: auto, numpy, or numba (default: REPRO_BACKEND or auto-detect) (applies to the wrapped command)")
     profile.add_argument("--trace-out", default=None,
                          help="dump the recorded trace/metrics as JSONL "
                               "(also honored on the wrapped command)")

@@ -23,27 +23,15 @@ CSR/CSC index arrays:
   :func:`grouped_minmax_ordered` — the member-list variants that skip
   the argsort.
 
-Since the backend-dispatch refactor, the hot kernels here are thin
-fronts over the **process-default backend**
-(:func:`repro.core.backends.default_backend` — numpy reference or
-numba; resolution order ``REPRO_BACKEND`` env then auto-detect).
-The reference implementations live in
-:mod:`repro.core.backends.numpy_backend`; every other backend is held
-to bit-identical results by the parity test sweep, so callers never
-need to know which one is active.  Code that wants a *specific*
-backend (e.g. a :class:`~repro.core.rothko.Rothko` instance built with
-``backend=``) holds its own resolved instance and calls its methods
-directly.
+Each kernel is one or two ``np.bincount`` / ``reduceat`` passes over
+CSR/CSC index arrays, with no Python-level loop, and everything operates
+on plain numpy arrays so the kernels compose with both scipy sparse
+matrices and the dict-of-dicts mutable graph.
 
-Everything operates on plain numpy arrays so the kernels compose with
-both scipy sparse matrices and the dict-of-dicts mutable graph.
-
-The bincount-shaped kernels report their scattered cell counts to the
-``kernels.bincount_cells`` counter (:mod:`repro.obs`) — one counter add
-per kernel call *here at the dispatch layer*, nothing per cell and
-nothing inside the backend implementations, so chunked callers that
-talk to a backend directly (the Rothko refresh loops) can accumulate
-locally and emit a single count per logical kernel call.
+:func:`scatter_select_sums` reports the cells it scatters to the
+``kernels.bincount_cells`` counter (:mod:`repro.obs`): one counter add
+per call, nothing per cell.  The chunked Rothko refresh loops count
+their own cells the same way, once per logical kernel call.
 """
 
 from __future__ import annotations
@@ -51,10 +39,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.backends import default_backend
-from repro.core.backends.numpy_backend import (
-    grouped_minmax_by_labels as _np_grouped_minmax_by_labels,
-)
 from repro.obs import recorder as _obs
 
 __all__ = [
@@ -82,17 +66,46 @@ def as_csr_square(adjacency: sp.spmatrix | np.ndarray) -> sp.csr_matrix:
     return matrix
 
 
+def check_backend(backend: str | None) -> None:
+    """Accept the ``backend=`` keyword of the benchmarked entry points.
+
+    numpy is the only kernel implementation, so ``None`` and
+    ``"numpy"`` are the only values; any other raises a
+    :class:`ValueError` naming it.
+    """
+    if backend is not None and backend != "numpy":
+        raise ValueError(
+            f"unknown backend {backend!r}: numpy is the only kernel backend"
+        )
+
+
 def scatter_add(
     indices: np.ndarray, weights: np.ndarray, size: int
 ) -> np.ndarray:
-    """Dense ``out[i] = sum of weights where indices == i`` (length
-    ``size``), on the active backend."""
-    return default_backend().scatter_add(indices, weights, size)
+    """Dense ``out[i] = sum of weights where indices == i`` (length ``size``).
+
+    ``np.bincount`` compiles to a single C loop and beats both
+    ``np.add.at`` and per-element Python accumulation by a wide margin.
+    """
+    if len(indices) == 0:
+        return np.zeros(size, dtype=np.float64)
+    return np.bincount(indices, weights=weights, minlength=size)
 
 
 def take_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(start, start + count)`` for each pair."""
-    return default_backend().take_ranges(starts, counts)
+    """Concatenated ``arange(start, start + count)`` for each pair.
+
+    One ``arange`` over the total, plus each range's offset (its start
+    minus where it begins in the output) repeated over the range.
+    Empty ranges repeat zero times, so they need no filtering.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
 
 
 def scatter_select_sums(
@@ -106,12 +119,15 @@ def scatter_select_sums(
 
     For a CSC adjacency and ``select = members(P_j)`` this is exactly the
     degree-matrix column ``D_out[:, j] = w(v, P_j)``; on the CSR arrays it
-    yields ``D_in[:, j] = w(P_j, v)``.  Runs in ``O(nnz(select))``.
+    yields ``D_in[:, j] = w(P_j, v)``.  Runs in ``O(nnz(select))`` — no
+    fancy-indexed sparse slicing, no intermediate sparse matrix.
     """
     _obs._active.count("kernels.bincount_cells", size)
-    return default_backend().scatter_select_sums(
-        indptr, indices, data, select, size
-    )
+    select = np.asarray(select, dtype=np.int64)
+    starts = indptr[select]
+    counts = indptr[select + 1] - starts
+    positions = take_ranges(starts, counts)
+    return scatter_add(indices[positions], data[positions], size)
 
 
 def select_degrees_toward(
@@ -126,11 +142,25 @@ def select_degrees_toward(
 
     ``targets`` is either one color id (every row measured toward the
     same color) or an array of one target per row (fusing several
-    selections into a single ``O(nnz(rows))`` pass).
+    selections into a single ``O(nnz(rows))`` pass).  Sums are taken
+    directly over the matching entries, so a row with no edges toward
+    its target is exactly ``0.0``.
     """
-    return default_backend().select_degrees_toward(
-        indptr, indices, data, rows, labels, targets
-    )
+    rows = np.asarray(rows, dtype=np.int64)
+    r = rows.size
+    if r == 0:
+        return np.zeros(0, dtype=np.float64)
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    positions = take_ranges(starts, counts)
+    edge_colors = labels[indices[positions]]
+    if np.ndim(targets) == 0:
+        mask = edge_colors == int(targets)
+    else:
+        per_edge = np.repeat(np.asarray(targets, dtype=np.int64), counts)
+        mask = edge_colors == per_edge
+    local = np.repeat(np.arange(r, dtype=np.int64), counts)
+    return np.bincount(local[mask], weights=data[positions][mask], minlength=r)
 
 
 def color_degree_matrix(
@@ -153,9 +183,7 @@ def color_degree_matrix(
         return np.zeros((n, n_colors), dtype=np.float64)
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     flat = rows * n_colors + labels[indices]
-    return default_backend().bincount(
-        flat, data, n * n_colors
-    ).reshape(n, n_colors)
+    return scatter_add(flat, data, n * n_colors).reshape(n, n_colors)
 
 
 def color_degree_matrix_t(
@@ -176,9 +204,7 @@ def color_degree_matrix_t(
         return np.zeros((n_colors, n), dtype=np.float64)
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     flat = labels[indices] * n + rows
-    return default_backend().bincount(
-        flat, data, n_colors * n
-    ).reshape(n_colors, n)
+    return scatter_add(flat, data, n_colors * n).reshape(n_colors, n)
 
 
 def color_degree_matrices(
@@ -205,7 +231,23 @@ def grouped_minmax_by_labels(
     ``0..k-1`` with no empty classes (``reduceat`` over duplicated start
     offsets would silently read the wrong element otherwise).
     """
-    return default_backend().grouped_minmax_by_labels(values, labels, k)
+    if k == 0:
+        shape = (0,) if values.ndim == 1 else (0, values.shape[1])
+        return (
+            np.empty(shape, dtype=values.dtype),
+            np.empty(shape, dtype=values.dtype),
+        )
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=k)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    sorted_values = values[order]
+    if values.ndim == 1:
+        upper = np.maximum.reduceat(sorted_values, starts)
+        lower = np.minimum.reduceat(sorted_values, starts)
+    else:
+        upper = np.maximum.reduceat(sorted_values, starts, axis=0)
+        lower = np.minimum.reduceat(sorted_values, starts, axis=0)
+    return upper, lower
 
 
 def members_order(
@@ -238,7 +280,13 @@ def grouped_minmax_ordered(
     a precomputed :func:`members_order` pair.  ``values`` is ``(r, n)``;
     the result pair is ``(r, k)`` — one ``O(r n)`` gather + reduction.
     """
-    return default_backend().grouped_minmax_ordered(values, order, starts)
+    if starts.size == 0:
+        empty = np.empty((values.shape[0], 0), dtype=values.dtype)
+        return empty, empty.copy()
+    sorted_values = values[:, order]
+    upper = np.maximum.reduceat(sorted_values, starts, axis=1)
+    lower = np.minimum.reduceat(sorted_values, starts, axis=1)
+    return upper, lower
 
 
 def grouped_minmax_by_members(
@@ -265,8 +313,3 @@ def relative_spread(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     spread[mixed] = np.inf
     spread[positive] = np.log(upper[positive] / lower[positive])
     return spread
-
-
-# re-exported for callers that need the reference implementation
-# regardless of the active backend (verify paths, tests)
-_reference_grouped_minmax_by_labels = _np_grouped_minmax_by_labels

@@ -86,14 +86,6 @@ maintained state against a from-scratch recompute, and the maxima and
 the witness against a full scan; the invariant test suite drives it
 after every split.
 
-The chunked threshold kernel dispatches through a resolved
-:class:`~repro.core.backends.base.Backend` (``backend=`` argument, the
-``REPRO_BACKEND`` environment variable, or auto-detection — numba when
-importable, else the numpy reference; see :mod:`repro.core.backends`);
-the rest of a split is plain numpy, so every backend runs it.  All
-backends are bit-identical (the parity sweep enforces it), so the
-choice affects wall-clock only.
-
 ``RothkoStep.coloring`` is materialized lazily: the engine records each
 split's parent color, so any intermediate snapshot can be reconstructed
 on demand by remapping descendants back onto their ancestors — callers
@@ -130,12 +122,15 @@ import scipy.sparse as sp
 
 from repro.obs import recorder as _obs
 from repro.obs import trace as _trace
-from repro.core.backends import resolve_backend
 from repro.core.kernels import (
+    check_backend,
     color_degree_matrix_t,
     grouped_minmax_by_labels,
+    grouped_minmax_ordered,
     members_order,
     relative_spread,
+    select_degrees_toward,
+    take_ranges,
 )
 from repro.core.partition import Coloring
 from repro.exceptions import ColoringError
@@ -394,12 +389,6 @@ class Rothko:
         (``inf`` when zero and nonzero degrees mix — zero is similar
         only to itself), weights must be non-negative, and the split
         threshold is always geometric.
-    backend:
-        Kernel backend: a name (``"numpy"``, ``"numba"``, ``"auto"``), a
-        resolved :class:`~repro.core.backends.base.Backend` instance, or
-        ``None`` — which consults the ``REPRO_BACKEND`` environment
-        variable and falls back to auto-detection.  All backends produce
-        bit-identical colorings; this knob trades wall-clock only.
     """
 
     def __init__(
@@ -411,7 +400,6 @@ class Rothko:
         split_mean: str = "arithmetic",
         frozen: Iterable[int] = (),
         error_mode: str = "absolute",
-        backend=None,
     ) -> None:
         if split_mean not in SPLIT_MEANS:
             raise ValueError(
@@ -421,7 +409,6 @@ class Rothko:
             raise ValueError(
                 f"error_mode must be one of {ERROR_MODES}, got {error_mode!r}"
             )
-        self._backend = resolve_backend(backend)
         self._csr, self._csc = coerce_adjacency_pair(graph)
         self.n = self._csr.shape[0]
         self.alpha = float(alpha)
@@ -463,11 +450,6 @@ class Rothko:
         #: capacity cap from the tightest color budget seen (see _grow)
         self._capacity_hint: int | None = None
         self._init_state()
-
-    @property
-    def backend(self):
-        """The resolved kernel :class:`~repro.core.backends.Backend`."""
-        return self._backend
 
     # ------------------------------------------------------------------
     # incremental state: Err (2 x k x k) and the natural-row maxima
@@ -611,7 +593,7 @@ class Rothko:
         csr, csc = self._csr, self._csc
         size = starts.shape[1]
         counts_flat = counts.ravel()
-        positions = self._backend.take_ranges(starts.ravel(), counts_flat)
+        positions = take_ranges(starts.ravel(), counts_flat)
         n_out = int(counts[0].sum())
         out_positions, in_positions = positions[:n_out], positions[n_out:]
         # intp node ids: every later gather by node skips the cast
@@ -819,7 +801,7 @@ class Rothko:
         """
         n, k = self.n, self.k
         order, starts = members_order(self._members, self._sizes[:k])
-        upper, lower = self._backend.grouped_minmax_ordered(
+        upper, lower = grouped_minmax_ordered(
             self._column_sums.reshape(4, n), order, starts
         )
         self._column_sums[:] = 0.0
@@ -1034,7 +1016,7 @@ class Rothko:
         for begin, end in self._edge_chunks(
             counts, max(2 * _EDGE_CHUNK, self.n // 2)
         ):
-            degrees[begin:end] = self._backend.select_degrees_toward(
+            degrees[begin:end] = select_degrees_toward(
                 compressed.indptr, compressed.indices, compressed.data,
                 members[begin:end], self.labels, target,
             )
@@ -1233,7 +1215,6 @@ class Rothko:
         with _trace.span(
             "rothko.run",
             n=self.n,
-            backend=self._backend.name,
             max_colors=max_colors,
             q_tolerance=q_tolerance,
         ) as run_span:
@@ -1358,12 +1339,13 @@ def q_color(
     initial: Coloring | None = None,
     frozen: Iterable[int] = (),
     max_iterations: int | None = None,
-    backend=None,
+    backend: str | None = None,
 ) -> RothkoResult:
     """Compute a quasi-stable coloring with the Rothko heuristic.
 
     Exactly one stopping knob is required: a color budget ``n_colors``
-    and/or a target maximum q-error ``q``.
+    and/or a target maximum q-error ``q``.  ``backend`` accepts only
+    ``None`` and ``"numpy"``, the one kernel implementation.
 
     Examples
     --------
@@ -1375,6 +1357,7 @@ def q_color(
     if n_colors is None and q is None:
         raise ValueError("q_color needs n_colors and/or q")
     check_stopping_rule(n_colors, q)
+    check_backend(backend)
     engine = Rothko(
         graph,
         initial=initial,
@@ -1382,7 +1365,6 @@ def q_color(
         beta=beta,
         split_mean=split_mean,
         frozen=frozen,
-        backend=backend,
     )
     return engine.run(
         max_colors=n_colors,
@@ -1400,7 +1382,6 @@ def eps_color(
     initial: Coloring | None = None,
     frozen: Iterable[int] = (),
     max_iterations: int | None = None,
-    backend=None,
 ) -> RothkoResult:
     """Compute an eps-relative quasi-stable coloring (Sec. 3.1).
 
@@ -1420,7 +1401,6 @@ def eps_color(
         beta=beta,
         frozen=frozen,
         error_mode="relative",
-        backend=backend,
     )
     return engine.run(
         max_colors=n_colors,

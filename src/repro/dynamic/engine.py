@@ -53,6 +53,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.kernels import (
+    check_backend,
     color_degree_matrices,
     grouped_minmax_ordered,
     members_order,
@@ -173,9 +174,8 @@ class DynamicColoring:
         ``remove_edge`` calls are tracked too.  Use :meth:`detach` (or a
         ``with`` block) to unsubscribe.
     backend:
-        Kernel backend for the seed coloring and budget-triggered
-        rebuilds (see :mod:`repro.core.backends`); the per-arc repair
-        kernels dispatch through the process default regardless.
+        Accepts only ``None`` and ``"numpy"``, the one kernel
+        implementation; it changes nothing.
     """
 
     def __init__(
@@ -193,6 +193,7 @@ class DynamicColoring:
         attach: bool = True,
         backend: str | None = None,
     ) -> None:
+        check_backend(backend)
         if not q_tolerance >= 0:  # NaN fails every comparison
             raise ValueError(f"q_tolerance must be non-negative, got {q_tolerance}")
         if not (drift_budget > 0 and math.isfinite(drift_budget)):
@@ -217,7 +218,6 @@ class DynamicColoring:
         self.max_colors = max_colors
         self.drift_budget = float(drift_budget)
         self.merge_attempts = int(merge_attempts)
-        self.backend = backend
         self.stats = DynamicStats()
 
         self.n = graph.n_nodes
@@ -286,7 +286,6 @@ class DynamicColoring:
             split_mean=self.split_mean,
             frozen=frozen,
             error_mode=self.error_mode,
-            backend=self.backend,
         )
         engine.run(max_colors=self.max_colors, q_tolerance=self.q_tolerance)
         return engine

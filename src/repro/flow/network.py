@@ -192,13 +192,11 @@ def validate_flow(
 def max_flow(
     network: FlowNetwork,
     algorithm: str = "dinic",
-    backend=None,
 ) -> FlowResult:
     """Maximum s-t flow of ``network``.
 
     ``algorithm`` is ``"dinic"`` (the default and the exact reference
-    everywhere) or ``"push_relabel"``.  ``backend`` reaches the
-    solver-kernel dispatch (explicit wins, else the process default).
+    everywhere) or ``"push_relabel"``.
     """
     from repro.solvers import arc_store_for, dinic, push_relabel
 
@@ -210,6 +208,6 @@ def max_flow(
         )
     store = arc_store_for(network.graph)
     value, cap = solvers[algorithm](
-        store, network.source_index, network.sink_index, backend=backend
+        store, network.source_index, network.sink_index
     )
     return FlowResult(value, *store.extract_flow_arrays(cap))

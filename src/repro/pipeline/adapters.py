@@ -6,6 +6,9 @@ network (Sec. 4.2), the LP reduction (Sec. 4.1), color-pivot Brandes
 ``approx_*`` convenience functions in ``repro.flow.approx``,
 ``repro.lp.reduction`` and ``repro.centrality.approx`` are thin wrappers
 over these adapters plus :func:`repro.pipeline.runner.run_task`.
+
+Every adapter takes ``backend=``, which accepts only ``None`` and
+``"numpy"`` (the one kernel implementation) and changes nothing.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from repro.centrality.approx import pivot_betweenness
 from repro.centrality.brandes import betweenness_centrality
+from repro.core.kernels import check_backend
 from repro.core.partition import Coloring
 from repro.flow.approx import (
     flow_initial_coloring,
@@ -63,12 +67,12 @@ class MaxFlowTask(CompressionTask):
         backend: str | None = None,
         workers: int | None = None,
     ) -> None:
+        check_backend(backend)
         self.problem = network
         self.bound = bound
         self.algorithm = algorithm
         self.split_mean = split_mean
         self.lift_solution = lift_solution
-        self.backend = backend
         self._spec: ColoringSpec | None = None
 
     def coloring_spec(self) -> ColoringSpec:
@@ -81,7 +85,6 @@ class MaxFlowTask(CompressionTask):
                 split_mean=self.split_mean,
                 initial=initial,
                 frozen=frozen,
-                backend=self.backend,
             )
         return self._spec
 
@@ -104,9 +107,7 @@ class MaxFlowTask(CompressionTask):
         )
 
     def solve(self, reduced: FlowNetwork) -> FlowResult:
-        return max_flow(
-            reduced, algorithm=self.algorithm, backend=self.backend
-        )
+        return max_flow(reduced, algorithm=self.algorithm)
 
     def lift(
         self, coloring: Coloring, reduced: FlowNetwork, solution: FlowResult
@@ -123,7 +124,7 @@ class MaxFlowTask(CompressionTask):
     def exact_reference(self) -> float:
         """Exact max-flow value on the original network, by Dinic
         whatever ``algorithm`` solves the reduced one."""
-        return max_flow(self.problem, backend=self.backend).value
+        return max_flow(self.problem).value
 
     def certified_error(self, exact: float, result) -> float:
         """Paper Sec. 6.1 ratio error, shifted so 0.0 is exact."""
@@ -151,12 +152,12 @@ class LPTask(CompressionTask):
         backend: str | None = None,
         workers: int | None = None,
     ) -> None:
+        check_backend(backend)
         self.problem = lp
         self.mode = mode
         self.method = method
         self.alpha = alpha
         self.beta = beta
-        self.backend = backend
         self._spec: ColoringSpec | None = None
         if method == "scipy":
             import repro.lp.scipy_backend  # noqa: F401
@@ -173,7 +174,6 @@ class LPTask(CompressionTask):
                 split_mean="arithmetic",
                 initial=initial,
                 frozen=frozen,
-                backend=self.backend,
             )
         return self._spec
 
@@ -246,11 +246,11 @@ class CentralityTask(CompressionTask):
         backend: str | None = None,
         workers: int | None = None,
     ) -> None:
+        check_backend(backend)
         self.problem = graph
         self.seed = seed
         self.pivots_per_color = pivots_per_color
         self.split_mean = split_mean
-        self.backend = backend
         self.workers = workers
         self._spec: ColoringSpec | None = None
 
@@ -261,7 +261,6 @@ class CentralityTask(CompressionTask):
                 alpha=1.0,
                 beta=1.0,
                 split_mean=self.split_mean,
-                backend=self.backend,
             )
         return self._spec
 
@@ -291,7 +290,6 @@ class CentralityTask(CompressionTask):
             reduced,
             seed=self.seed,
             pivots_per_color=self.pivots_per_color,
-            backend=self.backend,
             workers=self.workers,
         )
 
@@ -306,9 +304,7 @@ class CentralityTask(CompressionTask):
 
     def exact_reference(self) -> np.ndarray:
         """Exact (unnormalized) betweenness scores, all sources."""
-        return betweenness_centrality(
-            self.problem, backend=self.backend, workers=self.workers
-        )
+        return betweenness_centrality(self.problem, workers=self.workers)
 
     def certified_error(self, exact: np.ndarray, result) -> float:
         """Normalized L1 distance between score vectors.

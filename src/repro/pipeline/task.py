@@ -65,11 +65,6 @@ class ColoringSpec:
     initial: Coloring | None = None
     frozen: tuple[int, ...] = ()
     error_mode: str = "absolute"
-    #: kernel backend spec ("numpy", "numba", "auto", or None =
-    #: REPRO_BACKEND / auto).  Backends are bit-identical, but the cache
-    #: key still carries the *resolved* name so colorings computed by
-    #: different backends never alias.
-    backend: str | None = None
 
     def build_engine(self) -> Rothko:
         return Rothko(
@@ -80,7 +75,6 @@ class ColoringSpec:
             split_mean=self.split_mean,
             frozen=self.frozen,
             error_mode=self.error_mode,
-            backend=self.backend,
         )
 
     def cache_key(self) -> tuple:
@@ -92,8 +86,6 @@ class ColoringSpec:
         """
         key = getattr(self, "_cache_key", None)
         if key is None:
-            from repro.core.backends import resolve_backend
-
             initial_key = (
                 None
                 if self.initial is None
@@ -107,8 +99,6 @@ class ColoringSpec:
                 initial_key,
                 tuple(sorted(self.frozen)),
                 self.error_mode,
-                # ``None``/``"auto"`` specs consult the environment here
-                resolve_backend(self.backend).name,
             )
             object.__setattr__(self, "_cache_key", key)
         return key

@@ -23,16 +23,9 @@ solvers share:
 * :meth:`ArcStore.extract_flow_arrays` — per-arc flows of the forward
   arcs as ``(tails, heads, flows)`` arrays, ``flow = cap0 - cap``.
 
-The traversal dispatches through the backend layer
-(:mod:`repro.core.backends`): every solver entry point takes
-``backend=`` and routes its BFS through ``backend.solve_bfs_levels``
-— the numpy reference lives in ``core/backends/solver_numpy.py``, and
-the numba backend fuses the whole frontier loop into one compiled pass
-(levels are unique, so both agree bit for bit).
-:func:`resolve_solver_backend` is the shared resolution rule: an
-explicit request wins, otherwise the *process default*
-(``set_default_backend`` / ``REPRO_BACKEND`` / auto) applies — the
-same backend the coloring kernels are using.
+The traversal runs on the numpy solver kernels
+(:mod:`repro.solvers.kernels`): :func:`bfs_levels` is
+``solve_bfs_levels`` over the store's arrays.
 """
 
 from __future__ import annotations
@@ -43,39 +36,11 @@ from typing import TYPE_CHECKING, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.backends import Backend, default_backend, resolve_backend
+# unique_int is re-exported; its one definition is in solvers.kernels
+from repro.solvers.kernels import solve_bfs_levels, unique_int  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graphs.digraph import WeightedDiGraph
-
-
-def resolve_solver_backend(backend: "str | Backend | None") -> Backend:
-    """Backend for a solver call: explicit request, else process default.
-
-    ``resolve_backend(None)`` consults only the environment, which would
-    silently drop a CLI-level ``set_default_backend`` — so ``None`` maps
-    to :func:`default_backend` here, keeping the solver tier on whatever
-    the rest of the process (Rothko included) resolved to.
-    """
-    if backend is None:
-        return default_backend()
-    return resolve_backend(backend)
-
-
-def unique_int(values: np.ndarray) -> np.ndarray:
-    """Sorted unique of an int array (sort + diff mask).
-
-    Several times faster than ``np.unique``'s hash path on the mid-size
-    index arrays the BFS frontiers produce, and the solvers dedupe a
-    frontier on every level — this is their hottest scalar kernel.
-    """
-    if values.size <= 1:
-        return values
-    values = np.sort(values)
-    keep = np.empty(values.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
 
 
 class ArcStore:
@@ -206,17 +171,15 @@ def bfs_levels(
     cap: np.ndarray,
     source: int,
     sink: int | None = None,
-    backend: "str | Backend | None" = None,
 ) -> np.ndarray:
     """Frontier-batched BFS levels of the residual graph.
 
     Unreached nodes get ``-1``.  With a ``sink``, expansion stops as
     soon as the sink's level is assigned (the whole level is finished
     first, so every shortest admissible arc survives — exactly what
-    Dinic's level graph needs).  Dispatches through the backend layer;
-    levels are unique, so every backend agrees bit-for-bit.
+    Dinic's level graph needs).
     """
-    return resolve_solver_backend(backend).solve_bfs_levels(
+    return solve_bfs_levels(
         store.indptr,
         store.arcs,
         store.head,

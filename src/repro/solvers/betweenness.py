@@ -10,12 +10,10 @@ path DAG.  On the arc-store representation both sweeps vectorize:
   deepest-first: ``delta[v] += sigma[v] / sigma[w] * (1 + delta[w])``
   summed over the level's DAG arcs ``v -> w``.
 
-Sources are processed in *batches* through the backend layer's
-``solve_brandes_batch`` kernel (reference:
-:mod:`repro.core.backends.solver_numpy`; numba fuses the whole batch
-into one compiled pass).  In the numpy reference all lanes of a batch
-run in lock-step over node-major state (node ``v`` of lane ``b`` is
-key ``v * lanes + b``).  A level where many lanes share the same
+Sources are processed in *batches* through the ``solve_brandes_batch``
+kernel (:mod:`repro.solvers.kernels`).  All lanes of a batch run in
+lock-step over node-major state (node ``v`` of lane ``b`` is key
+``v * lanes + b``).  A level where many lanes share the same
 frontier nodes — the common case on the paper's small-world social
 networks — runs as one product of the frontier rows' arcs with a
 ``rows x lanes`` block (multi-source BFS); a thin level runs pair by
@@ -25,13 +23,12 @@ sources, so the numpy call overhead amortizes across the batch.
 Batches are also the parallel unit: sources are independent and the
 weighted dependency vectors sum associatively, so
 :func:`betweenness_centrality_csr` maps batches over a thread pool
-(``workers=`` / ``REPRO_WORKERS``) and adds the results in fixed
-submission order.  Both backends release the GIL for most of a batch
-(numpy and scipy inside their large-array calls, numba in its
-``nogil`` kernels), so threads scale on either.  Batch boundaries
-never depend on the worker count, so serial and parallel runs add the
-same partial vectors in the same order — bit-identical on any single
-backend.
+(``workers=`` / ``REPRO_WORKERS``, :func:`resolve_workers`) and adds
+the results in fixed submission order.  numpy and scipy release the
+GIL inside their large-array calls, which is most of a batch, so
+threads scale.  Batch boundaries never depend on the worker count, so
+serial and parallel runs add the same partial vectors in the same
+order — bit-identical.
 
 For weighted graphs (positive lengths), :func:`weighted_dependencies`
 runs an array-heap Dijkstra over the CSR slices — a binary heap of
@@ -50,6 +47,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, List, Tuple
 
@@ -57,15 +55,41 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.obs import recorder as _obs
-from repro.core.backends import Backend, resolve_workers
 from repro.core.kernels import scatter_add, take_ranges
-from repro.solvers.arcstore import resolve_solver_backend, unique_int
+from repro.solvers.kernels import solve_brandes_batch, unique_int
 
 __all__ = [
     "bfs_dag",
     "weighted_dependencies",
     "betweenness_centrality_csr",
+    "resolve_workers",
 ]
+
+
+def resolve_workers(workers: int | None = None) -> int:
+    """Worker count: explicit argument > ``REPRO_WORKERS`` env > 1.
+
+    Fan-out is opt-in: the default of 1 keeps a run single-threaded
+    unless the caller or the environment asks for more.  A bad
+    environment value raises a :class:`ValueError` naming the variable
+    and the value.
+    """
+    if workers is not None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        return workers
+    env = os.environ.get("REPRO_WORKERS", "").strip()
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(
+            f"REPRO_WORKERS must be a positive integer, got {env!r}"
+        )
+    return workers
 
 
 def bfs_dag(
@@ -187,7 +211,6 @@ def betweenness_centrality_csr(
     sources: Iterable[int] | None = None,
     source_weights: Iterable[float] | None = None,
     weighted: bool = False,
-    backend: "str | Backend | None" = None,
     workers: int | None = None,
 ) -> np.ndarray:
     """Betweenness of every node from a CSR adjacency.
@@ -202,13 +225,13 @@ def betweenness_centrality_csr(
     by its arc ``tail -> head``).  Negative source weights are legal: a
     signed combination of dependency vectors is well defined.
 
-    The unweighted path batches sources through the backend's
+    The unweighted path batches sources through the
     ``solve_brandes_batch`` kernel and, with ``workers > 1`` (or
     ``REPRO_WORKERS``), maps the batches over a
     :class:`~concurrent.futures.ThreadPoolExecutor`.  Sources are
     independent, batch boundaries do not depend on the worker count,
     and the partial vectors are added in submission order, so results
-    on a given backend are bit-identical to a serial run.
+    are bit-identical to a serial run.
     """
     n, n_cols = matrix.shape
     if n != n_cols:
@@ -253,7 +276,6 @@ def betweenness_centrality_csr(
                 indptr_list, indices_list, data_list, source, n
             )
     elif source_list:
-        active = resolve_solver_backend(backend)
         source_array = np.asarray(source_list, dtype=np.int64)
         weight_array = np.asarray(weight_list)
         lanes = _batch_size(n, int(matrix.nnz), len(source_list))
@@ -265,7 +287,7 @@ def betweenness_centrality_csr(
         n_batches = len(batches)
 
         def compute_batch(batch: tuple) -> np.ndarray:
-            return active.solve_brandes_batch(
+            return solve_brandes_batch(
                 indptr, indices, batch[0], batch[1], n
             )
 

@@ -1,24 +1,18 @@
-"""Numpy reference implementations of the solver kernel family.
+"""The solver kernels of the exact tier, in numpy.
 
 These are the exact-solver counterparts of the coloring kernels in
-:mod:`repro.core.backends.numpy_backend`: the frontier-batched residual
-level BFS and the blocking-flow DFS of Dinic's phases, the fused
-highest-label push-relabel loop, and the batched multi-lane Brandes
-dependency pass.  They define the semantics every backend must
-reproduce to 1e-9 (the BFS/flow kernels are bit-identical; the Brandes
-batch tolerates re-association of the dependency sums).
+:mod:`repro.core.kernels`: the frontier-batched residual level BFS and
+the blocking-flow DFS of Dinic's phases, the fused highest-label
+push-relabel loop, and the batched multi-lane Brandes dependency pass.
+:mod:`repro.solvers.arcstore`, :mod:`repro.solvers.maxflow` and
+:mod:`repro.solvers.betweenness` call them directly.
 
-The module is deliberately **self-contained** — numpy, plus
-``scipy.sparse`` for the Brandes batch's row-block products, and no
-imports from :mod:`repro.solvers` or :mod:`repro.core.kernels` — so the
-backends package never forms an import cycle through the solver tier
-(``core/kernels.py`` imports this package at module level; scipy
-imports nothing from here).  The gather helpers below mirror the
-reference kernels in ``numpy_backend`` verbatim.
+The module imports numpy, ``scipy.sparse`` (for the Brandes batch's
+row-block products) and :mod:`repro.core.kernels`, and nothing from the
+rest of :mod:`repro.solvers`, so no import cycle forms through it.
 
 All kernels are **pure** of observability: work counters (relabels,
-pushes) are *returned* so the dispatch layer in :mod:`repro.solvers`
-can report them once per solve.
+pushes) are *returned* so the solvers can report them once per solve.
 """
 
 from __future__ import annotations
@@ -28,6 +22,8 @@ from typing import List, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.kernels import take_ranges
+
 _EPS = 1e-12
 
 #: a Brandes BFS level runs in dense form when its distinct rows x lanes
@@ -35,6 +31,7 @@ _EPS = 1e-12
 _DENSE_WASTE = 8
 
 __all__ = [
+    "unique_int",
     "solve_bfs_levels",
     "solve_blocking_flow",
     "solve_push_relabel",
@@ -42,18 +39,13 @@ __all__ = [
 ]
 
 
-def _take_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(start, start + count)`` (each range's offset
-    repeated onto one ``arange``); mirrors ``numpy_backend.take_ranges``."""
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if ends.size else 0
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
+def unique_int(values: np.ndarray) -> np.ndarray:
+    """Sorted unique of an int array (sort + diff mask).
 
-
-def _unique_int(values: np.ndarray) -> np.ndarray:
-    """Sorted unique of an int array (sort + diff mask)."""
+    Several times faster than ``np.unique``'s hash path on the mid-size
+    index arrays the BFS frontiers produce, and the solvers dedupe a
+    frontier on every level — this is their hottest scalar kernel.
+    """
     if values.size <= 1:
         return values
     values = np.sort(values)
@@ -72,7 +64,7 @@ def _frontier_arcs(
     """All residual arcs (cap > eps) leaving the frontier nodes."""
     starts = indptr[frontier]
     counts = indptr[frontier + 1] - starts
-    out = arcs[_take_ranges(starts, counts)]
+    out = arcs[take_ranges(starts, counts)]
     return out[cap[out] > _EPS]
 
 
@@ -104,7 +96,7 @@ def solve_bfs_levels(
         heads = heads[level[heads] < 0]
         if heads.size == 0:
             break
-        frontier = _unique_int(heads)
+        frontier = unique_int(heads)
         depth += 1
         level[frontier] = depth
         if sink >= 0 and level[sink] == depth:
@@ -130,10 +122,8 @@ def solve_blocking_flow(
     blocking-flow value and the per-arc pushes to scatter back into the
     residual vector.  ``caps`` is consumed (callers pass a copy).
 
-    The reference runs on plain Python lists: the DFS is scalar-bound,
-    and list indexing beats numpy scalar indexing by ~3x here.  Compiled
-    backends fuse the same algorithm — identical advance/retreat/kill
-    decisions, identical float arithmetic.
+    The DFS runs on plain Python lists: it is scalar-bound, and list
+    indexing beats numpy scalar indexing by ~3x here.
     """
     indptr: List[int] = local_indptr.tolist()
     head_list: List[int] = heads.tolist()
@@ -195,8 +185,7 @@ def solve_push_relabel(
     Returns ``(flow_value, relabels, pushes)``.  Bucket discipline is
     LIFO per height with stale entries refiled on pop (the gap heuristic
     moves nodes without touching their bucket), and discharge scans arcs
-    in adjacency order — compiled backends must reproduce exactly this
-    order to stay bit-identical.
+    in adjacency order.
     """
     cap = cap_array.tolist()
     head_list = head.tolist()
@@ -324,7 +313,7 @@ def _row_block(
     counts = indptr[rows + 1] - starts
     row_ptr = np.zeros(rows.size + 1, dtype=slot.dtype)
     np.cumsum(counts, out=row_ptr[1:])
-    heads = indices[_take_ranges(starts, counts)]
+    heads = indices[take_ranges(starts, counts)]
     seen[heads] = True
     targets = np.flatnonzero(seen)
     seen[targets] = False
@@ -362,10 +351,7 @@ def solve_brandes_batch(
       level's (key, arc) pairs, keeping its DAG arcs.
 
     No step of a level scans all ``n x lanes`` cells, and the search
-    stops once every cell is reached.  Compiled backends may instead
-    run the sources sequentially (sigma counts are exact integers in
-    float64, so only the dependency sums re-associate — within 1e-9 of
-    this reference).
+    stops once every cell is reached.
     """
     lanes = len(sources)
     size = n * lanes
@@ -418,7 +404,7 @@ def solve_brandes_batch(
             levels.append((frontier, cells, block, targets))
             frontier = new
         else:
-            positions = _take_ranges(starts, counts)
+            positions = take_ranges(starts, counts)
             heads = indices[positions] * lanes + np.repeat(lane, counts)
             tails = np.repeat(frontier, counts)
             # Crossing arcs == arcs whose head was undiscovered at
@@ -433,7 +419,7 @@ def solve_brandes_batch(
             # Pair-sized scatter-add: no n x lanes bincount per level.
             np.add.at(sigma, heads, sigma[tails])
             levels.append((tails, heads, None, None))
-            frontier = _unique_int(heads)
+            frontier = unique_int(heads)
         reached += frontier.size
         depth += 1
     delta = np.zeros(size)

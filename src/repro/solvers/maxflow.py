@@ -4,7 +4,7 @@ Both solvers operate on one :class:`~repro.solvers.arcstore.ArcStore`
 and a residual capacity vector from ``store.residual()``:
 
 * :func:`dinic` — the exact solver every reference uses: level BFS
-  through the backend's ``solve_bfs_levels`` kernel, then a blocking
+  through the ``solve_bfs_levels`` kernel, then a blocking
   flow over the *compacted* level graph: the admissible arcs are
   extracted with one numpy mask over all arc ids, pruned to the
   sink-reaching core by a backward BFS, regrouped by tail, and the
@@ -14,19 +14,15 @@ and a residual capacity vector from ``store.residual()``:
   one/two-level phases (most of the arc volume on the stereo instances)
   solve in closed form with no DFS at all.
 * :func:`push_relabel` — highest-label selection with per-height bucket
-  stacks and the gap heuristic, fused into the backend's
-  ``solve_push_relabel`` kernel.
+  stacks and the gap heuristic, fused into the ``solve_push_relabel``
+  kernel.
 * :func:`min_cut` — runs :func:`dinic`, then reads reachability
   straight off the final residual arrays (one more vectorized BFS) and
   collects the saturated forward arcs leaving the source side.
 
-Each solver takes ``backend=`` (:func:`~repro.solvers.arcstore.
-resolve_solver_backend` rules: explicit wins, else the process
-default) and returns ``(value, cap)`` — the final residual vector is
+Each solver returns ``(value, cap)`` — the final residual vector is
 the flow witness; :meth:`ArcStore.extract_flow_arrays` turns it into
-per-arc flows.  Results are bit-identical across backends: the kernel
-contracts in :mod:`repro.core.backends.solver_numpy` pin the discovery
-orders, so every backend augments along the same paths.
+per-arc flows.  The kernels live in :mod:`repro.solvers.kernels`.
 
 Both solvers report their work counters to :mod:`repro.obs` in one add
 at return — ``solvers.dinic.phases``, ``solvers.pr.relabels`` /
@@ -43,12 +39,11 @@ from typing import List, Set, Tuple
 import numpy as np
 
 from repro.obs import recorder as _obs
-from repro.core.backends import Backend
 from repro.core.kernels import take_ranges
-from repro.solvers.arcstore import (
-    ArcStore,
-    bfs_levels,
-    resolve_solver_backend,
+from repro.solvers.arcstore import ArcStore, bfs_levels
+from repro.solvers.kernels import (
+    solve_blocking_flow,
+    solve_push_relabel,
     unique_int,
 )
 
@@ -139,16 +134,14 @@ def dinic(
     store: ArcStore,
     source: int,
     sink: int,
-    backend: "str | Backend | None" = None,
 ) -> Tuple[float, np.ndarray]:
     """Maximum s-t flow by Dinic's algorithm on the arc store."""
-    active = resolve_solver_backend(backend)
     cap = store.residual()
     tail, head, arcs = store.tail, store.head, store.arcs
     total = 0.0
     phases = 0
     while True:
-        level = bfs_levels(store, cap, source, sink, backend=active)
+        level = bfs_levels(store, cap, source, sink)
         sink_level = level[sink]
         if sink_level < 0:
             break
@@ -183,7 +176,7 @@ def dinic(
         )
         # The fancy-indexed caps slice is a fresh array the kernel may
         # consume; real pushes come back in the flows vector.
-        pushed, flow_array = active.solve_blocking_flow(
+        pushed, flow_array = solve_blocking_flow(
             local_indptr,
             head[selected],
             cap[selected],
@@ -208,19 +201,16 @@ def push_relabel(
     store: ArcStore,
     source: int,
     sink: int,
-    backend: "str | Backend | None" = None,
 ) -> Tuple[float, np.ndarray]:
     """Maximum s-t flow by highest-label push-relabel on the arc store.
 
     The whole solver is one fused kernel call: bucket selection,
-    discharge, relabel, and the gap heuristic all live in the backend's
-    ``solve_push_relabel`` (reference in ``solver_numpy``), which
-    mutates the residual vector in place and returns the work counters.
+    discharge, relabel, and the gap heuristic all live in
+    ``solve_push_relabel``, which mutates the residual vector in place
+    and returns the work counters.
     """
     cap = store.residual()
-    value, relabels, pushes = resolve_solver_backend(
-        backend
-    ).solve_push_relabel(
+    value, relabels, pushes = solve_push_relabel(
         store.indptr,
         store.arcs,
         store.head,
@@ -242,16 +232,14 @@ def min_cut(
     store: ArcStore,
     source: int,
     sink: int,
-    backend: "str | Backend | None" = None,
 ) -> Tuple[float, Set[int], List[Tuple[int, int]], np.ndarray]:
     """Minimum s-t cut read off Dinic's final residual arrays.
 
     Returns ``(capacity, source_side, cut_arcs, cap)`` where ``cap`` is
     the final residual vector (the max-flow witness).
     """
-    active = resolve_solver_backend(backend)
-    _, cap = dinic(store, source, sink, backend=active)
-    reachable = bfs_levels(store, cap, source, backend=active) >= 0
+    _, cap = dinic(store, source, sink)
+    reachable = bfs_levels(store, cap, source) >= 0
     forward_tail = store.tail[0::2]
     forward_head = store.head[0::2]
     forward_cap0 = store.cap0[0::2]

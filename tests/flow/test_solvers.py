@@ -1,5 +1,5 @@
-"""Cross-checks of the three max-flow solvers against networkx and each
-other, plus min-cut duality."""
+"""Cross-checks of the two max-flow solvers (Dinic and push-relabel)
+against networkx and each other, plus min-cut duality."""
 
 import networkx as nx
 import numpy as np

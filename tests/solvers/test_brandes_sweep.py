@@ -1,6 +1,6 @@
 """Differential sweep: the node-major Brandes batch against the flat one.
 
-``solve_brandes_batch`` in :mod:`repro.core.backends.solver_numpy`
+``solve_brandes_batch`` in :mod:`repro.solvers.kernels`
 runs each BFS level in a dense form (a row block of the adjacency
 times a ``rows x lanes`` block) or a flat form (pair by pair), picked
 per level.  The reference below is the earlier lane-major kernel, kept
@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.backends import solver_numpy
+from repro.solvers import kernels as solver_numpy
 
 #: every level flat, every level dense, and the shipped rule
 DENSE_WASTES = (0, 10**9, solver_numpy._DENSE_WASTE)

@@ -23,15 +23,6 @@ def _full_disk(*args, **kwargs):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
-@pytest.fixture(autouse=True)
-def _reset_backend_default():
-    # `--backend` installs a process default; undo it between tests
-    yield
-    from repro.core.backends import set_default_backend
-
-    set_default_backend(None)
-
-
 class TestColorCommand:
     def test_color_by_budget(self, karate_file, capsys):
         assert main(["color", karate_file, "--colors", "6"]) == 0
@@ -60,27 +51,6 @@ class TestColorCommand:
     def test_color_requires_stopping_rule(self, karate_file):
         with pytest.raises(SystemExit):
             main(["color", karate_file])
-
-    def test_color_explicit_backend(self, karate_file, capsys):
-        assert main(
-            ["color", karate_file, "--colors", "6", "--backend", "numpy"]
-        ) == 0
-        assert "colors" in capsys.readouterr().out
-
-    def test_color_unknown_backend_rejected(self, karate_file):
-        with pytest.raises(SystemExit, match="fortran"):
-            main(["color", karate_file, "--colors", "4",
-                  "--backend", "fortran"])
-
-    def test_color_backend_matches_default(self, karate_file, tmp_path):
-        default_out = tmp_path / "default.txt"
-        numpy_out = tmp_path / "numpy.txt"
-        main(["color", karate_file, "--colors", "6",
-              "--out", str(default_out)])
-        main(["color", karate_file, "--colors", "6", "--backend", "numpy",
-              "--out", str(numpy_out)])
-        # backends are bit-identical, so the assignments must agree
-        assert default_out.read_text() == numpy_out.read_text()
 
 
 class TestSolveCommand:
@@ -561,6 +531,41 @@ class TestCleanCliErrors:
         (line,) = [row for row in err.splitlines() if "error:" in row]
         assert f"argument --batch: must be a positive integer, got '{batch}'" \
             in line
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "STORE", "--synthetic", "30,2", "--seed", "-1"],
+            ["update", "--dataset", "karate", "--q", "2", "--seed", "-1"],
+            ["solve", "--task", "centrality", "--dataset", "karate",
+             "--colors", "4", "--seed", "-1"],
+        ],
+        ids=["ingest", "update", "solve"],
+    )
+    def test_negative_seed_is_a_usage_error(self, capsys, tmp_path, argv):
+        store = str(tmp_path / "store")
+        with pytest.raises(SystemExit) as exit_info:
+            main([store if arg == "STORE" else arg for arg in argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [row for row in err.splitlines() if "error:" in row]
+        assert "argument --seed: must be a non-negative integer, got '-1'" \
+            in line
+        assert not os.path.exists(store)
+
+    @pytest.mark.parametrize("n_updates", ["0", "-5"])
+    def test_nonpositive_n_updates_is_a_usage_error(self, capsys, n_updates):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["update", "--dataset", "karate", "--q", "2",
+                  "--n-updates", n_updates])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        (line,) = [row for row in captured.err.splitlines() if "error:" in row]
+        assert "argument --n-updates: must be a positive integer, got " \
+            f"'{n_updates}'" in line
 
     @pytest.mark.parametrize("command", ["update", "stream"])
     @pytest.mark.parametrize(

@@ -78,3 +78,44 @@ class TestLazySolverImports:
             "from repro.pipeline import LPTask\n"
             "LPTask(fig3_example(), method='scipy')"
         )
+
+
+class TestBackendKeyword:
+    """numpy is the one kernel implementation: the entry points that
+    still take ``backend=`` accept ``None`` and ``"numpy"`` and refuse
+    anything else with a ``ValueError`` naming it."""
+
+    @staticmethod
+    def _build(entry, backend):
+        from repro.dynamic import DynamicColoring
+        from repro.flow.network import FlowNetwork
+        from repro.graphs.generators import karate_club
+        from repro.lp.generators import fig3_example
+        from repro.pipeline import CentralityTask, LPTask, MaxFlowTask
+
+        graph = karate_club()
+        builders = {
+            "MaxFlowTask": lambda: MaxFlowTask(
+                FlowNetwork(graph, 1, 34), backend=backend
+            ),
+            "LPTask": lambda: LPTask(fig3_example(), backend=backend),
+            "CentralityTask": lambda: CentralityTask(graph, backend=backend),
+            "q_color": lambda: repro.q_color(
+                graph, n_colors=2, backend=backend
+            ),
+            "DynamicColoring": lambda: DynamicColoring(
+                graph, q_tolerance=2.0, backend=backend
+            ),
+        }
+        return builders[entry]()
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["MaxFlowTask", "LPTask", "CentralityTask", "q_color",
+         "DynamicColoring"],
+    )
+    def test_numpy_only(self, entry):
+        self._build(entry, None)
+        self._build(entry, "numpy")
+        with pytest.raises(ValueError, match="'numba'"):
+            self._build(entry, "numba")
