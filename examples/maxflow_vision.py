@@ -4,8 +4,8 @@
 Builds a BK-style stereo instance (the structure of the paper's Tsukuba/
 Venus benchmarks), solves it exactly with Dinic, then sweeps the
 quasi-stable approximation across color budgets — the Fig. 7(a)
-experiment at example scale.  Also demonstrates the Theorem 6 sandwich
-``maxFlow(G_hat_1) <= maxFlow(G) <= maxFlow(G_hat_2)``.
+experiment at example scale.  Also brackets the exact value from one
+reduced answer: ``lb <= maxFlow(G) <= ub``, both witnessed on ``G``.
 
 Run:  python examples/maxflow_vision.py
 """
@@ -13,7 +13,7 @@ Run:  python examples/maxflow_vision.py
 import time
 
 from repro.datasets.flows import vision_grid_instance
-from repro.flow.approx import approx_max_flow, color_flow_network, reduced_network
+from repro.flow.approx import approx_max_flow, flow_bracket
 from repro.flow.network import max_flow
 from repro.utils.stats import ratio_error
 from repro.utils.tables import format_table
@@ -55,17 +55,19 @@ def main() -> None:
         title="Fig. 7(a)-style sweep: accuracy vs color budget",
     ))
 
-    # --- the Theorem 6 sandwich ------------------------------------------
-    rothko = color_flow_network(network, n_colors=16)
-    upper = max_flow(reduced_network(network, rothko.coloring, "upper")).value
-    lower = max_flow(reduced_network(network, rothko.coloring, "lower")).value
-    print(
-        f"\nTheorem 6 sandwich at 16 colors:\n"
-        f"  maxFlow(G_hat_1) = {lower:8.1f}   (uniform-flow capacities)\n"
-        f"  maxFlow(G)       = {exact.value:8.1f}\n"
-        f"  maxFlow(G_hat_2) = {upper:8.1f}   (block-sum capacities)"
+    # --- the witnessed bracket -------------------------------------------
+    result = approx_max_flow(network, n_colors=16)
+    bracket = flow_bracket(
+        network, result.coloring, result.reduced, result.reduced_result
     )
-    assert lower - 1e-6 <= exact.value <= upper + 1e-6
+    print(
+        f"\nBracket at {result.n_colors} colors:\n"
+        f"  lb         = {bracket.lb:8.1f}   (proportionally lifted flow)\n"
+        f"  maxFlow(G) = {exact.value:8.1f}\n"
+        f"  ub         = {bracket.ub:8.1f}   (lifted minimum cut)\n"
+        f"  gap        = {bracket.gap:8.3f}   (ub / lb - 1)"
+    )
+    assert bracket.lb - 1e-6 <= exact.value <= bracket.ub + 1e-6
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ def main() -> None:
 
     rows = []
     for step in engine.steps(max_colors=24):
-        reduced = reduced_network(network, step.coloring, bound="upper")
+        reduced = reduced_network(network, step.coloring)
         approx = max_flow(reduced).value
         rows.append(
             [

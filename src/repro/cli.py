@@ -404,6 +404,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     with _trace.span("cli.imports"):
         from repro.datasets.registry import load_flow, load_graph, load_lp
         from repro.exceptions import DatasetError
+        from repro.flow.approx import flow_bracket
         from repro.pipeline import progressive_sweep, run_task, task_for
         from repro.solvers.betweenness import resolve_workers
 
@@ -421,7 +422,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return 2
     scale = args.scale if args.scale is not None else _SOLVE_SCALES[args.task]
     task_options = {
-        "maxflow": {"bound": args.bound},
+        "maxflow": {},
         "lp": {"mode": args.mode},
         "centrality": {"seed": args.seed},
     }
@@ -496,18 +497,25 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise SystemExit("solve needs --colors, --q, or --certify")
 
     with _trace.span("cli.report"):
-        rows = [
-            {
+        rows = []
+        for result in results:
+            row = {
                 "colors": result.n_colors,
                 "max_q": result.max_q_err,
                 "value": result.value,
-                "coloring_s": result.timings.coloring,
-                "reduce_s": result.timings.reduce,
-                "solve_s": result.timings.solve,
-                "total_s": result.timings.total,
             }
-            for result in results
-        ]
+            if args.task == "maxflow":
+                bracket = flow_bracket(
+                    problem, result.coloring, result.reduced, result.solution
+                )
+                row.update(lb=bracket.lb, ub=bracket.ub, gap=bracket.gap)
+            row.update(
+                coloring_s=result.timings.coloring,
+                reduce_s=result.timings.reduce,
+                solve_s=result.timings.solve,
+                total_s=result.timings.total,
+            )
+            rows.append(row)
         print(
             render_rows(
                 rows,
@@ -772,8 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-colors", type=_positive_int, default=None,
                        help="certified mode: color-budget cap "
                             "(default: the problem size)")
-    solve.add_argument("--bound", choices=("upper", "lower"),
-                       default="upper", help="maxflow: reduced capacity bound")
     solve.add_argument("--mode", choices=("sqrt", "grohe"), default="sqrt",
                        help="lp: reduction weight mode")
     solve.add_argument("--seed", type=_seed, default=0,

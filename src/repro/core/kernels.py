@@ -10,8 +10,6 @@ CSR/CSC index arrays:
 * :func:`take_ranges` — concatenate ``arange(start, start + count)``
   slices, the gather step for selecting a subset of CSR rows / CSC
   columns directly out of ``indptr``/``indices``/``data``;
-* :func:`scatter_select_sums` — per-node total weight toward a *member
-  subset* (one degree-matrix column) in ``O(nnz(members))``;
 * :func:`select_degrees_toward` — per-selected-row total weight toward
   one target color (the split-threshold degree vector
   ``D[j, members(i)]``) in ``O(nnz(rows))``;
@@ -28,10 +26,9 @@ CSR/CSC index arrays, with no Python-level loop, and everything operates
 on plain numpy arrays so the kernels compose with both scipy sparse
 matrices and the dict-of-dicts mutable graph.
 
-:func:`scatter_select_sums` reports the cells it scatters to the
-``kernels.bincount_cells`` counter (:mod:`repro.obs`): one counter add
-per call, nothing per cell.  The chunked Rothko refresh loops count
-their own cells the same way, once per logical kernel call.
+The kernels are pure of observability: the chunked Rothko refresh
+loops report the cells they scatter to the ``kernels.bincount_cells``
+counter (:mod:`repro.obs`), once per logical kernel call.
 """
 
 from __future__ import annotations
@@ -39,13 +36,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.obs import recorder as _obs
-
 __all__ = [
     "as_csr_square",
     "scatter_add",
     "take_ranges",
-    "scatter_select_sums",
     "select_degrees_toward",
     "color_degree_matrix",
     "color_degree_matrix_t",
@@ -106,28 +100,6 @@ def take_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if total == 0:
         return np.empty(0, dtype=np.int64)
     return np.arange(total) + np.repeat(starts - (ends - counts), counts)
-
-
-def scatter_select_sums(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    select: np.ndarray,
-    size: int,
-) -> np.ndarray:
-    """Sum of the selected CSR rows (or CSC columns), scattered by index.
-
-    For a CSC adjacency and ``select = members(P_j)`` this is exactly the
-    degree-matrix column ``D_out[:, j] = w(v, P_j)``; on the CSR arrays it
-    yields ``D_in[:, j] = w(P_j, v)``.  Runs in ``O(nnz(select))`` — no
-    fancy-indexed sparse slicing, no intermediate sparse matrix.
-    """
-    _obs._active.count("kernels.bincount_cells", size)
-    select = np.asarray(select, dtype=np.int64)
-    starts = indptr[select]
-    counts = indptr[select + 1] - starts
-    positions = take_ranges(starts, counts)
-    return scatter_add(indices[positions], data[positions], size)
 
 
 def select_degrees_toward(

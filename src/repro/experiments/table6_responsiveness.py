@@ -94,7 +94,7 @@ def responsiveness_rows(
     engine = Rothko(network.graph, initial=initial, frozen=frozen)
 
     def eval_flow(coloring: Coloring) -> float:
-        reduced = reduced_network(network, coloring, bound="upper")
+        reduced = reduced_network(network, coloring)
         return max_flow(reduced).value
 
     row = _responsiveness(engine, eval_flow, max_colors=max_colors)

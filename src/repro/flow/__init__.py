@@ -5,26 +5,25 @@ Exact solving is a thin view over the CSR-native arc-store core
 """
 
 from repro.flow.approx import (
+    FlowBracket,
     approx_max_flow,
     color_flow_network,
+    flow_bracket,
     flow_initial_coloring,
-    lift_flow,
     reduced_network,
 )
 from repro.flow.mincut import min_cut
 from repro.flow.network import FlowNetwork, FlowResult, max_flow
-from repro.flow.uniform import max_uniform_flow, max_uniform_flow_assignment
 
 __all__ = [
+    "FlowBracket",
     "approx_max_flow",
     "color_flow_network",
+    "flow_bracket",
     "flow_initial_coloring",
-    "lift_flow",
     "reduced_network",
     "min_cut",
     "FlowNetwork",
     "FlowResult",
     "max_flow",
-    "max_uniform_flow",
-    "max_uniform_flow_assignment",
 ]

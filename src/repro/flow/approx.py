@@ -2,21 +2,20 @@
 
 Pipeline: color the network with the source and sink pinned to singleton
 colors (``alpha = beta = 0``, the paper's choice for flow — only the total
-inter-color capacity matters, not class sizes), build the reduced network,
-and solve max-flow on it.
+inter-color capacity matters, not class sizes), build the reduced network
+on the block capacity sums ``c_hat_2[i, j] = c(P_i, P_j)`` (one sparse
+triple product), and solve max-flow on it.  Theorem 6 makes the reduced
+value an upper bound on ``maxFlow(G)``.
 
-Two reduced capacity functions are supported:
-
-* ``c_hat_2[i, j] = c(P_i, P_j)`` — block capacity sums; the reduced
-  max-flow **upper-bounds** the true value and is the deployed
-  approximation (cheap: one sparse triple product);
-* ``c_hat_1[i, j] = maxUFlow(P_i, P_j, c)`` — uniform-flow capacities;
-  the reduced max-flow **lower-bounds** the true value (expensive: one LP
-  per adjacent color pair; exposed for the Theorem 6 bound experiments).
+:func:`flow_bracket` turns one reduced answer into ``lb <= maxFlow(G) <=
+ub`` with both bounds witnessed on ``G``: ``ub`` is the capacity of the
+lifted minimum cut and ``lb`` what the proportionally lifted flow
+provably routes from ``s`` to ``t``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +24,8 @@ import scipy.sparse as sp
 from repro.core.partition import Coloring
 from repro.core.reduced import block_weights as _scratch_block_weights
 from repro.core.rothko import Rothko, RothkoResult
+from repro.flow.mincut import min_cut
 from repro.flow.network import FlowNetwork, FlowResult
-from repro.flow.uniform import max_uniform_flow, max_uniform_flow_assignment
-from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.digraph import WeightedDiGraph
 from repro.utils.timing import StageTimings
 
@@ -82,10 +80,10 @@ def color_flow_network(
 def reduced_network(
     network: FlowNetwork,
     coloring: Coloring,
-    bound: str = "upper",
+    *,
     block_weights: np.ndarray | sp.spmatrix | None = None,
 ) -> FlowNetwork:
-    """Build the reduced network ``G_hat_2`` (upper) or ``G_hat_1`` (lower).
+    """Build the reduced network ``G_hat_2`` on block capacity sums.
 
     Color ids become node labels; the colors of ``s`` and ``t`` become the
     reduced source/sink (they must be singletons).  ``block_weights``
@@ -93,8 +91,6 @@ def reduced_network(
     as the pipeline runner passes it from
     :meth:`~repro.pipeline.cache.ProgressiveRun.weights`.
     """
-    if bound not in ("upper", "lower"):
-        raise ValueError(f"bound must be 'upper' or 'lower', got {bound!r}")
     graph = network.graph
     source_color = coloring.color_of(network.source_index)
     sink_color = coloring.color_of(network.sink_index)
@@ -103,17 +99,11 @@ def reduced_network(
             "source and sink must be singleton colors (Theorem 6); use "
             "color_flow_network to build such a coloring"
         )
-
-    if bound == "upper":
-        capacities = (
-            _scratch_block_weights(graph.to_csr(), coloring)
-            if block_weights is None
-            else block_weights
-        )
-    else:
-        capacities = _uniform_capacities(graph, coloring, block_weights)
-
-    capacities = sp.coo_matrix(capacities)
+    capacities = sp.coo_matrix(
+        _scratch_block_weights(graph.to_csr(), coloring)
+        if block_weights is None
+        else block_weights
+    )
     keep = (capacities.row != capacities.col) & (capacities.data > 0)
     reduced = WeightedDiGraph.from_arrays(
         capacities.row[keep],
@@ -122,35 +112,6 @@ def reduced_network(
         n_nodes=coloring.n_colors,
     )
     return FlowNetwork(reduced, source_color, sink_color)
-
-
-def _uniform_capacities(
-    graph: WeightedDiGraph,
-    coloring: Coloring,
-    block_sums: np.ndarray | sp.spmatrix | None = None,
-) -> sp.csr_matrix:
-    """``c_hat_1``: maxUFlow of every adjacent color block (Theorem 6).
-
-    ``block_sums`` optionally supplies the precomputed block weights
-    used to find the adjacent color pairs (one LP is solved per pair).
-    """
-    matrix = graph.to_csr()
-    if block_sums is None:
-        block_sums = _scratch_block_weights(matrix, coloring)
-    adjacency = sp.coo_matrix(block_sums)
-    classes = coloring.classes()
-    rows, cols, values = [], [], []
-    for i, j, total in zip(adjacency.row, adjacency.col, adjacency.data):
-        if i == j or total <= 0:
-            continue
-        block = BipartiteGraph(matrix[classes[i]][:, classes[j]])
-        value = max_uniform_flow(block)
-        if value > 0:
-            rows.append(i)
-            cols.append(j)
-            values.append(value)
-    k = coloring.n_colors
-    return sp.csr_matrix((values, (rows, cols)), shape=(k, k))
 
 
 @dataclass(frozen=True)
@@ -172,21 +133,20 @@ def approx_max_flow(
     network: FlowNetwork,
     n_colors: int | None = None,
     q: float | None = None,
-    bound: str = "upper",
     split_mean: str = "arithmetic",
 ) -> ApproxFlowResult:
     """Approximate ``maxFlow(G)`` on the reduced graph (the paper's method).
 
     End-to-end: color (s/t pinned) -> reduce -> solve, driven through
-    the shared :mod:`repro.pipeline` runner.  With ``bound="upper"`` the
-    result over-estimates the true flow; Theorem 6 guarantees
-    ``maxFlow(G_hat_1) <= maxFlow(G) <= maxFlow(G_hat_2)``.
+    the shared :mod:`repro.pipeline` runner.  The result over-estimates
+    the true flow (Theorem 6); :func:`flow_bracket` bounds it from both
+    sides.
     """
     if n_colors is None and q is None:
         raise ValueError("approx_max_flow needs n_colors and/or q")
     from repro.pipeline import MaxFlowTask, run_task
 
-    task = MaxFlowTask(network, bound=bound, split_mean=split_mean)
+    task = MaxFlowTask(network, split_mean=split_mean)
     result = run_task(task, n_colors=n_colors, q=q)
     return ApproxFlowResult(
         value=result.value,
@@ -197,55 +157,77 @@ def approx_max_flow(
     )
 
 
-def lift_flow(
+@dataclass(frozen=True)
+class FlowBracket:
+    """``lb <= maxFlow(G) <= ub``, both witnessed on ``G``."""
+
+    lb: float
+    ub: float
+
+    @property
+    def gap(self) -> float:
+        """``ub / lb - 1``: bounds the ratio error (minus 1) of any value
+        in ``[lb, ub]``, the reported ``ub`` included.  ``0`` when both
+        bounds are 0, ``inf`` when only ``lb`` is; never negative (at
+        ``q = 0`` the bounds agree up to rounding)."""
+        if self.lb > 0:
+            return max(self.ub / self.lb - 1.0, 0.0)
+        return 0.0 if self.ub == 0 else math.inf
+
+
+def flow_bracket(
     network: FlowNetwork,
     coloring: Coloring,
-    reduced_result: FlowResult,
-    tol: float = 1e-9,
-) -> FlowResult:
-    """Lift a reduced flow on ``G_hat_1`` to a valid flow on ``G``.
+    reduced: FlowNetwork,
+    solution: FlowResult,
+) -> FlowBracket:
+    """Bound ``maxFlow(G)`` from one reduced answer: ``O(m)`` work on
+    ``G`` plus one minimum cut of the reduced network.
 
-    This is the constructive half of Theorem 6: for every reduced arc
-    ``(i, j)`` carrying flow ``f_hat``, take the maximum *uniform* flow
-    of the bipartite block ``(P_i, P_j, c)`` and scale it down by
-    ``f_hat / f'(P_i, P_j)``.  Uniformity makes the per-node in/out flows
-    constant within each color, so conservation on the reduced graph
-    implies conservation on the original graph and the lifted flow has
-    exactly the reduced value.
+    ``reduced`` must come from :func:`reduced_network` on ``coloring``
+    and ``solution`` be a maximum flow of it.
 
-    The reduced flow must respect the ``c_hat_1`` (uniform-flow)
-    capacities — i.e. come from ``reduced_network(..., bound="lower")``;
-    otherwise a block cannot absorb its share and a
-    :class:`~repro.exceptions.FlowError` is raised.
+    * ``ub``: lift the source side of a minimum cut of ``reduced`` to
+      ``G`` through the labels; ``ub`` is the capacity of ``G``'s arcs
+      leaving that node set.  Block capacities are sums, so this equals
+      the reduced value up to summation order.
+    * ``lb``: lift each reduced arc's flow ``F(I, J)`` onto ``G``'s arcs
+      from ``P_I`` to ``P_J`` in proportion to capacity,
+      ``f(u, v) = c(u, v) F(I, J) / C(I, J)``, so ``0 <= f <= c``.  With
+      ``b(v)`` the net out-flow of ``f``, flow decomposition routes at
+      least ``b(s)`` minus the interior deficits, and at least ``-b(t)``
+      minus the interior excesses, along ``s``-``t`` paths.  On a stable
+      coloring ``f`` conserves flow and ``lb = ub``.
     """
-    from repro.exceptions import FlowError
-
     matrix = network.graph.to_csr()
-    classes = coloring.classes()
-    # Each original arc lies in exactly one block, so the per-block
-    # pieces never overlap and concatenate into the lifted flow.
-    pieces = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
-    for i, j, f_hat in zip(
-        reduced_result.tails, reduced_result.heads, reduced_result.flows
-    ):
-        if f_hat <= tol:
-            continue
-        members_i = classes[i]
-        members_j = classes[j]
-        block = BipartiteGraph(matrix[members_i][:, members_j])
-        capacity, assignment = max_uniform_flow_assignment(block)
-        if f_hat > capacity + tol:
-            raise FlowError(
-                f"reduced flow {f_hat} between colors ({i}, {j}) exceeds "
-                f"the block's maximum uniform flow {capacity}; lift the "
-                "flow of the lower-bound reduced network instead"
-            )
-        assignment = assignment.tocoo()
-        positive = assignment.data > 0
-        pieces.append((
-            members_i[assignment.row[positive]],
-            members_j[assignment.col[positive]],
-            assignment.data[positive] * (f_hat / capacity),
-        ))
-    tails, heads, flows = (np.concatenate(part) for part in zip(*pieces))
-    return FlowResult(reduced_result.value, tails, heads, flows)
+    n = matrix.shape[0]
+    tails = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    heads = matrix.indices
+    labels = coloring.labels
+
+    _, source_side, _ = min_cut(reduced)
+    lifted = np.zeros(coloring.n_colors, dtype=bool)
+    lifted[list(source_side)] = True
+    lifted = lifted[labels]
+    ub = float(matrix.data[lifted[tails] & ~lifted[heads]].sum())
+
+    # F(I, J) / C(I, J) of each arc's block (scipy returns a sparse
+    # matrix, not an array, for empty index arrays).
+    capacity = reduced.graph.to_csr()
+    share = sp.csr_matrix(
+        (solution.flows, (solution.tails, solution.heads)),
+        shape=capacity.shape,
+    ).multiply(capacity.power(-1)).tocsr()
+    ratio = (
+        np.asarray(share[labels[tails], labels[heads]]).ravel()
+        if tails.size
+        else np.zeros(0)
+    )
+    flow = matrix.data * np.minimum(ratio, 1.0)
+    net = np.bincount(tails, flow, n) - np.bincount(heads, flow, n)
+    s, t = network.source_index, network.sink_index
+    interior = np.delete(net, [s, t])
+    excess = float(interior[interior > 0].sum())
+    deficit = float(-interior[interior < 0].sum())
+    lb = max(0.0, float(net[s]) - deficit, float(-net[t]) - excess)
+    return FlowBracket(lb, ub)

@@ -1,6 +1,5 @@
-"""Graph substrate: weighted digraphs, bipartite graphs, generators, and IO."""
+"""Graph substrate: weighted digraphs, generators, and IO."""
 
-from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.digraph import WeightedDiGraph, coerce_index_array
 from repro.graphs.edgestore import (
     EdgeStore,
@@ -27,14 +26,12 @@ from repro.graphs.generators import (
     two_maximal_colorings_graph,
 )
 from repro.graphs.ops import (
-    bipartite_block,
     degree_vector,
     induced_subgraph,
     perturb_add_random_edges,
 )
 
 __all__ = [
-    "BipartiteGraph",
     "EdgeStore",
     "EdgeStoreWriter",
     "WeightedDiGraph",
@@ -57,7 +54,6 @@ __all__ = [
     "star_graph",
     "stochastic_block",
     "two_maximal_colorings_graph",
-    "bipartite_block",
     "degree_vector",
     "induced_subgraph",
     "perturb_add_random_edges",

@@ -243,12 +243,12 @@ def biregular_bipartite(
     """Unit-weight (a, b)-biregular bipartite graph as a directed graph.
 
     Left nodes are labeled ``("L", i)``, right nodes ``("R", j)``; all arcs
-    go left -> right.  Wiring is the round-robin pattern of
-    :meth:`BipartiteGraph.biregular`.
+    go left -> right.  Left node ``i`` feeds ``out_degree`` consecutive
+    right nodes starting at ``i * out_degree (mod n_right)``.
     """
     if out_degree > n_right:
         # Round-robin targets would collide, silently degenerating the
-        # graph (same guard as BipartiteGraph.biregular).
+        # graph.
         raise GraphError(
             f"out_degree {out_degree} exceeds right side size {n_right}"
         )
@@ -363,9 +363,10 @@ def pathological_flow_network(n: int) -> tuple[WeightedDiGraph, str, str]:
 
     * the layer coloring ``{s}, L1, ..., L_{n-1}, {t}`` is q-stable for q=1;
     * ``maxFlow = 2`` (only the two left-most staircases reach ``t``);
-    * the maximum *uniform* flow between consecutive layers is 0, so the
-      lower bound ``c_hat_1`` of Theorem 6 collapses while the upper bound
-      ``c_hat_2`` is ~n — the paper's cautionary example.
+    * the block-capacity upper bound ``c_hat_2`` of Theorem 6 is ``n - 1``
+      — the paper's cautionary example — while the proportionally lifted
+      flow of :func:`~repro.flow.approx.flow_bracket` still proves
+      ``2 / n``.
 
     Returns ``(graph, source_label, sink_label)``.
     """

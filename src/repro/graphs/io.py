@@ -96,18 +96,45 @@ def write_dimacs_flow(
                 handle.write(f"a {ui + 1} {vi + 1} {w:g}\n")
 
 
+#: the form of each DIMACS max-flow line kind
+_DIMACS_LINES = {"p": "p max N M", "n": "n ID s|t", "a": "a U V CAP"}
+
+
+def _dimacs_int(text: str, what: str, path, line_number: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise GraphError(
+            f"{path}:{line_number}: {what} {text!r} is not an integer"
+        ) from None
+
+
 def read_dimacs_flow(
     path: str | os.PathLike,
 ) -> Tuple[WeightedDiGraph, int, int]:
     """Read a DIMACS max-flow file; returns ``(graph, source, sink)``.
 
     Node labels are the 0-based integers; parallel arcs have their
-    capacities summed (the standard DIMACS interpretation).
+    capacities summed (the standard DIMACS interpretation).  A malformed
+    line — wrong field count, a non-integer count or node id, a node id
+    outside ``1..N`` of the ``p max N M`` line, an ``n``/``a`` line
+    before that line or a second one — raises :class:`GraphError`
+    naming ``<path>:<line>``.
     """
     graph = WeightedDiGraph(directed=True)
     source: int | None = None
     sink: int | None = None
-    declared_nodes = 0
+    declared_nodes: int | None = None
+
+    def node_id(text: str, line_number: int) -> int:
+        node = _dimacs_int(text, "node id", path, line_number)
+        if not 1 <= node <= declared_nodes:
+            raise GraphError(
+                f"{path}:{line_number}: node id {node} outside "
+                f"1..{declared_nodes}"
+            )
+        return node - 1
+
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -115,31 +142,50 @@ def read_dimacs_flow(
                 continue
             parts = line.split()
             kind = parts[0]
+            form = _DIMACS_LINES.get(kind)
+            if form is None:
+                raise GraphError(f"{path}:{line_number}: unknown line {line!r}")
+            if (
+                len(parts) != len(form.split())
+                or (kind == "p" and parts[1] != "max")
+                or (kind == "n" and parts[2] not in ("s", "t"))
+            ):
+                raise GraphError(
+                    f"{path}:{line_number}: expected '{form}', got {line!r}"
+                )
             if kind == "p":
-                if len(parts) != 4 or parts[1] != "max":
+                if declared_nodes is not None:
                     raise GraphError(
-                        f"{path}:{line_number}: expected 'p max N M', got {line!r}"
+                        f"{path}:{line_number}: second problem line {line!r}"
                     )
-                declared_nodes = int(parts[2])
+                declared_nodes = _dimacs_int(
+                    parts[2], "node count", path, line_number
+                )
+                _dimacs_int(parts[3], "arc count", path, line_number)
+                if declared_nodes < 0:
+                    raise GraphError(
+                        f"{path}:{line_number}: negative node count "
+                        f"{declared_nodes}"
+                    )
                 for i in range(declared_nodes):
                     graph.add_node(i)
+            elif declared_nodes is None:
+                raise GraphError(
+                    f"{path}:{line_number}: {line!r} comes before the "
+                    "'p max N M' line"
+                )
             elif kind == "n":
-                node = int(parts[1]) - 1
+                node = node_id(parts[1], line_number)
                 if parts[2] == "s":
                     source = node
-                elif parts[2] == "t":
-                    sink = node
                 else:
-                    raise GraphError(
-                        f"{path}:{line_number}: node designator must be s/t"
-                    )
-            elif kind == "a":
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                    sink = node
+            else:
+                u = node_id(parts[1], line_number)
+                v = node_id(parts[2], line_number)
                 cap = parse_weight(parts[3], path, line_number)
                 existing = graph.weight(u, v)
                 graph.add_edge(u, v, existing + cap)
-            else:
-                raise GraphError(f"{path}:{line_number}: unknown line {line!r}")
     if source is None or sink is None:
         raise GraphError(f"{path}: missing source/sink declaration")
     return graph, source, sink

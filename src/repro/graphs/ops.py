@@ -8,7 +8,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import GraphError
-from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.digraph import WeightedDiGraph
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -43,22 +42,6 @@ def induced_subgraph(
         if u in keep and v in keep:
             sub.add_edge(u, v, w)
     return sub
-
-
-def bipartite_block(
-    graph: WeightedDiGraph,
-    left_indices: Sequence[int],
-    right_indices: Sequence[int],
-) -> BipartiteGraph:
-    """The weighted bipartite graph ``(P_i, P_j, w)`` between two classes.
-
-    Uses internal node indices.  This is the object Theorem 6 reasons
-    about: the block of the adjacency matrix between two colors.
-    """
-    matrix = graph.to_csr()
-    left = np.asarray(left_indices, dtype=np.intp)
-    right = np.asarray(right_indices, dtype=np.intp)
-    return BipartiteGraph(matrix[left][:, right])
 
 
 def perturb_add_random_edges(

@@ -75,24 +75,14 @@ class LPReduction:
                 f"({self.reduced.n_cols},)"
             )
         n = self.original.n_cols
-        # Reduced column r corresponds to the r-th non-pinned column color.
-        rhs_color = self.col_coloring.color_of(n)
-        col_colors = [
-            color
-            for color in range(self.col_coloring.n_colors)
-            if color != rhs_color
-        ]
-        value_of_color = dict(zip(col_colors, x_hat))
-        sizes = self.col_coloring.sizes
-        labels = self.col_coloring.labels[:n]
-        x = np.zeros(n)
-        for j in range(n):
-            color = int(labels[j])
-            if self.mode == "sqrt":
-                x[j] = value_of_color[color] / np.sqrt(sizes[color])
-            else:
-                x[j] = value_of_color[color] / sizes[color]
-        return x
+        coloring = self.col_coloring
+        # Reduced column r is the r-th column color other than the
+        # pinned RHS color, whose slot stays 0.
+        values = np.zeros(coloring.n_colors)
+        values[np.arange(coloring.n_colors) != coloring.color_of(n)] = x_hat
+        sizes = coloring.sizes
+        scale = np.sqrt(sizes) if self.mode == "sqrt" else sizes
+        return (values / scale)[coloring.labels[:n]]
 
 
 def initial_bipartite_coloring(

@@ -22,11 +22,7 @@ from repro.centrality.approx import pivot_betweenness
 from repro.centrality.brandes import betweenness_centrality
 from repro.core.kernels import check_backend
 from repro.core.partition import Coloring
-from repro.flow.approx import (
-    flow_initial_coloring,
-    lift_flow,
-    reduced_network,
-)
+from repro.flow.approx import flow_initial_coloring, reduced_network
 from repro.flow.network import FlowNetwork, FlowResult, max_flow
 from repro.lp.model import LinearProgram
 from repro.lp.reduction import initial_bipartite_coloring, reduce_lp
@@ -41,18 +37,17 @@ __all__ = ["MaxFlowTask", "LPTask", "CentralityTask", "task_for"]
 
 class MaxFlowTask(CompressionTask):
     """Reduced max-flow (Theorem 6): color with ``s``/``t`` pinned,
-    reduce to block capacities, solve on the reduced network.
+    reduce to the block capacity sums ``c_hat_2`` (exactly the block
+    weights the runner passes to ``reduce``), solve on the reduced
+    network.  The value over-approximates ``maxFlow(G)``;
+    :func:`~repro.flow.approx.flow_bracket` bounds it from both sides
+    on request.
 
-    ``bound="upper"`` uses the block capacity sums ``c_hat_2`` (the
-    deployed over-approximation — its capacities are exactly the block
-    weights the runner passes to ``reduce``); ``bound="lower"``
-    uses the uniform-flow capacities ``c_hat_1``.  ``algorithm``
-    solves the reduced network (``"dinic"`` or ``"push_relabel"``);
-    the exact reference is always Dinic.  With
-    ``lift_solution=True`` (lower bound only) the reduced flow is
-    lifted to a valid flow on the original network.  ``workers`` is
-    accepted like on every task and unused: max-flow's stages run
-    sequentially.
+    ``bound`` accepts only ``"upper"``, the one reduced network.
+    ``algorithm`` solves the reduced network (``"dinic"`` or
+    ``"push_relabel"``); the exact reference is always Dinic.  The
+    lift returns the reduced solution.  ``workers`` is accepted like on
+    every task and unused: max-flow's stages run sequentially.
     """
 
     name = "maxflow"
@@ -63,16 +58,18 @@ class MaxFlowTask(CompressionTask):
         bound: str = "upper",
         algorithm: str = "dinic",
         split_mean: str = "arithmetic",
-        lift_solution: bool = False,
         backend: str | None = None,
         workers: int | None = None,
     ) -> None:
         check_backend(backend)
+        if bound != "upper":
+            raise ValueError(
+                f"unknown bound {bound!r}: the block-capacity network "
+                "('upper') is the only reduced network"
+            )
         self.problem = network
-        self.bound = bound
         self.algorithm = algorithm
         self.split_mean = split_mean
-        self.lift_solution = lift_solution
         self._spec: ColoringSpec | None = None
 
     def coloring_spec(self) -> ColoringSpec:
@@ -92,7 +89,7 @@ class MaxFlowTask(CompressionTask):
         # The coloring spec's adjacency hash pins the network (graph and
         # capacities); source/sink are pinned by the spec's initial
         # coloring.  Everything else shaping reduce/solve/lift is here.
-        return (self.name, self.bound, self.algorithm, self.lift_solution)
+        return (self.name, self.algorithm)
 
     def reduce(
         self,
@@ -102,9 +99,7 @@ class MaxFlowTask(CompressionTask):
         block_weights: np.ndarray | None = None,
         max_q_err: float | None = None,
     ) -> FlowNetwork:
-        return reduced_network(
-            problem, coloring, bound=self.bound, block_weights=block_weights
-        )
+        return reduced_network(problem, coloring, block_weights=block_weights)
 
     def solve(self, reduced: FlowNetwork) -> FlowResult:
         return max_flow(reduced, algorithm=self.algorithm)
@@ -112,9 +107,7 @@ class MaxFlowTask(CompressionTask):
     def lift(
         self, coloring: Coloring, reduced: FlowNetwork, solution: FlowResult
     ) -> FlowResult:
-        if not self.lift_solution:
-            return solution
-        return lift_flow(self.problem, coloring, solution)
+        return solution
 
     def value(
         self, reduced: FlowNetwork, solution: FlowResult, lifted: FlowResult

@@ -7,9 +7,9 @@ single engine monotonically forward, records the q-error trajectory,
 and can answer "the coloring a fresh run with *these* stopping knobs
 would have produced" for any knobs whose stopping point it has already
 passed, without recoloring.  :class:`ColoringCache` keys such runs by
-spec fingerprint so one coloring is shared across tasks (max-flow upper
-and lower bounds, LP ``sqrt`` and ``grohe`` modes), weight modes, and
-every checkpoint of a multi-k sweep.
+spec fingerprint so one coloring is shared across tasks (LP ``sqrt``
+and ``grohe`` modes), weight modes, and every checkpoint of a multi-k
+sweep.
 
 :class:`ReducedSolveCache` plays the same role one tier up: it keys the
 *outputs* of a task's reduce–solve–lift stages on ``(coloring spec,

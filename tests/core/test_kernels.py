@@ -49,31 +49,6 @@ class TestTakeRanges:
         )
 
 
-class TestScatterSelectSums:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_csc_columns_equal_dense_sum(self, seed):
-        matrix = _random_csr(20, 0.3, seed)
-        csc = matrix.tocsc()
-        members = np.array([1, 4, 7, 15])
-        column = kernels.scatter_select_sums(
-            csc.indptr, csc.indices, csc.data, members, 20
-        )
-        np.testing.assert_allclose(
-            column, matrix.toarray()[:, members].sum(axis=1)
-        )
-
-    def test_empty_selection(self):
-        matrix = _random_csr(10, 0.3, 0)
-        column = kernels.scatter_select_sums(
-            matrix.indptr,
-            matrix.indices,
-            matrix.data,
-            np.empty(0, dtype=np.int64),
-            10,
-        )
-        np.testing.assert_array_equal(column, np.zeros(10))
-
-
 class TestColorDegreeMatrix:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_indicator_product(self, seed):

@@ -1,4 +1,5 @@
-"""Tests for the Theorem 6 flow approximation pipeline."""
+"""Tests for the Theorem 6 flow approximation pipeline and its
+witnessed bracket."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from repro.core.reduced import block_weights
 from repro.flow.approx import (
     approx_max_flow,
     color_flow_network,
+    flow_bracket,
     reduced_network,
 )
 from repro.flow.network import FlowNetwork, max_flow
@@ -16,6 +18,7 @@ from repro.graphs.generators import (
     pathological_flow_network,
     pathological_layer_coloring,
 )
+from repro.pipeline import MaxFlowTask
 from tests.conftest import random_adjacency
 
 
@@ -28,16 +31,16 @@ def random_flow_network(seed: int, n: int = 14) -> FlowNetwork:
 class TestTheorem6Bounds:
     @pytest.mark.parametrize("seed", range(8))
     def test_sandwich(self, seed):
-        """maxFlow(G_hat_1) <= maxFlow(G) <= maxFlow(G_hat_2)."""
+        """lb <= maxFlow(G) <= maxFlow(G_hat_2) = ub."""
         network = random_flow_network(seed)
         exact = max_flow(network).value
-        rothko = color_flow_network(network, n_colors=5)
-        upper_net = reduced_network(network, rothko.coloring, bound="upper")
-        lower_net = reduced_network(network, rothko.coloring, bound="lower")
-        upper = max_flow(upper_net).value
-        lower = max_flow(lower_net).value
-        assert lower <= exact + 1e-6
-        assert exact <= upper + 1e-6
+        coloring = color_flow_network(network, n_colors=5).coloring
+        reduced = reduced_network(network, coloring)
+        solution = max_flow(reduced)
+        bracket = flow_bracket(network, coloring, reduced, solution)
+        assert bracket.lb <= exact + 1e-6
+        assert exact <= solution.value + 1e-6
+        assert bracket.ub == pytest.approx(solution.value, rel=1e-12)
 
     def test_discrete_coloring_is_exact(self):
         """With every node its own color the reduced graph IS the graph."""
@@ -45,30 +48,26 @@ class TestTheorem6Bounds:
         labels = np.arange(10)
         labels[[0, network.sink_index]] = [0, 9]
         coloring = Coloring(labels)
-        upper = max_flow(
-            reduced_network(network, coloring, bound="upper")
-        ).value
+        upper = max_flow(reduced_network(network, coloring)).value
         assert upper == pytest.approx(max_flow(network).value)
 
 
 class TestPathologicalExample:
-    """Example 7: the upper bound is wildly loose, the lower bound is 0."""
+    """Example 7: the upper bound is wildly loose; the lifted flow still
+    proves 2/n."""
 
     def test_bounds(self):
-        n = 6
-        graph, s, t = pathological_flow_network(n)
-        network = FlowNetwork(graph, s, t)
-        coloring = Coloring(pathological_layer_coloring(n))
-        upper = max_flow(
-            reduced_network(network, coloring, bound="upper")
-        ).value
-        lower = max_flow(
-            reduced_network(network, coloring, bound="lower")
-        ).value
-        exact = max_flow(network).value
-        assert exact == 2.0
-        assert upper >= n - 1  # ~n: a huge overestimate
-        assert lower == 0.0  # maxUFlow collapses
+        for n in (6, 8, 20):
+            graph, s, t = pathological_flow_network(n)
+            network = FlowNetwork(graph, s, t)
+            coloring = Coloring(pathological_layer_coloring(n))
+            reduced = reduced_network(network, coloring)
+            solution = max_flow(reduced)
+            bracket = flow_bracket(network, coloring, reduced, solution)
+            assert max_flow(network).value == 2.0
+            assert bracket.ub >= n - 1  # ~n: a huge overestimate
+            assert bracket.ub == pytest.approx(solution.value, rel=1e-12)
+            assert bracket.lb == pytest.approx(2.0 / n, rel=1e-12)
 
 
 class TestColorFlowNetwork:
@@ -85,15 +84,15 @@ class TestColorFlowNetwork:
     def test_unpinned_coloring_rejected(self):
         network = random_flow_network(2)
         with pytest.raises(ValueError, match="singleton"):
-            reduced_network(
-                network, Coloring.trivial(network.n_nodes), bound="upper"
-            )
+            reduced_network(network, Coloring.trivial(network.n_nodes))
 
     def test_bad_bound(self):
+        """The block-capacity network is the only reduced network."""
         network = random_flow_network(2)
-        rothko = color_flow_network(network, n_colors=4)
-        with pytest.raises(ValueError):
-            reduced_network(network, rothko.coloring, bound="middle")
+        MaxFlowTask(network, bound="upper")
+        for bound in ("lower", "middle"):
+            with pytest.raises(ValueError, match=f"'{bound}'"):
+                MaxFlowTask(network, bound=bound)
 
 
 class TestReducedNetwork:
@@ -103,7 +102,7 @@ class TestReducedNetwork:
         coloring = color_flow_network(network, n_colors=6).coloring
         weights = block_weights(network.graph.to_csr(), coloring).toarray()
         expected = np.where(np.eye(len(weights), dtype=bool), 0.0, weights)
-        reduced = reduced_network(network, coloring, bound="upper")
+        reduced = reduced_network(network, coloring)
         assert reduced.n_nodes == coloring.n_colors
         assert np.array_equal(reduced.graph.to_dense(), expected)
         # Built straight from arrays: no per-arc dict adjacency.
@@ -114,9 +113,7 @@ class TestReducedNetwork:
             np.array([0]), np.array([3]), np.array([5.0]), n_nodes=4
         )
         network = FlowNetwork(graph, 0, 3)
-        reduced = reduced_network(
-            network, Coloring(np.arange(4)), bound="upper"
-        )
+        reduced = reduced_network(network, Coloring(np.arange(4)))
         assert reduced.n_nodes == 4
         assert max_flow(reduced).value == 5.0
 

@@ -123,6 +123,46 @@ class TestDimacs:
         with pytest.raises(GraphError, match=f"^{path}:4: .*{reason}"):
             read_dimacs_flow(path)
 
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            ("p max 3 2\nn 1 s\nn 3 t\na 1 2 5\na 2 7 5\n", 5,
+             "node id 7 outside 1..3"),
+            ("p max 3 1\nn 1 s\nn 3 t\na 0 3 5\n", 4,
+             "node id 0 outside 1..3"),
+            ("p max 3 1\nn 1 s\nn 4 t\na 1 3 5\n", 3,
+             "node id 4 outside 1..3"),
+            ("p max 3 1\nn 1 s\nn 3 t\na 2 3\n", 4,
+             "expected 'a U V CAP'"),
+            ("p max 3 1\nn 1 s\nn 3 t\na 1 3 5 7\n", 4,
+             "expected 'a U V CAP'"),
+            ("p max 3 1\nn 1\nn 3 t\na 1 3 5\n", 2,
+             "expected 'n ID s|t'"),
+            ("p max 3 1\nn 1 x\nn 3 t\na 1 3 5\n", 2,
+             "expected 'n ID s|t'"),
+            ("p max x 2\nn 1 s\nn 2 t\na 1 2 5\n", 1,
+             "node count 'x' is not an integer"),
+            ("p max 2 y\nn 1 s\nn 2 t\na 1 2 5\n", 1,
+             "arc count 'y' is not an integer"),
+            ("p max -2 1\nn 1 s\nn 2 t\na 1 2 5\n", 1,
+             "negative node count"),
+            ("p max 3 1\nn 1 s\nn 3 t\na 1 b 5\n", 4,
+             "node id 'b' is not an integer"),
+            ("n 1 s\np max 2 1\nn 2 t\na 1 2 5\n", 1,
+             "'n 1 s' comes before the 'p max N M' line"),
+            ("c header\na 1 2 5\np max 2 1\nn 1 s\nn 2 t\n", 2,
+             "'a 1 2 5' comes before the 'p max N M' line"),
+            ("p max 2 1\nn 1 s\nn 2 t\np max 3 1\na 1 2 5\n", 4,
+             "second problem line"),
+        ],
+    )
+    def test_malformed_line_names_it(self, tmp_path, text, line, reason):
+        path = tmp_path / "bad.max"
+        path.write_text(text)
+        with pytest.raises(GraphError) as error:
+            read_dimacs_flow(path)
+        assert str(error.value).startswith(f"{path}:{line}: {reason}")
+
     def test_comments_skipped(self, tmp_path):
         path = tmp_path / "c.max"
         path.write_text(

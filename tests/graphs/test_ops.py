@@ -7,7 +7,6 @@ from repro.exceptions import GraphError
 from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.ops import (
-    bipartite_block,
     degree_vector,
     induced_subgraph,
     perturb_add_random_edges,
@@ -38,15 +37,6 @@ class TestInducedSubgraph:
     def test_unknown_label(self, small_directed):
         with pytest.raises(GraphError):
             induced_subgraph(small_directed, [0, 99])
-
-
-class TestBipartiteBlock:
-    def test_extracts_weights(self, small_directed):
-        block = bipartite_block(small_directed, [0, 1], [2, 3])
-        assert block.matrix[0, 0] == 1.0  # edge 0->2
-        assert block.matrix[1, 1] == 1.0  # edge 1->3
-        # edges into {2, 3} from {0, 1}: 0->2 (1.0), 1->2 (3.0), 1->3 (1.0)
-        assert block.total_weight() == pytest.approx(5.0)
 
 
 class TestPerturb:

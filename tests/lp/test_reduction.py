@@ -105,6 +105,45 @@ class TestQuasiStableApproximation:
         assert reduction.n_colors <= 9
 
 
+def loop_lift(reduction, x_hat: np.ndarray) -> np.ndarray:
+    """The per-column loop ``LPReduction.lift`` replaced: the oracle."""
+    n = reduction.original.n_cols
+    rhs_color = reduction.col_coloring.color_of(n)
+    col_colors = [
+        color
+        for color in range(reduction.col_coloring.n_colors)
+        if color != rhs_color
+    ]
+    value_of_color = dict(zip(col_colors, x_hat))
+    sizes = reduction.col_coloring.sizes
+    labels = reduction.col_coloring.labels[:n]
+    x = np.zeros(n)
+    for j in range(n):
+        color = int(labels[j])
+        if reduction.mode == "sqrt":
+            x[j] = value_of_color[color] / np.sqrt(sizes[color])
+        else:
+            x[j] = value_of_color[color] / sizes[color]
+    return x
+
+
+class TestLiftGather:
+    @pytest.mark.parametrize("mode", ["sqrt", "grohe"])
+    @pytest.mark.parametrize("budget", [8, 16, 30])
+    def test_bit_identical_to_the_loop(self, mode, budget):
+        lp = planted_block_lp(
+            40, 30, row_groups=4, col_groups=3, noise=0.2, seed=7
+        )
+        reduction = reduce_lp(lp, n_colors=budget, mode=mode)
+        assert reduction.col_coloring.n_colors < lp.n_cols + 1
+        x_hat = np.random.default_rng(budget).uniform(
+            0.1, 9.0, reduction.reduced.n_cols
+        )
+        assert np.array_equal(
+            reduction.lift(x_hat), loop_lift(reduction, x_hat)
+        )
+
+
 class TestColorLP:
     def test_pins_are_singletons(self):
         lp = fig3_example()

@@ -173,17 +173,6 @@ class TestColoringCache:
         assert cache.hits == 1 and cache.misses == 1
         assert sqrt_result.coloring == grohe_result.coloring
 
-    def test_shared_across_flow_bounds(self):
-        network = flow_network(seed=8, n=20)
-        cache = ColoringCache()
-        upper = run_task(MaxFlowTask(network, bound="upper"), n_colors=6,
-                         cache=cache)
-        lower = run_task(MaxFlowTask(network, bound="lower"), n_colors=6,
-                         cache=cache)
-        assert len(cache) == 1
-        assert upper.coloring == lower.coloring
-        assert lower.value <= upper.value + 1e-9
-
     def test_distinct_specs_do_not_collide(self):
         cache = ColoringCache()
         a = random_adjacency(15, 0.3, 1)

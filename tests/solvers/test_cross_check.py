@@ -4,11 +4,13 @@ The acceptance contract of the CSR-native solver core: on random
 directed/undirected weighted graphs every max-flow algorithm matches
 networkx's flow value, the min-cut has the same capacity and the same
 minimal source side (the nodes reachable from ``s`` in any maximum
-flow's residual network), lifted lower-bound flows validate on the
-original network, and betweenness matches networkx's Brandes to 1e-9 —
+flow's residual network), the max-flow bracket lifted from a reduced
+answer holds, and betweenness matches networkx's Brandes to 1e-9 —
 unweighted, weighted, normalized, and restricted to weighted sources.
 The hypothesis sweep adds the awkward inputs: self-loops, duplicate
-and zero-weight arcs, isolated nodes and unreachable sinks.
+and zero-weight arcs, isolated nodes and unreachable sinks
+(``tests/flow/test_bracket.py`` sweeps the max-flow bracket over the
+same graphs).
 """
 
 import networkx as nx
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.centrality.brandes import betweenness_centrality
-from repro.flow.approx import lift_flow, reduced_network, color_flow_network
+from repro.flow.approx import color_flow_network, flow_bracket, reduced_network
 from repro.flow.mincut import min_cut
 from repro.flow.network import FlowNetwork, max_flow, validate_flow
 from repro.graphs.digraph import WeightedDiGraph
@@ -156,14 +158,16 @@ class TestLiftedFlowValidity:
     def test_lower_bound_lift_validates(self, seed):
         network, nx_graph = random_flow_network(seed, n=12, density=0.4)
         coloring = color_flow_network(network, n_colors=6).coloring
-        reduced = reduced_network(network, coloring, bound="lower")
-        reduced_result = max_flow(reduced)
-        lifted = lift_flow(network, coloring, reduced_result)
-        validate_flow(network, lifted)
-        assert lifted.value == pytest.approx(reduced_result.value, abs=1e-9)
-        # Theorem 6: the lifted lower bound cannot exceed maxFlow(G).
+        reduced = reduced_network(network, coloring)
         exact = nx.maximum_flow_value(nx_graph, 0, network.n_nodes - 1)
-        assert lifted.value <= exact + 1e-9
+        for algorithm in ALGORITHMS:
+            solution = max_flow(reduced, algorithm=algorithm)
+            bracket = flow_bracket(network, coloring, reduced, solution)
+            # The lifted lower bound cannot exceed maxFlow(G), nor the
+            # lifted cut fall below it (Theorem 6).
+            assert 0.0 <= bracket.lb <= exact + 1e-9
+            assert exact <= bracket.ub + 1e-9
+            assert bracket.ub == pytest.approx(solution.value, abs=1e-9)
 
 
 class TestBetweennessCrossCheck:

@@ -64,6 +64,28 @@ class TestSolveCommand:
         assert "3 checkpoint(s)" in out
         assert "coloring_s" in out
 
+    def test_maxflow_prints_witnessed_bracket(self, capsys):
+        assert main(
+            ["solve", "--task", "maxflow", "--dataset", "tsukuba0",
+             "--scale", "0.002", "--colors", "4,8,12"]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(line for line in lines if line.startswith("colors"))
+        rows = [dict(zip(header.split(), line.split()))
+                for line in lines if line and line[0].isdigit()]
+        assert len(rows) == 3
+        for row in rows:
+            lb, value, ub = (float(row[key]) for key in ("lb", "value", "ub"))
+            assert 0.0 < lb <= value <= ub
+            assert float(row["gap"]) >= 0.0
+
+    def test_bound_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "--task", "maxflow", "--dataset", "tsukuba0",
+                  "--colors", "4", "--bound", "lower"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --bound" in capsys.readouterr().err
+
     def test_lp_single_budget(self, capsys):
         assert main(
             ["solve", "--task", "lp", "--dataset", "qap15",
